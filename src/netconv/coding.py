@@ -26,34 +26,38 @@ class LevelPolicy(Enum):
 class CodingTable:
     """Ordered list of distinct categorical values with their code base.
 
-    ``name`` records what is coded ("relation", "node", a property name);
-    it is descriptive metadata and excluded from equality because the
-    serialized formats do not carry it.
+    ``name`` records what is coded ("relation", "node", a property name); it is
+    metadata the serialized formats do not carry, so equality ignores it. A
+    private value -> position index, also ignored, makes ``code_of``/``in`` O(1).
     """
 
     name: str = field(compare=False)
     levels: tuple[str, ...] = ()
     base: int = 1
+    _index: dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        seen = set()
-        for lv in self.levels:
+        index = {}
+        for i, lv in enumerate(self.levels):
             if not lv:
                 raise ValueError("coding table level must be non-empty text")
-            if lv in seen:
+            if index.setdefault(lv, i) != i:
                 raise ValueError(f"duplicate coding table level: {lv!r}")
-            seen.add(lv)
+        object.__setattr__(self, "_index", index)
 
     def __len__(self) -> int:
         return len(self.levels)
 
-    def __contains__(self, value: str) -> bool:
-        return value in self.levels
+    def __contains__(self, value: object) -> bool:
+        try:
+            return value in self._index
+        except TypeError:  # unhashable, so not a level
+            return False
 
     def code_of(self, value: str) -> int:
         try:
-            return self.base + self.levels.index(value)
-        except ValueError:
+            return self.base + self._index[value]
+        except (KeyError, TypeError):
             raise CodingError(f"value {value!r} not in coding table {self.name!r}") from None
 
     def value_of(self, code: int) -> str:
@@ -78,16 +82,14 @@ def build_coding_table(
     """Enumerate the distinct non-missing values of a categorical variable.
 
     Missing values (None) contribute no level. ``base`` must be 0 or 1.
+    File order builds in O(n), and the table's lookups are O(1).
     """
     if base not in (0, 1):
         raise ValueError(f"coding table base must be 0 or 1, got {base}")
     if policy is LevelPolicy.SORTED:
         levels = sorted({v for v in values if v is not None})
     else:
-        levels = []
-        for v in values:
-            if v is not None and v not in levels:
-                levels.append(v)
+        levels = dict.fromkeys(v for v in values if v is not None)
     return CodingTable(name=name, levels=tuple(levels), base=base)
 
 

@@ -14,6 +14,7 @@ types :class:`Interval` and :class:`TemporalQuantity`.
 from __future__ import annotations
 
 import bisect
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, NamedTuple, Optional, Sequence
@@ -58,12 +59,9 @@ def tq_value_at(tq: TemporalQuantity, t: int) -> PropertyValue:
     Assumes the quantity is well-formed (sorted, disjoint) and binary-searches
     the interval starts.
     """
-    starts = [s for s, _, _ in tq.triples]
-    i = bisect.bisect_right(starts, t) - 1
-    if i >= 0:
-        s, f, v = tq.triples[i]
-        if s <= t < f:
-            return v
+    i = bisect.bisect_right(tq.triples, t, key=lambda triple: triple[0]) - 1
+    if i >= 0 and t < tq.triples[i][1]:  # bisect_right leaves start <= t
+        return tq.triples[i][2]
     return None
 
 
@@ -237,7 +235,7 @@ def make_network(
     links = tuple(links)
     ids = [n.id for n in nodes]
     if len(set(ids)) != len(ids):
-        dupes = sorted({str(i) for i in ids if ids.count(i) > 1})
+        dupes = sorted({str(i) for i, count in Counter(ids).items() if count > 1})
         raise StructuralError(f"duplicate node identifier(s): {', '.join(dupes)}")
 
     labeled = not (nodes and isinstance(nodes[0].id, int))

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
+import re
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import oracles
 from netconv import (
@@ -112,3 +115,84 @@ class TestProperties:
         before = build_coding_table("p", prefix, LevelPolicy.FILE_ORDER)
         after = build_coding_table("p", prefix + suffix, LevelPolicy.FILE_ORDER)
         assert after.levels[: len(before.levels)] == before.levels
+
+
+level_lists_st = st.lists(st.text(min_size=1, max_size=4), unique=True, max_size=20)
+bases_st = st.sampled_from([0, 1])
+absent_st = st.one_of(
+    st.text(max_size=4),
+    st.none(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.lists(st.text(max_size=2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.sets(st.integers(), max_size=2),
+    st.tuples(st.text(max_size=2), st.lists(st.integers(), max_size=2)),
+)
+
+
+class TestCodingTableProperties:
+    @given(
+        st.lists(st.one_of(st.none(), st.text(min_size=1, max_size=3)), max_size=40),
+        st.sampled_from(
+            [
+                (LevelPolicy.FILE_ORDER, oracles.file_order_levels),
+                (LevelPolicy.SORTED, oracles.sorted_levels),
+            ]
+        ),
+        bases_st,
+    )
+    def test_lookups_agree_with_oracles(self, values, policy_oracle, base):
+        policy, oracle = policy_oracle
+        table = build_coding_table("p", values, policy, base)
+        levels = oracle(values)
+        assert list(table.levels) == levels
+        # At base 0 code 0 is live, so missing values take a code outside the range.
+        expected = oracles.positional_encode(values, levels, base, -1)
+        assert encode(values, table, -1) == expected
+        for value, code in zip(values, expected):
+            if value is not None:
+                assert value in table
+                assert table.code_of(value) == code
+                assert table.value_of(code) == value
+
+    @given(level_lists_st, bases_st, st.data())
+    def test_duplicate_or_empty_level_rejected(self, levels, base, data):
+        bad = data.draw(st.sampled_from(levels + [""]))
+        at = data.draw(st.integers(0, len(levels)))
+        if bad:
+            message = f"duplicate coding table level: {bad!r}"
+        else:
+            message = "coding table level must be non-empty text"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CodingTable("p", tuple(levels[:at] + [bad] + levels[at:]), base)
+
+    @given(level_lists_st, bases_st, absent_st)
+    def test_absent_value_not_in_and_not_coded(self, levels, base, value):
+        assume(value not in levels)
+        table = CodingTable("p", tuple(levels), base)
+        assert (value in table) is False
+        message = f"value {value!r} not in coding table 'p'"
+        with pytest.raises(CodingError, match=f"^{re.escape(message)}$"):
+            table.code_of(value)
+
+    @given(level_lists_st, bases_st)
+    def test_equal_tables_hash_equal_whatever_their_index(self, levels, base):
+        built = build_coding_table("node", levels, LevelPolicy.FILE_ORDER, base)
+        direct = CodingTable("other name", tuple(levels), base)
+        object.__setattr__(direct, "_index", {})
+        assert built == direct
+        assert hash(built) == hash(direct)
+        assert repr(built) == f"CodingTable(name='node', levels={tuple(levels)!r}, base={base})"
+
+    @given(level_lists_st, bases_st)
+    def test_replace_rebuilds_index(self, levels, base):
+        table = CodingTable("p", tuple(levels), base)
+        rebased = dataclasses.replace(table, base=1 - base)
+        reordered = dataclasses.replace(table, levels=tuple(reversed(levels)))
+        assert [rebased.code_of(v) for v in levels] == oracles.positional_encode(
+            levels, levels, 1 - base, None
+        )
+        assert [reordered.code_of(v) for v in levels] == oracles.positional_encode(
+            levels, levels[::-1], base, None
+        )

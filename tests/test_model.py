@@ -154,6 +154,19 @@ class TestMakeNetwork:
         with pytest.raises(StructuralError, match="duplicate"):
             make_network(nodes, [])
 
+    @pytest.mark.parametrize(
+        "ids, listed",
+        [
+            (["m", "b", "z", "b", "m", "q", "m", "a", "z"], "b, m, z"),
+            ([2, 10, 2, 10, 10, 3], "10, 2"),  # sorted as text, each id once
+        ],
+    )
+    def test_duplicate_message_lists_each_id_once_sorted(self, ids, listed):
+        nodes = [NodeRecord(id=i, lab=f"n{k}") for k, i in enumerate(ids)]
+        with pytest.raises(StructuralError) as excinfo:
+            make_network(nodes, [])
+        assert str(excinfo.value) == f"duplicate node identifier(s): {listed}"
+
     def test_flags_computed_without_info(self):
         net = net_of(["a", "b"], [("a", "r", "b"), ("a", "s", "b")])
         assert net.info.multirel is True
