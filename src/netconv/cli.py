@@ -9,6 +9,7 @@ so a failed run leaves no partial output behind.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import os
 import sys
@@ -162,15 +163,14 @@ def cmd_validate(args) -> int:
     try:
         if fmt == "netsjson":
             with _open_text(args.path) as stream:
-                report = netsjson.validate_netsjson_document(
+                doc, report = netsjson.load_netsjson_document(
                     stream, strict=level is Level.STRICT
                 )
-            findings = list(report.findings)
             if not report.has_errors:
-                with _open_text(args.path) as stream:
-                    network = netsjson.parse_netsjson(stream)
-                findings.extend(check_all(network, level).findings)
-            report = ValidationReport(tuple(findings), level)
+                network = netsjson.network_from_document(doc)
+                del doc
+                findings = report.findings + check_all(network, level).findings
+                report = ValidationReport(findings, level)
         else:
             args.input = args.path
             try:
@@ -331,7 +331,14 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("Pajek NET output requires --base 1")
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    # A run builds large acyclic object trees; collector passes free nothing.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return args.func(args)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -53,6 +53,7 @@ from .validation import (
     Level,
     Severity,
     ValidationReport,
+    check_tq_bounds,
     parse_iso_date,
 )
 
@@ -145,6 +146,11 @@ def parse_netsjson(source: IO[str]) -> Network:
         doc = json.load(source, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not well-formed JSON: {exc}") from None
+    return network_from_document(doc)
+
+
+def network_from_document(doc: Any) -> Network:
+    """Build the network of a decoded document, as :func:`parse_netsjson` does."""
     if not isinstance(doc, dict):
         raise SchemaError("document root must be a JSON object")
     missing = [m for m in ("netsJSON", "info", "nodes", "links") if m not in doc]
@@ -567,16 +573,30 @@ def validate_netsjson_document(source: IO[str], strict: bool = False) -> Validat
     modification dates, and (once a time window marks the network as
     temporal) a tq on every node and link.
     """
+    return load_netsjson_document(source, strict)[1]
+
+
+def load_netsjson_document(source: IO[str], strict: bool = False) -> tuple[Any, ValidationReport]:
+    """Decode a document once and schema-check it.
+
+    Returns the decoded value (None when the text is not well-formed JSON)
+    and the :func:`validate_netsjson_document` report; pass the value to
+    :func:`network_from_document` when the report has no errors.
+    """
     level = Level.STRICT if strict else Level.LENIENT
+    try:
+        doc = json.loads(source.read(), parse_constant=_reject_constant)
+    except (json.JSONDecodeError, SchemaError) as exc:
+        malformed = Finding(Severity.ERROR, "json-malformed", "$", str(exc))
+        return None, ValidationReport((malformed,), level)
+    return doc, _check_document(doc, level)
+
+
+def _check_document(doc: Any, level: Level) -> ValidationReport:
     out: list[Finding] = []
     err = lambda rule, loc, msg: out.append(Finding(Severity.ERROR, rule, loc, msg))
     warn = lambda rule, loc, msg: out.append(Finding(Severity.WARNING, rule, loc, msg))
 
-    try:
-        doc = json.loads(source.read(), parse_constant=_reject_constant)
-    except (json.JSONDecodeError, SchemaError) as exc:
-        err("json-malformed", "$", str(exc))
-        return ValidationReport(tuple(out), level)
     if not isinstance(doc, dict):
         err("member-type", "$", "document root must be an object")
         return ValidationReport(tuple(out), level)
@@ -607,7 +627,7 @@ def validate_netsjson_document(source: IO[str], strict: bool = False) -> Validat
         org, window, relations = _validate_info(info, level, len(nodes or []), links or [], out)
 
     node_ids: set = set()
-    temporal = strict and window is not None
+    temporal = level is Level.STRICT and window is not None
     if nodes is not None:
         kinds = set()
         for i, raw in enumerate(nodes):
@@ -882,32 +902,14 @@ def _validate_raw_tq(raw: Any, loc: str, window: Optional[TimeWindow], out: list
     if not isinstance(raw, list):
         err("tq-malformed", loc, "tq must be an array of [s, f, v] triples")
         return
-    triples = []
     for k, triple in enumerate(raw):
         if not isinstance(triple, list) or len(triple) != 3:
             err("tq-malformed", f"{loc}[{k}]", "triple must be a 3-element array")
             return
-        s, f, _ = triple
-        if not _is_int(s) or not _is_int(f):
+        if not _is_int(triple[0]) or not _is_int(triple[1]):
             err("tq-malformed", f"{loc}[{k}]", "interval bounds must be integers")
             return
-        triples.append((s, f))
-    for k, (s, f) in enumerate(triples):
-        if s >= f:
-            err("tq-empty-interval", f"{loc}[{k}]", f"interval [{s}, {f}) is empty")
-        if window is not None and (s < window.t_min or f > window.t_max + 1):
-            err(
-                "tq-outside-window",
-                f"{loc}[{k}]",
-                f"[{s}, {f}) leaves window [{window.t_min}, {window.t_max}]",
-            )
-    if any(triples[k][0] > triples[k + 1][0] for k in range(len(triples) - 1)):
-        err("tq-unsorted", loc, "intervals not sorted by start")
-    for i in range(len(triples)):
-        for j in range(i + 1, len(triples)):
-            if max(triples[i][0], triples[j][0]) < min(triples[i][1], triples[j][1]):
-                err("tq-overlap", loc, f"intervals {i} and {j} overlap")
-                return
+    check_tq_bounds(raw, loc, window, out)
 
 
 def _scan_raw_intervals(value: Any, loc: str, out: list[Finding]) -> None:

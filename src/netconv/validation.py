@@ -13,13 +13,13 @@ from __future__ import annotations
 import datetime
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from itertools import combinations
+from typing import Optional
 
 from .model import (
     Interval,
     LinkKind,
     Network,
-    TemporalQuantity,
 )
 
 # Published registry of rule identifiers. Finding construction is checked
@@ -257,43 +257,40 @@ def check_network(network: Network, level: Level = Level.LENIENT) -> ValidationR
     return ValidationReport(tuple(out), level)
 
 
-def _check_tq(
-    tq: TemporalQuantity, loc: str, window, out: list[Finding]
-) -> None:
-    triples = tq.triples
+def check_tq_bounds(triples, loc: str, window, out: list[Finding]) -> None:
+    """Append the findings on one temporal quantity's ``(s, f, v)`` triples.
+
+    Per triple ``tq-empty-interval`` and ``tq-outside-window``, then
+    ``tq-unsorted``, then ``tq-overlap`` naming the first overlapping pair
+    in index order. One pass, O(k) for k triples: on sorted input that pair
+    is the first non-empty interval and the next non-empty one, when that
+    starts before the first ends (empty intervals overlap nothing). Only
+    unsorted input, already an error, falls back to the O(k^2) pair scan.
+    """
+    err = lambda rule, where, msg: out.append(Finding(Severity.ERROR, rule, where, msg))
+    unsorted = False
+    overlap = prev_s = last = None  # last: (position, finish) of the latest non-empty interval
     for k, (s, f, _) in enumerate(triples):
         if s >= f:
-            out.append(
-                Finding(
-                    Severity.ERROR,
-                    "tq-empty-interval",
-                    f"{loc}[{k}]",
-                    f"interval [{s}, {f}) is empty",
-                )
-            )
+            err("tq-empty-interval", f"{loc}[{k}]", f"interval [{s}, {f}) is empty")
+        else:
+            if overlap is None and last is not None and s < last[1]:
+                overlap = (last[0], k)
+            last = (k, f)
         if window is not None and (s < window.t_min or f > window.t_max + 1):
-            out.append(
-                Finding(
-                    Severity.ERROR,
-                    "tq-outside-window",
-                    f"{loc}[{k}]",
-                    f"[{s}, {f}) leaves window [{window.t_min}, {window.t_max}]",
-                )
-            )
-    if any(triples[k][0] > triples[k + 1][0] for k in range(len(triples) - 1)):
-        out.append(Finding(Severity.ERROR, "tq-unsorted", loc, "intervals not sorted by start"))
-    for i in range(len(triples)):
-        for j in range(i + 1, len(triples)):
-            if max(triples[i][0], triples[j][0]) < min(triples[i][1], triples[j][1]):
-                out.append(
-                    Finding(
-                        Severity.ERROR,
-                        "tq-overlap",
-                        loc,
-                        f"intervals {i} and {j} overlap",
-                    )
-                )
-                return  # one overlap finding per quantity is enough
+            leaves = f"leaves window [{window.t_min}, {window.t_max}]"
+            err("tq-outside-window", f"{loc}[{k}]", f"[{s}, {f}) {leaves}")
+        unsorted = unsorted or (prev_s is not None and prev_s > s)
+        prev_s = s
+    if unsorted:
+        err("tq-unsorted", loc, "intervals not sorted by start")
+        pairs = combinations(enumerate(triples), 2)
+        overlap = next(
+            ((i, j) for (i, (s1, f1, _)), (j, (s2, f2, _)) in pairs if max(s1, s2) < min(f1, f2)),
+            None,
+        )
+    if overlap is not None:
+        err("tq-overlap", loc, f"intervals {overlap[0]} and {overlap[1]} overlap")
 
 
 def check_temporal(network: Network, level: Level = Level.LENIENT) -> ValidationReport:
@@ -341,7 +338,7 @@ def check_temporal(network: Network, level: Level = Level.LENIENT) -> Validation
         for i, record in enumerate(records):
             loc = f"{group}[{i}].tq"
             if record.tq is not None:
-                _check_tq(record.tq, loc, window, out)
+                check_tq_bounds(record.tq.triples, loc, window, out)
             elif strict_temporal:
                 out.append(
                     Finding(
@@ -359,9 +356,3 @@ def check_all(network: Network, level: Level = Level.LENIENT) -> ValidationRepor
     merged = check_network(network, level).findings + check_temporal(network, level).findings
     return ValidationReport(merged, level)
 
-
-def merge_reports(level: Level, *parts: Iterable[Finding]) -> ValidationReport:
-    findings: list[Finding] = []
-    for part in parts:
-        findings.extend(part)
-    return ValidationReport(tuple(findings), level)

@@ -63,3 +63,32 @@ def tq_covered_points(triples):
     lo = min(s for s, _, _ in triples)
     hi = max(f for _, f, _ in triples)
     return sum(1 for t in range(lo, hi) if tq_value_scan(triples, t) is not None)
+
+
+def tq_bounds_findings(triples, loc, window):
+    """All-pairs tq bounds check as ``(rule, location, message)`` tuples.
+
+    Per triple: empty interval, then outside the window (``window`` is
+    ``(t_min, t_max)`` or None); then unsorted starts; then the first pair
+    ``(i, j)``, by a scan of every pair, whose intervals intersect.
+    """
+    out = []
+    for k, (s, f, _) in enumerate(triples):
+        if s >= f:
+            out.append(("tq-empty-interval", f"{loc}[{k}]", f"interval [{s}, {f}) is empty"))
+        if window is not None and (s < window[0] or f > window[1] + 1):
+            out.append(
+                (
+                    "tq-outside-window",
+                    f"{loc}[{k}]",
+                    f"[{s}, {f}) leaves window [{window[0]}, {window[1]}]",
+                )
+            )
+    if any(triples[k][0] > triples[k + 1][0] for k in range(len(triples) - 1)):
+        out.append(("tq-unsorted", loc, "intervals not sorted by start"))
+    for i in range(len(triples)):
+        for j in range(i + 1, len(triples)):
+            if max(triples[i][0], triples[j][0]) < min(triples[i][1], triples[j][1]):
+                out.append(("tq-overlap", loc, f"intervals {i} and {j} overlap"))
+                return out
+    return out

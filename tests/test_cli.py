@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import gc
+import io
 import json
 import shutil
+import sys
 
 import pytest
 
 from conftest import DATA, normalize_layout
+from corpus import CORPUS, corpus_path
+from netconv import Level, ValidationReport, check_all, parse_netsjson, validate_netsjson_document
 from netconv.cli import main
 
 
@@ -254,6 +259,53 @@ class TestValidate:
         lines = capsys.readouterr().err.strip().splitlines()
         parsed = [json.loads(line) for line in lines]
         assert all(p["rule"] == "member-missing" for p in parsed)
+
+    def test_netsjson_from_stdin(self, monkeypatch, capsys):
+        clean = '{"netsJSON": "basic", "info": {}, "nodes": [{"id": "a"}], "links": []}'
+        malformed = '{"netsJSON": '
+        for text, status, err in ((clean, 0, ""), (malformed, 1, "error: [json-malformed] $: ")):
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
+            assert main(["validate", "-", "--format", "netsjson"]) == status
+            assert capsys.readouterr().err.startswith(err)
+
+    @pytest.mark.parametrize("report", ["text", "json"])
+    @pytest.mark.parametrize("level", ["lenient", "strict"])
+    @pytest.mark.parametrize(
+        "path",
+        [corpus_path(rule) for rule in CORPUS] + [DATA / "temporal_full.json"],
+        ids=lambda p: p.name,
+    )
+    def test_netsjson_matches_two_read_composition(self, path, level, report, capsys):
+        expected = two_read_validate(path, Level(level), report)
+        status = main(["validate", str(path), "--level", level, "--report", report])
+        assert (status, capsys.readouterr().err) == expected
+
+    def test_main_restores_collector_state(self):
+        try:
+            for enabled in (True, False):
+                gc.enable() if enabled else gc.disable()
+                main(["validate", str(DATA / "temporal_full.json")])
+                assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+
+def two_read_validate(path, level: Level, report_format: str) -> tuple[int, str]:
+    """Exit status and standard error of `netconv validate` on a NetsJSON
+    file as composed before the input was decoded once: the schema check,
+    then, when it finds no errors, parse_netsjson over a second read and
+    check_all."""
+    with open(path, encoding="utf-8", newline="") as stream:
+        report = validate_netsjson_document(stream, strict=level is Level.STRICT)
+    findings = list(report.findings)
+    if not report.has_errors:
+        with open(path, encoding="utf-8", newline="") as stream:
+            findings.extend(check_all(parse_netsjson(stream), level).findings)
+    report = ValidationReport(tuple(findings), level)
+    if not findings:
+        return 0, ""
+    text = report.to_json_lines() if report_format == "json" else report.to_text()
+    return (1 if report.has_errors else 0), text + "\n"
 
 
 class TestInfo:

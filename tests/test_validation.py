@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import io
+import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from corpus import CORPUS, corpus_path
@@ -148,6 +150,41 @@ class TestCheckTemporal:
         )
         assert "tq-missing" in rules_of(check_temporal(net, Level.STRICT))
         assert "tq-missing" not in rules_of(check_temporal(net, Level.LENIENT))
+
+    @given(
+        st.lists(st.tuples(st.integers(-4, 8), st.integers(-4, 8), st.integers(0, 2)), max_size=6),
+        st.booleans(),
+        st.none() | st.tuples(st.integers(-3, 3), st.integers(2, 8)),
+    )
+    @settings(max_examples=400)
+    @example([(1, 3, 0), (3, 5, 0), (4, 6, 0)], False, None)  # touching intervals do not overlap
+    @example([(1, 5, 0), (2, 2, 0), (3, 4, 0)], False, None)  # empty interval between a pair
+    @example([(1, 1, 0), (1, 3, 0), (1, 4, 0)], False, (1, 3))  # equal starts, one empty
+    @example([(6, 8, 0), (1, 7, 0), (-2, 2, 0), (0, 1, 0)], False, (0, 8))  # unsorted
+    def test_tq_findings_match_all_pairs_oracle(self, triples, by_start, window):
+        """The linear tq check gives the all-pairs scan's findings in order,
+        on model values and on raw JSON alike."""
+        if by_start:
+            triples = sorted(triples, key=lambda t: t[0])
+
+        def tq_findings(report, loc):
+            assert all(f.severity.value == "error" for f in report.findings if loc in f.location)
+            return [(f.rule, f.location, f.message) for f in report.findings if loc in f.location]
+
+        net = make_network([NodeRecord(id="a", lab="a", tq=TemporalQuantity(tuple(triples)))], [])
+        info = {}
+        if window is not None:
+            net = replace(net, info=replace(net.info, time=TimeWindow(*window)))
+            info["time"] = {"Tmin": window[0], "Tmax": window[1]}
+        assert tq_findings(check_temporal(net), "nodes[0].tq") == oracles.tq_bounds_findings(
+            triples, "nodes[0].tq", window
+        )
+        doc = {"netsJSON": "basic", "info": info, "nodes": [{"id": "a", "tq": triples}]}
+        doc["links"] = []
+        report = validate_netsjson_document(io.StringIO(json.dumps(doc)))
+        assert tq_findings(report, "$.nodes[0].tq") == oracles.tq_bounds_findings(
+            triples, "$.nodes[0].tq", window
+        )
 
     def test_tlabs_outside_window(self):
         net = make_network([], [])
