@@ -18,7 +18,7 @@ import tempfile
 from . import netsjson, pajek, tabular
 from .errors import CodingError, NetconvError
 from .factorize import defactorize_network, factorize_network
-from .model import Network, canonical_order, network_stats
+from .model import Network, canonical_order, make_network, network_stats
 from .validation import Level, ValidationReport, check_all, parse_iso_date
 
 FORMATS = ("csv", "net", "netsjson")
@@ -163,12 +163,12 @@ def cmd_validate(args) -> int:
     try:
         if fmt == "netsjson":
             with _open_text(args.path) as stream:
-                doc, report = netsjson.load_netsjson_document(
+                records, report = netsjson.load_netsjson_document(
                     stream, strict=level is Level.STRICT
                 )
             if not report.has_errors:
-                network = netsjson.network_from_document(doc)
-                del doc
+                network = make_network(**records)
+                del records
                 findings = report.findings + check_all(network, level).findings
                 report = ValidationReport(findings, level)
         else:

@@ -16,6 +16,16 @@ class ParseError(NetconvError):
         super().__init__(message)
         self.line = line
 
+    @classmethod
+    def undecodable(cls, exc: UnicodeDecodeError, lines_read: int = 0) -> "ParseError":
+        """The error for bytes a text stream could not decode.
+
+        ``lines_read`` counts the lines taken from the stream before the
+        failing read; the bytes that read decoded start on the next line.
+        """
+        line = lines_read + 1 + exc.object.count(b"\n", 0, exc.start)
+        return cls(f"input is not valid {exc.encoding}: {exc.reason}", line=line)
+
 
 class SchemaError(NetconvError):
     """Input parsed but violates the format's structural schema."""

@@ -21,6 +21,14 @@ Concrete schema points this implementation fixes:
 * the top-level ``data`` member is preserved verbatim but never
   interpreted; the name is reserved and may not appear inside ``info``.
 
+Reading and checking are one walk over the decoded document: it checks
+each member's type once, records a finding with a ``$.`` JSON-path locator
+for each problem, and builds the network's records. The validator reports
+every finding. The parser raises on the first finding of a rule in
+:data:`PARSE_FATAL` (``json-malformed``, ``member-*``, ``version-unsupported``,
+``tlab-key-invalid``, ``id-*``, ``endpoint-unresolved``, ``link-type-invalid``,
+``tq-malformed``); the other rules are semantic, left to ``check_all``.
+
 Serialization is a normal form: member order is fixed, user keys are
 sorted, and writing the parse of a written document reproduces it byte for
 byte. In compact mode the defaults ``"type": "arc"`` and ``"weight": 1``
@@ -30,11 +38,10 @@ are suppressed.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from typing import IO, Any, Optional
 
 from .coding import CodingTable, LevelPolicy, build_coding_table
-from .errors import ExportError, SchemaError, TemporalError
+from .errors import ExportError, ParseError, SchemaError, StructuralError, TemporalError
 from .model import (
     EventRecord,
     InfoBlock,
@@ -53,36 +60,34 @@ from .validation import (
     Level,
     Severity,
     ValidationReport,
+    _scan_intervals,
     check_tq_bounds,
     parse_iso_date,
 )
 
 _INFO_MEMBERS = {
-    "org",
-    "nNodes",
-    "nArcs",
-    "nEdges",
-    "simple",
-    "directed",
-    "multirel",
-    "mode",
-    "network",
-    "title",
-    "time",
-    "meta",
-    "created",
-    "modified",
-    "relations",
-    "nodeCoding",
-    "propertyCodings",
-}
+    "org", "nNodes", "nArcs", "nEdges", "simple", "directed", "multirel", "mode", "network",
+    "title", "time", "meta", "created", "modified", "relations", "nodeCoding", "propertyCodings",
+}  # fmt: skip
 _NODE_MEMBERS = {"id", "lab", "slab", "x", "y", "mode", "tq"}
 _LINK_MEMBERS = {"type", "n1", "n2", "rel", "weight", "label", "tq"}
 _EVENT_MEMBERS = ("date", "title", "author", "desc", "url", "cite", "copy")
+_LINK_KINDS = {kind.value: kind for kind in LinkKind}
+_NESTED = (dict, list)  # the JSON values _value_from_json rebuilds
+_STRUCTURED = (Interval, dict, list)  # the property values that can hold an interval
+
+# Rules whose findings make parse_netsjson raise, with the class it raises.
+PARSE_FATAL: dict[str, type] = {
+    "json-malformed": SchemaError, "member-missing": SchemaError, "member-type": SchemaError,
+    "member-reserved": SchemaError, "version-unsupported": SchemaError,
+    "tlab-key-invalid": SchemaError, "id-invalid": SchemaError, "id-kind-mixed": SchemaError,
+    "id-duplicate": StructuralError, "endpoint-unresolved": StructuralError,
+    "link-type-invalid": SchemaError, "tq-malformed": TemporalError,
+}  # fmt: skip
 
 
 def _reject_constant(name: str):
-    raise SchemaError(f"non-finite number {name} is not valid JSON")
+    raise ValueError(f"non-finite number {name} is not valid JSON")
 
 
 def _is_int(v: Any) -> bool:
@@ -91,6 +96,10 @@ def _is_int(v: Any) -> bool:
 
 def _is_number(v: Any) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_text(v: Any) -> bool:
+    return isinstance(v, str)
 
 
 # -- JSON value <-> property value -------------------------------------------
@@ -118,21 +127,7 @@ def _value_to_json(v: Any) -> Any:
     return v
 
 
-def _tq_from_json(v: Any, locator: str) -> TemporalQuantity:
-    if not isinstance(v, list):
-        raise TemporalError(f"{locator}: tq must be an array of [s, f, v] triples")
-    triples = []
-    for k, triple in enumerate(v):
-        if not isinstance(triple, list) or len(triple) != 3:
-            raise TemporalError(f"{locator}[{k}]: triple must be a 3-element array")
-        s, f, value = triple
-        if not _is_int(s) or not _is_int(f):
-            raise TemporalError(f"{locator}[{k}]: interval bounds must be integers")
-        triples.append((s, f, _value_from_json(value)))
-    return TemporalQuantity(tuple(triples))
-
-
-# -- parsing ------------------------------------------------------------------
+# -- parsing and checking: one walk ---------------------------------------------
 
 
 def parse_netsjson(source: IO[str]) -> Network:
@@ -140,294 +135,51 @@ def parse_netsjson(source: IO[str]) -> Network:
 
     Node identifiers may be text (labeled form) or integers at or above
     info.org (factorized form) but not mixed. Counters are reconciled with
-    the lists; use :func:`validate_netsjson_document` to report mismatches.
+    the lists. The first parse-fatal finding is raised as
+    ``[rule] locator: message``; :func:`validate_netsjson_document` reports
+    every finding.
     """
+    records, report = load_netsjson_document(source)
+    for f in report.findings:
+        if f.rule in PARSE_FATAL:
+            raise PARSE_FATAL[f.rule](f"[{f.rule}] {f.location}: {f.message}")
+    return make_network(**records)
+
+
+def validate_netsjson_document(source: IO[str], strict: bool = False) -> ValidationReport:
+    """Schema-check a document and report every finding.
+
+    All problems become findings with JSON-path locators resolvable against
+    the input; nothing is raised for bad content. Strict mode additionally
+    enforces counter consistency as errors, presence of the creation and
+    modification dates, and (once a time window marks the network as
+    temporal) a tq on every node and link.
+    """
+    return load_netsjson_document(source, strict)[1]
+
+
+def load_netsjson_document(
+    source: IO[str], strict: bool = False
+) -> tuple[Optional[dict], ValidationReport]:
+    """Decode a document and walk it once.
+
+    Returns the keyword arguments of :func:`~netconv.model.make_network` for
+    the records the walk built (None when a finding is parse-fatal) and the
+    :func:`validate_netsjson_document` report.
+    """
+    level = Level.STRICT if strict else Level.LENIENT
     try:
-        doc = json.load(source, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not well-formed JSON: {exc}") from None
-    return network_from_document(doc)
-
-
-def network_from_document(doc: Any) -> Network:
-    """Build the network of a decoded document, as :func:`parse_netsjson` does."""
-    if not isinstance(doc, dict):
-        raise SchemaError("document root must be a JSON object")
-    missing = [m for m in ("netsJSON", "info", "nodes", "links") if m not in doc]
-    if missing:
-        raise SchemaError(f"missing required member(s): {', '.join(missing)}")
-    if doc["netsJSON"] != "basic":
-        raise SchemaError(f"unsupported netsJSON version {doc['netsJSON']!r}")
-    if not isinstance(doc["info"], dict):
-        raise SchemaError("info must be an object")
-    if not isinstance(doc["nodes"], list) or not isinstance(doc["links"], list):
-        raise SchemaError("nodes and links must be arrays")
-
-    raw_info = doc["info"]
-    org = _require(raw_info, "org", _is_int, "an integer", default=1)
-    info = InfoBlock(
-        org=org,
-        simple=_require(raw_info, "simple", lambda v: isinstance(v, bool), "a boolean", default=False),
-        directed=_require(raw_info, "directed", lambda v: isinstance(v, bool), "a boolean", default=True),
-        multirel=_require(raw_info, "multirel", lambda v: isinstance(v, bool), "a boolean", default=False),
-        mode=_require(raw_info, "mode", _is_int, "an integer", default=1),
-        network=_require(raw_info, "network", lambda v: isinstance(v, str), "text", default=""),
-        title=_require(raw_info, "title", lambda v: isinstance(v, str), "text", default=""),
-        time=_time_from_json(raw_info.get("time")),
-        meta=_meta_from_json(raw_info.get("meta")),
-        created=_require(raw_info, "created", lambda v: isinstance(v, str), "text", default=None),
-        modified=_require(raw_info, "modified", lambda v: isinstance(v, str), "text", default=None),
-    )
-    for counter in ("nNodes", "nArcs", "nEdges"):
-        if counter in raw_info and not _is_int(raw_info[counter]):
-            raise SchemaError(f"info.{counter} must be an integer")
-
-    extra = {}
-    for key in raw_info:
-        if key in _INFO_MEMBERS or key in ("nNodes", "nArcs", "nEdges"):
-            continue
-        if key == "data":
-            raise SchemaError("'data' is reserved for the top-level member")
-        value = _value_from_json(raw_info[key])
-        if value is not None:
-            extra[key] = value
-    if "data" in doc:
-        extra["data"] = _value_from_json(doc["data"])
-    info = replace(info, extra=extra)
-
-    nodes, factorized = _nodes_from_json(doc["nodes"], org)
-    links = _links_from_json(doc["links"], factorized)
-
-    safe_base = org if org in (0, 1) else 1
-    relations = _coding_from_json(raw_info.get("relations"), "relations", "relation", org)
-    if relations is None:
-        if factorized:
-            codes = {l.rel for l in links}
-            if codes:
-                lo, hi = min(codes), max(codes)
-                relations = CodingTable(
-                    "relation", tuple(str(c) for c in range(lo, hi + 1)), lo
-                )
-            else:
-                relations = CodingTable("relation", (), safe_base)
-        else:
-            relations = build_coding_table(
-                "relation", [l.rel for l in links], LevelPolicy.SORTED, safe_base
-            )
-    node_coding = _coding_from_json(raw_info.get("nodeCoding"), "nodeCoding", "node", org)
-    if node_coding is None and not factorized:
-        node_coding = build_coding_table(
-            "node", [str(n.id) for n in nodes], LevelPolicy.FILE_ORDER, safe_base
-        )
-    property_codings = {}
-    raw_pc = raw_info.get("propertyCodings")
-    if raw_pc is not None:
-        if not isinstance(raw_pc, dict):
-            raise SchemaError("info.propertyCodings must be an object")
-        for name in raw_pc:
-            table = _coding_from_json(raw_pc[name], f"propertyCodings.{name}", name, org)
-            property_codings[name] = table
-
-    return make_network(
-        nodes,
-        links,
-        info=info,
-        relations=relations,
-        node_coding=node_coding if node_coding is not None else CodingTable("node", (), safe_base),
-        property_codings=property_codings,
-    )
-
-
-def _require(obj: dict, key: str, pred, what: str, default):
-    if key not in obj:
-        return default
-    if not pred(obj[key]):
-        raise SchemaError(f"info.{key} must be {what}")
-    return obj[key]
-
-
-def _time_from_json(v: Any) -> Optional[TimeWindow]:
-    if v is None:
-        return None
-    if not isinstance(v, dict) or not _is_int(v.get("Tmin")) or not _is_int(v.get("Tmax")):
-        raise SchemaError("info.time must be an object with integer Tmin and Tmax")
-    labs = {}
-    raw = v.get("Tlabs", {})
-    if not isinstance(raw, dict):
-        raise SchemaError("info.time.Tlabs must be an object")
-    for key in raw:
-        try:
-            t = int(key)
-        except ValueError:
-            raise SchemaError(f"info.time.Tlabs key {key!r} is not an integer time point") from None
-        if not isinstance(raw[key], str):
-            raise SchemaError(f"info.time.Tlabs[{key}] must be text")
-        labs[t] = raw[key]
-    return TimeWindow(t_min=v["Tmin"], t_max=v["Tmax"], t_labs=labs)
-
-
-def _meta_from_json(v: Any) -> tuple[EventRecord, ...]:
-    if v is None:
-        return ()
-    if not isinstance(v, list):
-        raise SchemaError("info.meta must be an array of event objects")
-    events = []
-    for i, raw in enumerate(v):
-        if not isinstance(raw, dict):
-            raise SchemaError(f"info.meta[{i}] must be an object")
-        fields = {}
-        for name in _EVENT_MEMBERS:
-            if name in raw:
-                if not isinstance(raw[name], str):
-                    raise SchemaError(f"info.meta[{i}].{name} must be text")
-                fields[name] = raw[name]
-        extra = {
-            k: _value_from_json(raw[k])
-            for k in raw
-            if k not in _EVENT_MEMBERS and raw[k] is not None
-        }
-        events.append(
-            EventRecord(
-                date=fields.get("date", ""),
-                title=fields.get("title", ""),
-                author=fields.get("author"),
-                desc=fields.get("desc"),
-                url=fields.get("url"),
-                cite=fields.get("cite"),
-                copy=fields.get("copy"),
-                extra=extra,
-            )
-        )
-    return tuple(events)
-
-
-def _coding_from_json(v: Any, member: str, name: str, base: int) -> Optional[CodingTable]:
-    if v is None:
-        return None
-    if not isinstance(v, list) or not all(isinstance(lv, str) for lv in v):
-        raise SchemaError(f"info.{member} must be an array of text levels")
-    try:
-        return CodingTable(name, tuple(v), base)
-    except ValueError as exc:
-        raise SchemaError(f"info.{member}: {exc}") from None
-
-
-def _nodes_from_json(raw_nodes: list, org: int) -> tuple[list[NodeRecord], bool]:
-    nodes = []
-    kinds = set()
-    for i, raw in enumerate(raw_nodes):
-        loc = f"nodes[{i}]"
-        if not isinstance(raw, dict):
-            raise SchemaError(f"{loc} must be an object")
-        if "id" not in raw:
-            raise SchemaError(f"{loc} has no id")
-        node_id = raw["id"]
-        if _is_int(node_id):
-            kinds.add(int)
-            if node_id < org:
-                raise SchemaError(f"{loc}: code {node_id} below smallest index {org}")
-        elif isinstance(node_id, str):
-            kinds.add(str)
-            if not node_id:
-                raise SchemaError(f"{loc}: empty node identifier")
-        else:
-            raise SchemaError(f"{loc}: id must be text or an integer")
-        if len(kinds) > 1:
-            raise SchemaError("text and integer node identifiers are mixed")
-        lab = raw.get("lab", "")
-        if not isinstance(lab, str):
-            raise SchemaError(f"{loc}.lab must be text")
-        slab = raw.get("slab")
-        if slab is not None and not isinstance(slab, str):
-            raise SchemaError(f"{loc}.slab must be text")
-        coords = {}
-        for axis in ("x", "y"):
-            if axis in raw and raw[axis] is not None:
-                if not _is_number(raw[axis]):
-                    raise SchemaError(f"{loc}.{axis} must be a number")
-                coords[axis] = float(raw[axis])
-        mode = raw.get("mode")
-        if mode is not None and not isinstance(mode, str):
-            raise SchemaError(f"{loc}.mode must be text")
-        tq = _tq_from_json(raw["tq"], f"{loc}.tq") if "tq" in raw else None
-        props = {}
-        for key in raw:
-            if key in _NODE_MEMBERS:
-                continue
-            value = _value_from_json(raw[key])
-            if value is not None:
-                props[key] = value
-        nodes.append(
-            NodeRecord(
-                id=node_id,
-                lab=lab,
-                slab=slab,
-                x=coords.get("x"),
-                y=coords.get("y"),
-                mode=mode,
-                tq=tq,
-                props=props,
-            )
-        )
-    return nodes, kinds == {int}
-
-
-def _links_from_json(raw_links: list, factorized: bool) -> list[LinkRecord]:
-    links = []
-    for i, raw in enumerate(raw_links):
-        loc = f"links[{i}]"
-        if not isinstance(raw, dict):
-            raise SchemaError(f"{loc} must be an object")
-        kind_text = raw.get("type", "arc")
-        try:
-            kind = LinkKind(kind_text)
-        except ValueError:
-            raise SchemaError(f"{loc}.type must be 'arc' or 'edge', got {kind_text!r}") from None
-        endpoint_type = int if factorized else str
-        ends = {}
-        for member in ("n1", "n2"):
-            if member not in raw:
-                raise SchemaError(f"{loc} has no {member}")
-            v = raw[member]
-            ok = _is_int(v) if endpoint_type is int else isinstance(v, str)
-            if not ok:
-                raise SchemaError(
-                    f"{loc}.{member} must match the node identifier kind"
-                )
-            ends[member] = v
-        if "rel" not in raw:
-            raise SchemaError(f"{loc} has no rel")
-        rel = raw["rel"]
-        rel_ok = _is_int(rel) if factorized else isinstance(rel, str)
-        if not rel_ok:
-            raise SchemaError(f"{loc}.rel must match the document's identifier kind")
-        weight = raw.get("weight", 1)
-        if not _is_number(weight):
-            raise SchemaError(f"{loc}.weight must be a number")
-        label = raw.get("label")
-        if label is not None and not isinstance(label, str):
-            raise SchemaError(f"{loc}.label must be text")
-        tq = _tq_from_json(raw["tq"], f"{loc}.tq") if "tq" in raw else None
-        props = {}
-        for key in raw:
-            if key in _LINK_MEMBERS:
-                continue
-            value = _value_from_json(raw[key])
-            if value is not None:
-                props[key] = value
-        links.append(
-            LinkRecord(
-                kind=kind,
-                n1=ends["n1"],
-                n2=ends["n2"],
-                rel=rel,
-                weight=float(weight),
-                label=label,
-                tq=tq,
-                props=props,
-            )
-        )
-    return links
+        doc = json.loads(source.read(), parse_constant=_reject_constant)
+    except UnicodeDecodeError as exc:
+        message = str(ParseError.undecodable(exc))
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        message = str(exc)
+    else:
+        walk = _Walk(level)
+        records = walk.document(doc)
+        return records, ValidationReport(tuple(walk.out), level)
+    malformed = Finding(Severity.ERROR, "json-malformed", "$", message)
+    return None, ValidationReport((malformed,), level)
 
 
 # -- serialization -------------------------------------------------------------
@@ -561,89 +313,274 @@ def _link_to_json(link: LinkRecord, keep_defaults: bool) -> dict:
     return out
 
 
-# -- document validation --------------------------------------------------------
-
-
-def validate_netsjson_document(source: IO[str], strict: bool = False) -> ValidationReport:
-    """Schema-check a document without constructing a network.
-
-    All problems become findings with JSON-path locators resolvable against
-    the input; nothing is raised for bad content. Strict mode additionally
-    enforces counter consistency as errors, presence of the creation and
-    modification dates, and (once a time window marks the network as
-    temporal) a tq on every node and link.
+class _Walk:
+    """One pass over a decoded document: findings go to ``out`` in document
+    order, and :meth:`document` returns make_network's keyword arguments
+    (None after a parse-fatal finding). Decoded JSON holds exact types, so
+    record loops test ``type(v) is str``. Locators are formatted for
+    findings, and once per record for the tq and interval checks.
     """
-    return load_netsjson_document(source, strict)[1]
 
+    def __init__(self, level: Level):
+        self.level = level
+        self.out: list[Finding] = []
+        self.org, self.window = 1, None
+        self.listed, self.n_listed = None, 0  # the levels of info.relations, if given
 
-def load_netsjson_document(source: IO[str], strict: bool = False) -> tuple[Any, ValidationReport]:
-    """Decode a document once and schema-check it.
+    def err(self, rule: str, location: str, message: str, severity=Severity.ERROR) -> None:
+        self.out.append(Finding(severity, rule, location, message))
 
-    Returns the decoded value (None when the text is not well-formed JSON)
-    and the :func:`validate_netsjson_document` report; pass the value to
-    :func:`network_from_document` when the report has no errors.
-    """
-    level = Level.STRICT if strict else Level.LENIENT
-    try:
-        doc = json.loads(source.read(), parse_constant=_reject_constant)
-    except (json.JSONDecodeError, SchemaError) as exc:
-        malformed = Finding(Severity.ERROR, "json-malformed", "$", str(exc))
-        return None, ValidationReport((malformed,), level)
-    return doc, _check_document(doc, level)
+    def typed(self, obj: dict, key: str, ok, what: str, where: str, default=None):
+        """obj[key] if present and ok; else default (and member-type if present)."""
+        if key not in obj:
+            return default
+        if ok(obj[key]):
+            return obj[key]
+        self.err("member-type", f"{where}.{key}", f"{key} must be {what}")
+        return default
 
+    def number(self, obj: dict, key: str, where: str, default: Optional[float]):
+        value = self.typed(obj, key, _is_number, "a number", where)
+        try:
+            return default if value is None else float(value)
+        except OverflowError:
+            self.err("member-type", f"{where}.{key}", f"{key} is beyond the range of a float")
+            return default
 
-def _check_document(doc: Any, level: Level) -> ValidationReport:
-    out: list[Finding] = []
-    err = lambda rule, loc, msg: out.append(Finding(Severity.ERROR, rule, loc, msg))
-    warn = lambda rule, loc, msg: out.append(Finding(Severity.WARNING, rule, loc, msg))
+    def value(self, value: Any, where: str, key: Any) -> Any:
+        """The property value of a JSON value; None, with a finding, when there is none."""
+        try:
+            return _value_from_json(value)
+        except (OverflowError, RecursionError) as exc:  # a bound beyond float range, deep nesting
+            loc = f"{where}[{key}]" if type(key) is int else f"{where}.{key}"
+            self.err("member-type", loc, f"value cannot be read: {exc}")
+            return None
 
-    if not isinstance(doc, dict):
-        err("member-type", "$", "document root must be an object")
-        return ValidationReport(tuple(out), level)
+    def coding(self, obj: dict, member: str, name: str, where: str):
+        """The levels of obj[member] when an array of text, and their table."""
+        text_list = lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)
+        levels = self.typed(obj, member, text_list, "an array of text levels", where)
+        if levels is None:
+            return None, None
+        try:
+            return levels, CodingTable(name, tuple(levels), self.org)
+        except ValueError as exc:  # an empty or repeated level
+            self.err("member-type", f"{where}.{member}", str(exc))
+            return levels, None
 
-    for member in ("netsJSON", "info", "nodes", "links"):
-        if member not in doc:
-            err("member-missing", "$", f"required member {member!r} is absent")
-    if "netsJSON" in doc and doc["netsJSON"] != "basic":
-        err("version-unsupported", "$.netsJSON", f"got {doc['netsJSON']!r}, expected 'basic'")
+    def document(self, doc: Any) -> Optional[dict]:
+        if not isinstance(doc, dict):
+            self.err("member-type", "$", "document root must be an object")
+            return None
+        for member in ("netsJSON", "info", "nodes", "links"):
+            if member not in doc:
+                self.err("member-missing", "$", f"required member {member!r} is absent")
+        if "netsJSON" in doc and doc["netsJSON"] != "basic":
+            self.err("version-unsupported", "$.netsJSON", f"got {doc['netsJSON']!r}, expected 'basic'")
+        raw_info = self.typed(doc, "info", lambda v: isinstance(v, dict), "an object", "$")
+        raw_nodes = self.typed(doc, "nodes", lambda v: isinstance(v, list), "an array", "$")
+        raw_links = self.typed(doc, "links", lambda v: isinstance(v, list), "an array", "$")
 
-    info = doc.get("info")
-    if info is not None and not isinstance(info, dict):
-        err("member-type", "$.info", "info must be an object")
-        info = None
-    nodes = doc.get("nodes")
-    if nodes is not None and not isinstance(nodes, list):
-        err("member-type", "$.nodes", "nodes must be an array")
-        nodes = None
-    links = doc.get("links")
-    if links is not None and not isinstance(links, list):
-        err("member-type", "$.links", "links must be an array")
-        links = None
+        info = self.info(raw_info, doc) if raw_info is not None else None
+        nodes, ids, id_type = self.nodes(raw_nodes or [])
+        if raw_nodes is None:
+            ids = id_type = None  # nothing to resolve endpoints or relation kinds against
+        links = self.links(raw_links or [], ids, id_type, raw_info)
+        if raw_info is not None:  # the counters are reported after info.org
+            n_nodes, n_edges = len(raw_nodes or ()), self.n_edges
+            found = self.counters(raw_info, n_nodes, len(links) - n_edges, n_edges)
+            self.out[self.counters_at : self.counters_at] = found
+        if any(f.rule in PARSE_FATAL for f in self.out):
+            return None
 
-    org = 1
-    window = None
-    relations = None
-    if info is not None:
-        org, window, relations = _validate_info(info, level, len(nodes or []), links or [], out)
+        base = info.org if info.org in (0, 1) else 1
+        relations, node_coding = self.relations, self.node_coding
+        if relations is None and id_type is int:
+            codes = {link.rel for link in links}
+            lo, hi = (min(codes), max(codes)) if codes else (base, base - 1)
+            relations = CodingTable("relation", tuple(str(c) for c in range(lo, hi + 1)), lo)
+        elif relations is None:
+            rels = [link.rel for link in links]
+            relations = build_coding_table("relation", rels, LevelPolicy.SORTED, base)
+        if node_coding is None and id_type is int:
+            node_coding = CodingTable("node", (), base)
+        elif node_coding is None:
+            names = [str(n.id) for n in nodes]
+            node_coding = build_coding_table("node", names, LevelPolicy.FILE_ORDER, base)
+        return dict(nodes=nodes, links=links, info=info, relations=relations,
+                    node_coding=node_coding, property_codings=self.property_codings)  # fmt: skip
 
-    node_ids: set = set()
-    temporal = level is Level.STRICT and window is not None
-    if nodes is not None:
-        kinds = set()
-        for i, raw in enumerate(nodes):
-            loc = f"$.nodes[{i}]"
-            if not isinstance(raw, dict):
-                err("member-type", loc, "node must be an object")
+    # -- info ------------------------------------------------------------------
+
+    def info(self, raw: dict, doc: dict) -> InfoBlock:
+        err, typed = self.err, self.typed
+        org = typed(raw, "org", _is_int, "an integer", "$.info", 1)
+        if org not in (0, 1):
+            err("org-invalid", "$.info.org", f"smallest index must be 0 or 1, got {org}")
+        self.org, self.counters_at = org, len(self.out)
+        simple, directed, multirel = (
+            typed(raw, member, lambda v: isinstance(v, bool), "a boolean", "$.info", default)
+            for member, default in (("simple", False), ("directed", True), ("multirel", False))
+        )
+        mode = typed(raw, "mode", _is_int, "an integer", "$.info", 1)
+        if mode < 1:
+            err("mode-invalid", "$.info.mode", f"mode count must be at least 1, got {mode}")
+        network, title = (typed(raw, m, _is_text, "text", "$.info", "") for m in ("network", "title"))
+        self.window = self.time(raw["time"]) if "time" in raw else None
+        meta = self.meta(raw["meta"]) if "meta" in raw else ()
+        created, modified = self.dates(raw)
+
+        levels, self.relations = self.coding(raw, "relations", "relation", "$.info")
+        if levels is not None:
+            self.listed, self.n_listed = frozenset(levels), len(levels)
+        self.node_coding = self.coding(raw, "nodeCoding", "node", "$.info")[1]
+        codings = typed(raw, "propertyCodings", lambda v: isinstance(v, dict), "an object", "$.info")
+        self.property_codings = {
+            name: self.coding(codings, name, name, "$.info.propertyCodings")[1] for name in codings or ()
+        }
+        if "data" in raw:
+            err("member-reserved", "$.info.data", "'data' belongs at the top level")
+
+        skip = _INFO_MEMBERS | {"data"}
+        extra = {k: self.value(v, "$.info", k) for k, v in raw.items()
+                 if k not in skip and v is not None}  # fmt: skip
+        if "data" in doc:
+            extra["data"] = self.value(doc["data"], "$", "data")
+        return InfoBlock(org=org, simple=simple, directed=directed, multirel=multirel, mode=mode,
+                         network=network, title=title, time=self.window, meta=meta,
+                         created=created, modified=modified, extra=extra)  # fmt: skip
+
+    def counters(self, raw: dict, n_nodes: int, n_arcs: int, n_edges: int) -> list[Finding]:
+        found = []
+        severity = Severity.ERROR if self.level is Level.STRICT else Severity.WARNING
+        for counter, actual in (("nNodes", n_nodes), ("nArcs", n_arcs), ("nEdges", n_edges)):
+            if counter not in raw:
                 continue
+            where = f"$.info.{counter}"
+            if not _is_int(raw[counter]):
+                message = f"{counter} must be an integer"
+                found.append(Finding(Severity.ERROR, "member-type", where, message))
+            elif raw[counter] != actual:
+                rule = "count-nodes-mismatch" if counter == "nNodes" else "count-links-mismatch"
+                message = f"declared {raw[counter]}, counted {actual}"
+                found.append(Finding(severity, rule, where, message))
+        return found
+
+    def time(self, raw: Any) -> Optional[TimeWindow]:
+        if not isinstance(raw, dict) or not _is_int(raw.get("Tmin")) or not _is_int(raw.get("Tmax")):
+            self.err("member-type", "$.info.time", "time must be an object with integer Tmin and Tmax")
+            return None
+        t_min, t_max = raw["Tmin"], raw["Tmax"]
+        if t_min > t_max:
+            self.err("time-window-invalid", "$.info.time", f"Tmin {t_min} exceeds Tmax {t_max}")
+        labs = {}
+        raw_labs = self.typed(raw, "Tlabs", lambda v: isinstance(v, dict), "an object", "$.info.time")
+        for key, label in (raw_labs or {}).items():
+            where = f"$.info.time.Tlabs.{key}"
+            try:
+                t = int(key)
+            except ValueError:
+                self.err("tlab-key-invalid", where, f"key {key!r} is not an integer time point")
+                continue
+            if not isinstance(label, str):
+                self.err("member-type", where, "Tlabs value must be text")
+            if not t_min <= t <= t_max:
+                self.err("tlab-outside-window", where, f"label for {t} outside [{t_min}, {t_max}]")
+            labs[t] = label
+        return TimeWindow(t_min=t_min, t_max=t_max, t_labs=labs)
+
+    def meta(self, raw: Any) -> tuple[EventRecord, ...]:
+        if not isinstance(raw, list):
+            self.err("member-type", "$.info.meta", "meta must be an array of events")
+            return ()
+        events = []
+        for i, event in enumerate(raw):
+            where = f"$.info.meta[{i}]"
+            if not isinstance(event, dict):
+                self.err("member-type", where, "event must be an object")
+                continue
+            date, title = event.get("date"), event.get("title")
+            if not isinstance(date, str) or parse_iso_date(date) is None:
+                self.err("event-date-invalid", where, f"event date {date!r}")
+            if not isinstance(title, str) or not title:
+                self.err("event-title-empty", where, "event has no title")
+            for name in _EVENT_MEMBERS:
+                self.typed(event, name, _is_text, "text", where)
+            extra = {k: self.value(v, where, k) for k, v in event.items()
+                     if k not in _EVENT_MEMBERS and v is not None}  # fmt: skip
+            fields = {name: event.get(name) for name in _EVENT_MEMBERS[2:]}
+            date, title = event.get("date", ""), event.get("title", "")
+            events.append(EventRecord(date, title, **fields, extra=extra))
+        return tuple(events)
+
+    def dates(self, raw: dict) -> tuple[Optional[str], Optional[str]]:
+        found = []
+        for member in ("created", "modified"):
+            value = self.typed(raw, member, _is_text, "text", "$.info")
+            if value is not None and parse_iso_date(value) is None:
+                self.err("date-invalid", f"$.info.{member}", f"{value!r} is not an ISO date")
+            elif member not in raw and self.level is Level.STRICT:
+                message = f"recommended member {member!r} is absent"
+                self.err("dates-missing", "$.info", message, Severity.WARNING)
+            found.append(value)
+        created, modified = found
+        if created is not None and modified is not None:
+            c, m = parse_iso_date(created), parse_iso_date(modified)
+            if c and m and m < c:
+                self.err("dates-order", "$.info.modified", f"modified {m} precedes created {c}")
+        elif "modified" in raw and "created" not in raw:
+            self.err("dates-order", "$.info.modified", "modified present without created")
+        return created, modified
+
+    # -- records ---------------------------------------------------------------
+
+    def tq(self, raw: Any, where: str) -> Optional[TemporalQuantity]:
+        if type(raw) is not list:
+            self.err("tq-malformed", where, "tq must be an array of [s, f, v] triples")
+            return None
+        triples = []
+        for k, triple in enumerate(raw):
+            if type(triple) is not list or len(triple) != 3:
+                self.err("tq-malformed", f"{where}[{k}]", "triple must be a 3-element array")
+                return None
+            s, f, value = triple
+            if type(s) is not int or type(f) is not int:
+                self.err("tq-malformed", f"{where}[{k}]", "interval bounds must be integers")
+                return None
+            triples.append((s, f, self.value(value, where, k) if type(value) in _NESTED else value))
+        check_tq_bounds(triples, where, self.window, self.out)
+        return TemporalQuantity(tuple(triples))
+
+    def props(self, raw: dict, reserved: set, where: str) -> dict:
+        props = {}
+        for key in raw:
+            if key not in reserved and raw[key] is not None:
+                value = raw[key]
+                props[key] = self.value(value, where, key) if type(value) in _NESTED else value
+        for key in sorted(props) if len(props) > 1 else props:
+            if type(props[key]) in _STRUCTURED:
+                _scan_intervals(props[key], f"{where}.{key}", self.out)
+        return props
+
+    def nodes(self, raw_nodes: list):
+        """Node records, the set of their ids, and the id type (None when mixed)."""
+        err, org, number = self.err, self.org, self.number
+        need_tq = self.level is Level.STRICT and self.window is not None
+        nodes, ids, kinds, mixed = [], set(), set(), False
+        for i, raw in enumerate(raw_nodes):
+            if type(raw) is not dict:
+                err("member-type", f"$.nodes[{i}]", "node must be an object")
+                continue
+            loc = f"$.nodes[{i}]"
+            node_id = raw.get("id")
             if "id" not in raw:
                 err("member-missing", loc, "node has no id")
             else:
-                node_id = raw["id"]
-                if _is_int(node_id):
+                if type(node_id) is int:
                     kinds.add(int)
                     if node_id < org:
                         err("id-invalid", f"{loc}.id", f"code {node_id} below smallest index {org}")
-                elif isinstance(node_id, str):
+                elif type(node_id) is str:
                     kinds.add(str)
                     if not node_id:
                         err("id-invalid", f"{loc}.id", "empty node identifier")
@@ -651,282 +588,92 @@ def _check_document(doc: Any, level: Level) -> ValidationReport:
                     err("member-type", f"{loc}.id", "id must be text or an integer")
                     node_id = None
                 if node_id is not None:
-                    if node_id in node_ids:
+                    if node_id in ids:
                         err("id-duplicate", f"{loc}.id", f"identifier {node_id!r} already used")
-                    node_ids.add(node_id)
+                    ids.add(node_id)
                 if len(kinds) > 1:
                     err("id-kind-mixed", f"{loc}.id", "text and integer identifiers are mixed")
-                    kinds = {next(iter(kinds))}
+                    kinds, mixed = {next(iter(kinds))}, True
             for member in ("lab", "slab", "mode"):
-                if member in raw and not isinstance(raw[member], str):
+                if member in raw and type(raw[member]) is not str:
                     err("member-type", f"{loc}.{member}", f"{member} must be text")
-            if (
-                isinstance(raw.get("slab"), str)
-                and isinstance(raw.get("lab", ""), str)
-                and len(raw["slab"]) > len(raw.get("lab", ""))
-            ):
+            lab, slab, mode = raw.get("lab", ""), raw.get("slab"), raw.get("mode")
+            if type(slab) is str and type(lab) is str and len(slab) > len(lab):
                 err("slab-longer-than-label", f"{loc}.slab", "short label longer than label")
-            for axis in ("x", "y"):
-                if axis in raw and not _is_number(raw[axis]):
-                    err("member-type", f"{loc}.{axis}", f"{axis} must be a number")
-            if "tq" in raw:
-                _validate_raw_tq(raw["tq"], f"{loc}.tq", window, out)
-            elif temporal:
+            x, y = number(raw, "x", loc, None), number(raw, "y", loc, None)
+            tq = self.tq(raw["tq"], loc + ".tq") if "tq" in raw else None
+            if need_tq and "tq" not in raw:
                 err("tq-missing", loc, "temporal network node lacks a tq")
-            for key in sorted(set(raw) - _NODE_MEMBERS):
-                _scan_raw_intervals(raw[key], f"{loc}.{key}", out)
+            props = self.props(raw, _NODE_MEMBERS, loc)
+            nodes.append(NodeRecord(node_id, lab, slab, x, y, mode, tq, props))
+        return nodes, ids, None if mixed else (int if kinds == {int} else str)
 
-    if links is not None:
-        rels_seen = set()
-        link_keys = set()
-        n_arcs = n_edges = 0
-        declared_simple = bool(info.get("simple")) if isinstance(info, dict) else False
-        for i, raw in enumerate(links):
-            loc = f"$.links[{i}]"
-            if not isinstance(raw, dict):
-                err("member-type", loc, "link must be an object")
+    def links(self, raw_links: list, ids: Optional[set], id_type, raw_info: Optional[dict]):
+        """Link records; ``ids`` is None when there is no node list to resolve against."""
+        err, org, number = self.err, self.org, self.number
+        listed, n_listed = self.listed, self.n_listed
+        need_tq = self.level is Level.STRICT and self.window is not None
+        simple = bool(raw_info.get("simple")) if raw_info is not None else False
+        one_relation = raw_info is not None and raw_info.get("multirel") is False
+        rels_seen, link_keys, links = set(), set(), []
+        for i, raw in enumerate(raw_links):
+            if type(raw) is not dict:
+                err("member-type", f"$.links[{i}]", "link must be an object")
                 continue
+            loc = f"$.links[{i}]"
             kind_text = raw.get("type", "arc")
-            if kind_text not in ("arc", "edge"):
+            kind = _LINK_KINDS.get(kind_text) if type(kind_text) is str else None
+            if kind is None:
                 err("link-type-invalid", f"{loc}.type", f"got {kind_text!r}")
-                kind_text = "arc"
-            if kind_text == "arc":
-                n_arcs += 1
-            else:
-                n_edges += 1
+                kind = LinkKind.ARC
             ends = []
             for member in ("n1", "n2"):
                 if member not in raw:
                     err("member-missing", loc, f"link has no {member}")
                     continue
-                v = raw[member]
-                if not (_is_int(v) or isinstance(v, str)):
+                end = raw[member]
+                if type(end) is not int and type(end) is not str:
                     err("member-type", f"{loc}.{member}", "endpoint must be text or an integer")
                     continue
-                ends.append(v)
-                if nodes is not None and v not in node_ids:
-                    err("endpoint-unresolved", f"{loc}.{member}", f"{v!r} names no node")
+                ends.append(end)
+                if ids is not None and end not in ids:
+                    err("endpoint-unresolved", f"{loc}.{member}", f"{end!r} names no node")
+            rel = raw.get("rel")
             if "rel" not in raw:
                 err("member-missing", loc, "link has no rel")
+            elif type(rel) is not int and type(rel) is not str:
+                err("member-type", f"{loc}.rel", "rel must be text or an integer")
             else:
-                rel = raw["rel"]
-                if not (_is_int(rel) or isinstance(rel, str)):
-                    err("member-type", f"{loc}.rel", "rel must be text or an integer")
-                else:
+                if id_type is not None and type(rel) is not id_type:
+                    err("member-type", f"{loc}.rel", "rel must match the node identifier kind")
+                elif rel == "":
+                    err("member-type", f"{loc}.rel", "rel must be non-empty text")
+                if one_relation:
                     rels_seen.add(rel)
-                    if relations is not None:
-                        listed = (
-                            1 <= rel - org + 1 <= len(relations)
-                            if _is_int(rel)
-                            else rel in relations
-                        )
-                        if not listed:
-                            err(
-                                "relation-unlisted",
-                                f"{loc}.rel",
-                                f"{rel!r} not covered by info.relations",
-                            )
-                    if len(ends) == 2:
-                        key_ends = (
-                            frozenset(ends) if kind_text == "edge" else tuple(ends)
-                        )
-                        key = (kind_text, rel, key_ends)
-                        if key in link_keys and declared_simple:
-                            err("simple-violated", loc, "parallel link in a network flagged simple")
-                        link_keys.add(key)
-            if "weight" in raw and not _is_number(raw["weight"]):
-                err("member-type", f"{loc}.weight", "weight must be a number")
-            if "label" in raw and not isinstance(raw["label"], str):
-                err("member-type", f"{loc}.label", "label must be text")
-            if "tq" in raw:
-                _validate_raw_tq(raw["tq"], f"{loc}.tq", window, out)
-            elif temporal:
+                if listed is not None and not (
+                    1 <= rel - org + 1 <= n_listed if type(rel) is int else rel in listed
+                ):
+                    err("relation-unlisted", f"{loc}.rel", f"{rel!r} not covered by info.relations")
+                if simple and len(ends) == 2:
+                    key = (kind, rel, frozenset(ends) if kind is LinkKind.EDGE else tuple(ends))
+                    if key in link_keys:
+                        err("simple-violated", loc, "parallel link in a network flagged simple")
+                    link_keys.add(key)
+            weight = number(raw, "weight", loc, 1.0)
+            label = self.typed(raw, "label", _is_text, "text", loc)
+            tq = self.tq(raw["tq"], loc + ".tq") if "tq" in raw else None
+            if need_tq and "tq" not in raw:
                 err("tq-missing", loc, "temporal network link lacks a tq")
-            for key in sorted(set(raw) - _LINK_MEMBERS):
-                _scan_raw_intervals(raw[key], f"{loc}.{key}", out)
+            props = self.props(raw, _LINK_MEMBERS, loc)
+            links.append(LinkRecord(kind, raw.get("n1"), raw.get("n2"), rel, weight, label, tq, props))
 
-        if isinstance(info, dict):
-            if info.get("multirel") is False and len(rels_seen) > 1:
+        self.n_edges = n_edges = sum(1 for link in links if link.kind is LinkKind.EDGE)
+        if raw_info is not None:
+            if one_relation and len(rels_seen) > 1:
                 err("multirel-violated", "$.links", f"{len(rels_seen)} relations but multirel is off")
-            directed = info.get("directed")
+            directed, warning = raw_info.get("directed"), Severity.WARNING
             if directed is True and n_edges:
-                warn("directed-kind-mismatch", "$.links", "directed network contains edges")
-            elif directed is False and n_arcs:
-                warn("directed-kind-mismatch", "$.links", "undirected network contains arcs")
-
-    return ValidationReport(tuple(out), level)
-
-
-def _validate_info(
-    info: dict, level: Level, n_nodes: int, links: list, out: list[Finding]
-) -> tuple[int, Optional[TimeWindow], Optional[list]]:
-    err = lambda rule, loc, msg: out.append(Finding(Severity.ERROR, rule, loc, msg))
-    count_sev = Severity.ERROR if level is Level.STRICT else Severity.WARNING
-
-    org = 1
-    if "org" in info:
-        if not _is_int(info["org"]):
-            err("member-type", "$.info.org", "org must be an integer")
-        else:
-            org = info["org"]
-            if org not in (0, 1):
-                err("org-invalid", "$.info.org", f"smallest index must be 0 or 1, got {org}")
-    n_arcs = sum(
-        1
-        for l in links
-        if isinstance(l, dict) and l.get("type", "arc") != "edge"
-    )
-    n_edges = sum(1 for l in links if isinstance(l, dict) and l.get("type") == "edge")
-    for counter, actual in (("nNodes", n_nodes), ("nArcs", n_arcs), ("nEdges", n_edges)):
-        if counter not in info:
-            continue
-        if not _is_int(info[counter]):
-            err("member-type", f"$.info.{counter}", f"{counter} must be an integer")
-        elif info[counter] != actual:
-            rule = "count-nodes-mismatch" if counter == "nNodes" else "count-links-mismatch"
-            out.append(
-                Finding(
-                    count_sev,
-                    rule,
-                    f"$.info.{counter}",
-                    f"declared {info[counter]}, counted {actual}",
-                )
-            )
-    for member in ("simple", "directed", "multirel"):
-        if member in info and not isinstance(info[member], bool):
-            err("member-type", f"$.info.{member}", f"{member} must be a boolean")
-    if "mode" in info:
-        if not _is_int(info["mode"]):
-            err("member-type", "$.info.mode", "mode must be an integer")
-        elif info["mode"] < 1:
-            err("mode-invalid", "$.info.mode", f"mode count must be at least 1, got {info['mode']}")
-    for member in ("network", "title"):
-        if member in info and not isinstance(info[member], str):
-            err("member-type", f"$.info.{member}", f"{member} must be text")
-
-    window = None
-    if "time" in info:
-        raw = info["time"]
-        if not isinstance(raw, dict) or not _is_int(raw.get("Tmin")) or not _is_int(raw.get("Tmax")):
-            err("member-type", "$.info.time", "time must be an object with integer Tmin and Tmax")
-        else:
-            window = TimeWindow(raw["Tmin"], raw["Tmax"])
-            if window.t_min > window.t_max:
-                err(
-                    "time-window-invalid",
-                    "$.info.time",
-                    f"Tmin {window.t_min} exceeds Tmax {window.t_max}",
-                )
-            labs = raw.get("Tlabs", {})
-            if not isinstance(labs, dict):
-                err("member-type", "$.info.time.Tlabs", "Tlabs must be an object")
-            else:
-                for key in labs:
-                    try:
-                        t = int(key)
-                    except ValueError:
-                        err(
-                            "tlab-key-invalid",
-                            f"$.info.time.Tlabs.{key}",
-                            f"key {key!r} is not an integer time point",
-                        )
-                        continue
-                    if not window.t_min <= t <= window.t_max:
-                        err(
-                            "tlab-outside-window",
-                            f"$.info.time.Tlabs.{key}",
-                            f"label for {t} outside [{window.t_min}, {window.t_max}]",
-                        )
-
-    if "meta" in info:
-        raw = info["meta"]
-        if not isinstance(raw, list):
-            err("member-type", "$.info.meta", "meta must be an array of events")
-        else:
-            for i, event in enumerate(raw):
-                loc = f"$.info.meta[{i}]"
-                if not isinstance(event, dict):
-                    err("member-type", loc, "event must be an object")
-                    continue
-                date = event.get("date")
-                if not isinstance(date, str) or parse_iso_date(date) is None:
-                    err("event-date-invalid", loc, f"event date {date!r}")
-                title = event.get("title")
-                if not isinstance(title, str) or not title:
-                    err("event-title-empty", loc, "event has no title")
-
-    for member in ("created", "modified"):
-        if member in info:
-            if not isinstance(info[member], str):
-                err("member-type", f"$.info.{member}", f"{member} must be text")
-            elif parse_iso_date(info[member]) is None:
-                err("date-invalid", f"$.info.{member}", f"{info[member]!r} is not an ISO date")
-        elif level is Level.STRICT:
-            out.append(
-                Finding(
-                    Severity.WARNING,
-                    "dates-missing",
-                    "$.info",
-                    f"recommended member {member!r} is absent",
-                )
-            )
-    if isinstance(info.get("created"), str) and isinstance(info.get("modified"), str):
-        c, m = parse_iso_date(info["created"]), parse_iso_date(info["modified"])
-        if c and m and m < c:
-            err("dates-order", "$.info.modified", f"modified {m} precedes created {c}")
-    elif "modified" in info and "created" not in info:
-        err("dates-order", "$.info.modified", "modified present without created")
-
-    relations = None
-    if "relations" in info:
-        raw = info["relations"]
-        if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
-            err("member-type", "$.info.relations", "relations must be an array of text levels")
-        else:
-            relations = raw
-    for member in ("nodeCoding",):
-        if member in info:
-            raw = info[member]
-            if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
-                err("member-type", f"$.info.{member}", f"{member} must be an array of text levels")
-    if "propertyCodings" in info and not isinstance(info["propertyCodings"], dict):
-        err("member-type", "$.info.propertyCodings", "propertyCodings must be an object")
-    if "data" in info:
-        err("member-reserved", "$.info.data", "'data' belongs at the top level")
-
-    return org, window, relations
-
-
-def _validate_raw_tq(raw: Any, loc: str, window: Optional[TimeWindow], out: list[Finding]) -> None:
-    err = lambda rule, where, msg: out.append(Finding(Severity.ERROR, rule, where, msg))
-    if not isinstance(raw, list):
-        err("tq-malformed", loc, "tq must be an array of [s, f, v] triples")
-        return
-    for k, triple in enumerate(raw):
-        if not isinstance(triple, list) or len(triple) != 3:
-            err("tq-malformed", f"{loc}[{k}]", "triple must be a 3-element array")
-            return
-        if not _is_int(triple[0]) or not _is_int(triple[1]):
-            err("tq-malformed", f"{loc}[{k}]", "interval bounds must be integers")
-            return
-    check_tq_bounds(raw, loc, window, out)
-
-
-def _scan_raw_intervals(value: Any, loc: str, out: list[Finding]) -> None:
-    if isinstance(value, dict):
-        if set(value) == {"lo", "hi"} and _is_number(value["lo"]) and _is_number(value["hi"]):
-            if value["lo"] > value["hi"]:
-                out.append(
-                    Finding(
-                        Severity.ERROR,
-                        "interval-invalid",
-                        loc,
-                        f"interval bounds reversed: lo={value['lo']} > hi={value['hi']}",
-                    )
-                )
-            return
-        for key in sorted(value):
-            _scan_raw_intervals(value[key], f"{loc}.{key}", out)
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _scan_raw_intervals(item, f"{loc}[{i}]", out)
+                err("directed-kind-mismatch", "$.links", "directed network contains edges", warning)
+            elif directed is False and len(links) > n_edges:
+                err("directed-kind-mismatch", "$.links", "undirected network contains arcs", warning)
+        return links

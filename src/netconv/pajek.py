@@ -64,6 +64,16 @@ def _tokens(line: str, lineno: int) -> list[str]:
     return out
 
 
+def _numbered_lines(source: IO[str]):
+    """(line number, line) pairs; bytes the stream cannot decode raise ParseError."""
+    lineno = 0
+    try:
+        for lineno, line in enumerate(source, start=1):
+            yield lineno, line
+    except UnicodeDecodeError as exc:
+        raise ParseError.undecodable(exc, lineno) from None
+
+
 def _format_weight(w: float) -> str:
     if not math.isfinite(w):
         raise ExportError(f"non-finite link weight {w!r}")
@@ -137,7 +147,7 @@ def read_pajek_net(source: IO[str]) -> Network:
     raw_links: list[tuple[int, int, int, float, LinkKind]] = []  # rel, n1, n2, w, kind
     section = None  # "vertices" | LinkKind
 
-    for lineno, raw in enumerate(source, start=1):
+    for lineno, raw in _numbered_lines(source):
         line = raw.rstrip("\r\n")
         if not line.strip() or line.lstrip().startswith("%"):
             continue
@@ -354,7 +364,7 @@ def read_pajek_clu(source: IO[str]) -> Partition:
     coding = None
     n_declared = None
     values: list[int] = []
-    for lineno, raw in enumerate(source, start=1):
+    for lineno, raw in _numbered_lines(source):
         line = raw.rstrip("\r\n")
         if not line.strip():
             continue
@@ -366,7 +376,10 @@ def read_pajek_clu(source: IO[str]) -> Partition:
         if toks[0].startswith("*"):
             if toks[0].lower() != "*vertices" or len(toks) < 2:
                 raise ParseError(f"unexpected header {line!r}", line=lineno)
-            n_declared = int(toks[1])
+            try:
+                n_declared = int(toks[1])
+            except ValueError:
+                raise ParseError(f"invalid vertex count {toks[1]!r}", line=lineno) from None
             continue
         if n_declared is None:
             raise ParseError("values before *vertices header", line=lineno)

@@ -37,10 +37,8 @@ _LINK_RESERVED = {"from", "relation", "to", "kind", "weight", "label"}
 @dataclass(frozen=True)
 class TableOptions:
     delimiter: str = ";"
-    encoding: str = "utf-8"
     decimal_separator: str = "."
     na_strings: frozenset[str] = frozenset({"", "NA", "NaN"})
-    has_header: bool = True
 
     def __post_init__(self):
         if self.delimiter == '"':
@@ -62,18 +60,20 @@ class Table:
 def _read_table(source: IO[str], opts: TableOptions) -> Table:
     reader = csv.reader(source, delimiter=opts.delimiter, quotechar='"', doublequote=True)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty input: missing header row") from None
-    if not opts.has_header:
-        raise SchemaError("tables without a header row are not supported")
-    rows = []
-    for row in reader:
-        if len(row) != len(header):
-            raise ParseError(
-                f"expected {len(header)} cells, found {len(row)}", line=reader.line_num
-            )
-        rows.append(tuple(None if cell in opts.na_strings else cell for cell in row))
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty input: missing header row")
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ParseError(
+                    f"expected {len(header)} cells, found {len(row)}", line=reader.line_num
+                )
+            rows.append(tuple(None if cell in opts.na_strings else cell for cell in row))
+    except UnicodeDecodeError as exc:
+        raise ParseError.undecodable(exc, reader.line_num) from None
+    except csv.Error as exc:  # a field over csv.field_size_limit; a NUL byte before 3.11
+        raise ParseError(str(exc), line=reader.line_num) from None
     return Table(header=tuple(header), rows=tuple(rows))
 
 

@@ -64,7 +64,6 @@ RULES: dict[str, str] = {
 
 
 class Severity(str, Enum):
-    INFO = "info"
     WARNING = "warning"
     ERROR = "error"
 
@@ -128,6 +127,11 @@ def parse_iso_date(text: str) -> Optional[datetime.date]:
         return None
 
 
+def _bound(x: float) -> str:
+    text = repr(x)
+    return text[:-2] if text.endswith(".0") else text  # whole numbers as documents write them
+
+
 def _scan_intervals(value, location: str, out: list[Finding]) -> None:
     if isinstance(value, Interval):
         if value.lo > value.hi:
@@ -136,7 +140,7 @@ def _scan_intervals(value, location: str, out: list[Finding]) -> None:
                     Severity.ERROR,
                     "interval-invalid",
                     location,
-                    f"interval bounds reversed: lo={value.lo} > hi={value.hi}",
+                    f"interval bounds reversed: lo={_bound(value.lo)} > hi={_bound(value.hi)}",
                 )
             )
     elif isinstance(value, list):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import gc
 import io
 import json
@@ -7,11 +8,13 @@ import shutil
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import DATA, normalize_layout
 from corpus import CORPUS, corpus_path
 from netconv import Level, ValidationReport, check_all, parse_netsjson, validate_netsjson_document
 from netconv.cli import main
+from netconv.netsjson import PARSE_FATAL
 
 
 @pytest.fixture()
@@ -288,6 +291,182 @@ class TestValidate:
                 assert gc.isenabled() is enabled
         finally:
             gc.enable()
+
+
+def valid_document(**info) -> dict:
+    return {
+        "netsJSON": "basic",
+        "info": {"org": 1, **info},
+        "nodes": [{"id": "a"}, {"id": "b"}],
+        "links": [{"n1": "a", "n2": "b", "rel": "r"}],
+    }
+
+
+def with_member(doc: dict, path: tuple, value) -> dict:
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+# Documents the schema check used to pass that then failed to parse (an
+# exception, or a crash while building), each with the locator of the
+# member-type finding they now get.
+SCHEMA_PASSED_PARSE_FAILED = {
+    "tlabs-value-number": (
+        valid_document(time={"Tmin": 0, "Tmax": 9, "Tlabs": {"3": 5}}),
+        "$.info.time.Tlabs.3",
+    ),
+    "event-url-number": (
+        valid_document(meta=[{"date": "2020-01-01", "title": "release", "url": 5}]),
+        "$.info.meta[0].url",
+    ),
+    "relations-repeated-level": (valid_document(relations=["r", "r"]), "$.info.relations"),
+    "property-coding-not-array": (
+        valid_document(propertyCodings={"k": 5}),
+        "$.info.propertyCodings.k",
+    ),
+    "info-null": (with_member(valid_document(), ("info",), None), "$.info"),
+    "rel-integer-in-labeled": (
+        with_member(valid_document(), ("links", 0, "rel"), 1),
+        "$.links[0].rel",
+    ),
+    "rel-empty": (with_member(valid_document(), ("links", 0, "rel"), ""), "$.links[0].rel"),
+    "x-beyond-float": (
+        with_member(valid_document(), ("nodes", 0, "x"), 10**400),
+        "$.nodes[0].x",
+    ),
+    "interval-bound-beyond-float": (
+        with_member(valid_document(), ("nodes", 0, "span"), {"lo": 1, "hi": 10**400}),
+        "$.nodes[0].span",
+    ),
+}
+
+
+class TestValidateNeverRaises:
+    @pytest.mark.parametrize("name", sorted(SCHEMA_PASSED_PARSE_FAILED))
+    def test_schema_gap_documents_report_member_type(self, name, tmp_path, capsys):
+        doc, locator = SCHEMA_PASSED_PARSE_FAILED[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for level in ("lenient", "strict"):
+            assert main(["validate", str(path), "--level", level]) == 1
+            lines = capsys.readouterr().err.splitlines()
+            assert f"error: [member-type] {locator}: " in "\n".join(lines)
+            assert all(line.startswith(("error: ", "warning: ")) for line in lines)
+
+    @pytest.mark.parametrize(
+        "argv, name, status",
+        [
+            (["validate", "{}"], "bad.json", 1),
+            (["convert", "-i", "{}", "-o", "{}.net"], "bad.json", 2),
+            (["validate", "{}"], "bad.net", 1),
+            (["convert", "-i", "{}", "-o", "{}.json"], "bad.net", 2),
+            (["info", "{}"], "bad.net", 2),
+            (["partition", "-i", "{}", "--format", "net", "--property", "p"], "bad.net", 2),
+            (["validate", "{}", "--format", "csv", "--links", "{}"], "bad.csv", 1),
+            (["convert", "--nodes", "{}", "--links", "{}", "--to", "net"], "bad.csv", 2),
+        ],
+    )
+    def test_undecodable_input_one_error_line(self, argv, name, status, tmp_path, capsys):
+        text = {
+            "bad.json": '{"netsJSON": "basic", "info": {}, "nodes": [{"id": "\u00e9"}], "links": []}',
+            "bad.net": '*vertices 1\n1 "\u00e9"\n',
+            "bad.csv": "name;relation;from;to\n\u00e9;r;a;b\n",
+        }[name]
+        path = tmp_path / name
+        path.write_bytes(text.encode("latin-1"))
+        assert main([arg.replace("{}", str(path)) for arg in argv]) == status
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "input is not valid utf-8" in err
+
+
+# Member names the mutations below draw from, so they hit the schema.
+SCHEMA_KEYS = sorted(
+    {"netsJSON", "info", "nodes", "links", "data", "org", "nNodes", "nArcs", "nEdges",
+     "simple", "directed", "multirel", "mode", "network", "title", "time", "Tmin", "Tmax",
+     "Tlabs", "meta", "date", "url", "created", "modified", "relations", "nodeCoding",
+     "propertyCodings", "id", "lab", "slab", "x", "y", "tq", "type", "n1", "n2", "rel",
+     "weight", "label", "lo", "hi", "3", "k"}
+)  # fmt: skip
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 12)
+    | st.sampled_from([0.5, 1e308, 10**400])
+    | st.sampled_from(["", "a", "b", "r", "arc", "edge", "2020-01-01", "x"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(SCHEMA_KEYS), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def corpus_texts() -> dict[str, str]:
+    paths = [corpus_path(rule) for rule in CORPUS] + [DATA / "temporal_full.json"]
+    texts = {path.name: path.read_text(encoding="utf-8") for path in paths}
+    return texts | {"array-root": "[]", "null-root": "null"}
+
+
+def mutation_seeds() -> list:
+    seeds = []
+    for text in corpus_texts().values():
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError:
+            continue
+        if isinstance(doc, (dict, list)):  # a mutation needs a container to change
+            seeds.append(doc)
+    factorized = valid_document(relations=["r"], nodeCoding=["a", "b"])
+    factorized["nodes"] = [{"id": 1, "tq": [[0, 2, {"lo": 1, "hi": 2}]]}, {"id": 2}]
+    factorized["links"] = [{"n1": 1, "n2": 2, "rel": 1, "type": "edge", "span": {"lo": 2, "hi": 1}}]
+    return seeds + [valid_document(), factorized]
+
+
+def containers(value, out):
+    if isinstance(value, (dict, list)):
+        out.append(value)
+        for item in value.values() if isinstance(value, dict) else value:
+            containers(item, out)
+    return out
+
+
+def assert_parse_raises_exactly_on_fatal_findings(text: str) -> None:
+    report = validate_netsjson_document(io.StringIO(text))
+    fatal = [f for f in report.errors if f.rule in PARSE_FATAL]
+    if not fatal:
+        parse_netsjson(io.StringIO(text))  # must not raise
+        return
+    with pytest.raises(PARSE_FATAL[fatal[0].rule]) as excinfo:
+        parse_netsjson(io.StringIO(text))
+    assert f"[{fatal[0].rule}] {fatal[0].location}: " in str(excinfo.value)
+
+
+class TestParseAgreesWithValidate:
+    """parse_netsjson raises exactly when the report has a parse-fatal error,
+    and its message carries that finding's rule and locator."""
+
+    @pytest.mark.parametrize("name", sorted(corpus_texts()))
+    def test_corpus(self, name):
+        assert_parse_raises_exactly_on_fatal_findings(corpus_texts()[name])
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_mutated_documents(self, data):
+        doc = copy.deepcopy(data.draw(st.sampled_from(mutation_seeds())))
+        for _ in range(data.draw(st.integers(1, 3))):
+            target = data.draw(st.sampled_from(containers(doc, [])))
+            if isinstance(target, dict):
+                key = data.draw(st.sampled_from(sorted(target) + SCHEMA_KEYS))
+                if key in target and data.draw(st.booleans()):
+                    del target[key]
+                else:
+                    target[key] = data.draw(JSON_VALUES)
+            elif target and data.draw(st.booleans()):
+                target[data.draw(st.integers(0, len(target) - 1))] = data.draw(JSON_VALUES)
+            else:
+                target.append(data.draw(JSON_VALUES))
+        assert_parse_raises_exactly_on_fatal_findings(json.dumps(doc))
 
 
 def two_read_validate(path, level: Level, report_format: str) -> tuple[int, str]:

@@ -169,6 +169,13 @@ class TestParse:
         with pytest.raises(SchemaError):
             parse(bad)
 
+    def test_undecodable_bytes_rejected_with_line(self):
+        data = MINIMAL.replace('"lab": "b"', '\n"lab": "b\u00e9"').encode("latin-1")
+        stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        expected = r"^\[json-malformed\] \$: line 2: input is not valid utf-8"
+        with pytest.raises(SchemaError, match=expected):
+            parse_netsjson(stream)
+
 
 class TestWrite:
     def test_empty_network(self):
@@ -253,6 +260,13 @@ class TestValidateDocument:
     def test_malformed_json(self):
         report = self.validate("{ nope")
         assert [f.rule for f in report.findings] == ["json-malformed"]
+
+    def test_undecodable_bytes_are_a_malformed_finding(self):
+        data = MINIMAL.replace('"lab": "b"', '\n"lab": "b\u00e9"').encode("latin-1")
+        stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        report = validate_netsjson_document(stream)
+        assert [(f.rule, f.location) for f in report.findings] == [("json-malformed", "$")]
+        assert report.findings[0].message.startswith("line 2: input is not valid utf-8")
 
     def test_locators_resolve_against_input(self, data_dir):
         raw = (data_dir / "temporal_full.json").read_text(encoding="utf-8")

@@ -175,6 +175,29 @@ class TestReadNet:
             assert back == canonical_order(net)
 
 
+class TestUndecodableInput:
+    """Bytes that are not UTF-8 raise ParseError naming their line, also
+    past the first block the text stream decodes."""
+
+    @pytest.mark.parametrize("bad_line", [1, 3, 2000])
+    def test_net(self, bad_line):
+        lines = [b"*vertices 3000"] + [b'%d "v%d"' % (i, i) for i in range(1, 3001)] + [b"*arcs"]
+        lines[bad_line - 1] += b"\xff"
+        with pytest.raises(ParseError, match=rf"^line {bad_line}: input is not valid utf-8"):
+            read_pajek_net(utf8_stream(b"\n".join(lines) + b"\n"))
+
+    @pytest.mark.parametrize("bad_line", [1, 3, 2000])
+    def test_clu(self, bad_line):
+        lines = [b"*vertices 3000"] + [b"1"] * 3000
+        lines[bad_line - 1] += b"\xe9"
+        with pytest.raises(ParseError, match=rf"^line {bad_line}: input is not valid utf-8"):
+            read_pajek_clu(utf8_stream(b"\n".join(lines) + b"\n"))
+
+
+def utf8_stream(data: bytes) -> io.TextIOWrapper:
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+
+
 class TestPartition:
     def test_sex_partition_matches_oracle(self, bib_network, bib_node_table):
         column = bib_node_table.column("sex")
@@ -234,6 +257,10 @@ class TestCluFiles:
     def test_count_mismatch(self):
         with pytest.raises(ParseError, match="expected 2 values"):
             read_pajek_clu(io.StringIO("*vertices 2\n1\n"))
+
+    def test_vertex_count_not_a_number_reports_line(self):
+        with pytest.raises(ParseError, match=r"line 2: invalid vertex count 'x'"):
+            read_pajek_clu(io.StringIO("% 1 a\n*vertices x\n1\n"))
 
     def test_legend_with_spaces_quoted(self):
         coding = CodingTable("kind", ("two words", "one"), 1)

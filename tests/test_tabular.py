@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import io
 import random
 
@@ -71,6 +72,21 @@ class TestReadNodeTable:
         with pytest.raises(ParseError, match="header"):
             read_node_table(io.StringIO(""))
 
+    @pytest.mark.parametrize("bad_line", [1, 2, 2500])
+    def test_undecodable_bytes_report_line(self, bad_line):
+        lines = [b"name;x"] + [b"n%d;%d" % (i, i) for i in range(1, 3000)]
+        lines[bad_line - 1] += b"\xff"
+        with pytest.raises(ParseError, match=rf"^line {bad_line}: input is not valid utf-8"):
+            read_node_table(utf8_stream(b"\n".join(lines) + b"\n"))
+
+    def test_field_over_size_limit_reports_line(self):
+        old = csv.field_size_limit(10)
+        try:
+            with pytest.raises(ParseError, match="^line 3: field larger than field limit"):
+                read_node_table(io.StringIO("name\na\n" + "b" * 20 + "\n"))
+        finally:
+            csv.field_size_limit(old)
+
 
 class TestReadLinkTable:
     def test_fixture_shape(self, bib_link_table):
@@ -86,6 +102,15 @@ class TestReadLinkTable:
     def test_missing_required_column(self):
         with pytest.raises(SchemaError, match="relation"):
             read_link_table(io.StringIO("from;to\na;b\n"))
+
+    def test_undecodable_bytes_report_line(self):
+        data = "from;relation;to\na;r;b\nc;r\u00e9l;d\n".encode("latin-1")
+        with pytest.raises(ParseError, match="^line 3: input is not valid utf-8"):
+            read_link_table(utf8_stream(data))
+
+
+def utf8_stream(data: bytes) -> io.TextIOWrapper:
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
 
 
 class TestTablesToNetwork:
