@@ -1,9 +1,17 @@
 """Command-line front end: convert, validate, info, and partition.
 
-Exit codes: 0 success, 1 validation errors, 2 parse/IO/usage failures.
-Validation findings go to standard error; ``-`` means standard
-input/output. Output files are written via a temporary file and renamed,
-so a failed run leaves no partial output behind.
+Exit codes: 0 success, 1 error findings (or, for ``validate``, an input it
+cannot parse; for ``partition``, a property it cannot code), 2 usage or I/O
+failures. ``validate`` prints the report of its input's one checker: for
+NetsJSON, :func:`~netconv.netsjson.validate_netsjson_document`; for NET and
+CSV, :func:`~netconv.validation.check_all` on the network read. Findings
+go to standard error; ``-`` means standard input/output. Output files are
+written via a temporary file and renamed, so a failed run leaves no
+partial output behind.
+
+:func:`main` settles formats and paths and raises every usage error before
+a subcommand runs, and it is the one place that turns a failure into one
+``error:`` line and an exit code.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import tempfile
 from . import netsjson, pajek, tabular
 from .errors import CodingError, NetconvError
 from .factorize import defactorize_network, factorize_network
-from .model import Network, canonical_order, make_network, network_stats
+from .model import Network, canonical_order, network_stats
 from .validation import Level, ValidationReport, check_all, parse_iso_date
 
 FORMATS = ("csv", "net", "netsjson")
@@ -65,17 +73,44 @@ def _emit_report(report: ValidationReport, fmt: str) -> None:
     print(text, file=sys.stderr)
 
 
-def _read_network(args, fmt: str) -> Network:
-    opts = tabular.TableOptions(
-        delimiter=args.delimiter, decimal_separator=args.decimal
+def _resolve(args) -> None:
+    """Settle the input format and paths in ``args``; raise every usage error.
+
+    A csv input's node table is ``--nodes``, else the input path.
+    """
+    if len(args.delimiter) != 1 or args.delimiter == '"':
+        message = f"--delimiter must be one character other than '\"', got {args.delimiter!r}"
+        raise NetconvError(message)
+    args.opts = tabular.TableOptions(delimiter=args.delimiter, decimal_separator=args.decimal)
+    args.from_format = args.from_format or _infer_format(args.input) or (
+        "csv" if args.nodes else None
     )
-    if fmt == "csv":
+    if args.command == "convert":
+        args.to_format = args.to_format or _infer_format(args.output)
+        if args.from_format is None or args.to_format is None:
+            raise NetconvError("cannot determine formats; use --from/--to")
+        if args.from_format == "csv" and args.to_format == "csv":
+            raise NetconvError("csv-to-csv conversion is not supported")
+        if args.to_format == "net" and args.base == 0:
+            raise NetconvError("Pajek NET output requires --base 1")
+        if args.to_format == "csv" and not (args.nodes and args.links):
+            raise NetconvError("csv output requires --nodes and --links paths")
+    elif args.from_format is None:
+        raise NetconvError("cannot determine format; use --format")
+    if args.from_format == "csv":
+        args.nodes = args.nodes or args.input
         if not args.nodes or not args.links:
             raise NetconvError("csv input requires --nodes and --links paths")
+    elif not args.input:
+        raise NetconvError(f"{args.from_format} input requires -i/--input")
+
+
+def _read_network(args) -> Network:
+    if args.from_format == "csv":
         with _open_text(args.nodes) as stream:
-            node_table = tabular.read_node_table(stream, opts)
+            node_table = tabular.read_node_table(stream, args.opts)
         with _open_text(args.links) as stream:
-            link_table = tabular.read_link_table(stream, opts)
+            link_table = tabular.read_link_table(stream, args.opts)
         return tabular.tables_to_network(
             node_table,
             link_table,
@@ -83,31 +118,26 @@ def _read_network(args, fmt: str) -> Network:
             base=args.base,
             decimal_separator=args.decimal,
         )
-    if not args.input:
-        raise NetconvError(f"{fmt} input requires -i/--input")
     with _open_text(args.input) as stream:
-        if fmt == "net":
+        if args.from_format == "net":
             return pajek.read_pajek_net(stream)
         return netsjson.parse_netsjson(stream)
 
 
-def _write_network(args, fmt: str, network: Network) -> None:
-    if fmt == "csv":
-        if not args.nodes or not args.links:
-            raise NetconvError("csv output requires --nodes and --links paths")
+def _write_network(args, network: Network) -> None:
+    if args.to_format == "csv":
         if network.is_factorized:
             network = defactorize_network(network)
         node_table, link_table = tabular.network_to_tables(network)
-        opts = tabular.TableOptions(delimiter=args.delimiter, decimal_separator=args.decimal)
         rendered = []
         for path, table in ((args.nodes, node_table), (args.links, link_table)):
             sink = io.StringIO()
-            tabular.write_table(table, sink, opts)
+            tabular.write_table(table, sink, args.opts)
             rendered.append((path, sink.getvalue()))
         for path, text in rendered:  # render fully before touching either file
             _write_atomic(path, text)
         return
-    if fmt == "net":
+    if args.to_format == "net":
         text = pajek.write_pajek_net(network, base=1, coordinates=args.coords)
     else:
         text = netsjson.write_netsjson(network, pretty=args.pretty)
@@ -115,93 +145,35 @@ def _write_network(args, fmt: str, network: Network) -> None:
 
 
 def cmd_convert(args) -> int:
-    from_fmt = args.from_format or _infer_format(args.input) or (
-        "csv" if args.nodes and args.links and not args.input else None
-    )
-    to_fmt = args.to_format or _infer_format(args.output)
-    if from_fmt is None or to_fmt is None:
-        print("error: cannot determine formats; use --from/--to", file=sys.stderr)
-        return EXIT_FAILURE
-    if from_fmt == "csv" and to_fmt == "csv":
-        print("error: csv-to-csv conversion is not supported", file=sys.stderr)
-        return EXIT_FAILURE
-    if to_fmt == "net" and args.base == 0:
-        print("error: Pajek NET output requires --base 1", file=sys.stderr)
-        return EXIT_FAILURE
-
-    try:
-        network = _read_network(args, from_fmt)
-        if args.factorize:
-            if network.is_factorized:
-                network = defactorize_network(network)  # rebase via labeled form
-            network = factorize_network(network, args.base)
-        elif args.defactorize:
-            network = defactorize_network(network)
-        network = canonical_order(network)
-        report = check_all(network, Level(args.level))
-        _emit_report(report, args.report)
-        if report.has_errors:
-            return EXIT_INVALID
-        _write_network(args, to_fmt, network)
-    except NetconvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    network = _read_network(args)
+    if args.factorize:
+        if network.is_factorized:
+            network = defactorize_network(network)  # rebase via labeled form
+        network = factorize_network(network, args.base)
+    elif args.defactorize:
+        network = defactorize_network(network)
+    network = canonical_order(network)
+    report = check_all(network, Level(args.level))
+    _emit_report(report, args.report)
+    if report.has_errors:
+        return EXIT_INVALID
+    _write_network(args, network)
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    fmt = args.format or _infer_format(args.path) or ("csv" if args.nodes else None)
-    if fmt is None:
-        print("error: cannot determine format; use --format", file=sys.stderr)
-        return EXIT_FAILURE
-    if fmt == "csv" and not args.nodes:
-        args.nodes = args.path
     level = Level(args.level)
-    try:
-        if fmt == "netsjson":
-            with _open_text(args.path) as stream:
-                records, report = netsjson.load_netsjson_document(
-                    stream, strict=level is Level.STRICT
-                )
-            if not report.has_errors:
-                network = make_network(**records)
-                del records
-                findings = report.findings + check_all(network, level).findings
-                report = ValidationReport(findings, level)
-        else:
-            args.input = args.path
-            try:
-                network = _read_network(args, fmt)
-            except NetconvError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_INVALID
-            report = check_all(network, level)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    if args.from_format == "netsjson":
+        with _open_text(args.input) as stream:
+            report = netsjson.validate_netsjson_document(stream, strict=level is Level.STRICT)
+    else:
+        report = check_all(_read_network(args), level)
     _emit_report(report, args.report)
     return EXIT_INVALID if report.has_errors else EXIT_OK
 
 
 def cmd_info(args) -> int:
-    fmt = args.format or _infer_format(args.path)
-    if fmt is None:
-        print("error: cannot determine format; use --format", file=sys.stderr)
-        return EXIT_FAILURE
-    if fmt == "csv" and not args.nodes:
-        args.nodes = args.path
-    try:
-        args.input = args.path
-        network = _read_network(args, fmt)
-    except NetconvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    network = _read_network(args)
     stats = network_stats(network)
     info = network.info
     print(f"nodes: {stats.n_nodes}")
@@ -226,34 +198,13 @@ def cmd_info(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    fmt = args.format or _infer_format(args.input)
-    if fmt is None:
-        print("error: cannot determine format; use --format", file=sys.stderr)
-        return EXIT_FAILURE
-    try:
-        network = _read_network(args, fmt)
-        if args.via_csv:
-            opts = tabular.TableOptions(delimiter=args.delimiter, decimal_separator=args.decimal)
-            with _open_text(args.via_csv) as stream:
-                node_table = tabular.read_node_table(stream, opts)
-            network = tabular.merge_node_properties(
-                network, node_table, decimal_separator=args.decimal
-            )
-        partition = pajek.partition_from_property(network, args.property)
-    except CodingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except NetconvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    try:
-        _write_atomic(args.output, pajek.write_pajek_clu(partition))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    network = _read_network(args)
+    if args.via_csv:
+        with _open_text(args.via_csv) as stream:
+            node_table = tabular.read_node_table(stream, args.opts)
+        network = tabular.merge_node_properties(network, node_table, decimal_separator=args.decimal)
+    partition = pajek.partition_from_property(network, args.property)
+    _write_atomic(args.output, pajek.write_pajek_clu(partition))
     return EXIT_OK
 
 
@@ -289,36 +240,37 @@ def build_parser() -> argparse.ArgumentParser:
     convert.add_argument("--level", choices=("lenient", "strict"), default="lenient")
     convert.add_argument("--report", choices=("text", "json"), default="text")
     _add_table_flags(convert)
-    convert.set_defaults(func=cmd_convert)
+    convert.set_defaults(func=cmd_convert, rejects=())
 
     validate = sub.add_parser("validate", help="check a network file and report findings")
-    validate.add_argument("path", help="file to validate ('-' for stdin)")
-    validate.add_argument("--format", choices=FORMATS)
+    validate.add_argument("input", metavar="path", help="file to validate ('-' for stdin)")
+    validate.add_argument("--format", dest="from_format", choices=FORMATS)
     validate.add_argument("--nodes", help="csv node table path (csv format)")
     validate.add_argument("--links", help="csv link table path (csv format)")
     validate.add_argument("--level", choices=("lenient", "strict"), default="lenient")
     validate.add_argument("--report", choices=("text", "json"), default="text")
     _add_table_flags(validate)
-    validate.set_defaults(func=cmd_validate, directed=True, base=1, input=None)
+    # An input validate cannot parse is rejected (exit 1), like one with error findings.
+    validate.set_defaults(func=cmd_validate, rejects=NetconvError, directed=True, base=1)
 
     info = sub.add_parser("info", help="print counts, title, dates, and the event log")
-    info.add_argument("path", help="network file ('-' for stdin)")
-    info.add_argument("--format", choices=FORMATS)
+    info.add_argument("input", metavar="path", help="network file ('-' for stdin)")
+    info.add_argument("--format", dest="from_format", choices=FORMATS)
     info.add_argument("--nodes", help="csv node table path (csv format)")
     info.add_argument("--links", help="csv link table path (csv format)")
     _add_table_flags(info)
-    info.set_defaults(func=cmd_info, directed=True, base=1, input=None)
+    info.set_defaults(func=cmd_info, rejects=(), directed=True, base=1)
 
     partition = sub.add_parser("partition", help="extract a node partition as a CLU file")
     partition.add_argument("-i", "--input", required=True, help="network file")
-    partition.add_argument("--format", choices=FORMATS)
+    partition.add_argument("--format", dest="from_format", choices=FORMATS)
     partition.add_argument("--nodes", help="csv node table path (csv format)")
     partition.add_argument("--links", help="csv link table path (csv format)")
     partition.add_argument("--via-csv", dest="via_csv", help="node table supplying properties")
     partition.add_argument("--property", required=True, help="categorical property to code")
     partition.add_argument("-o", "--output", default="-", help="CLU output path")
     _add_table_flags(partition)
-    partition.set_defaults(func=cmd_partition, directed=True, base=1)
+    partition.set_defaults(func=cmd_partition, rejects=CodingError, directed=True, base=1)
 
     return parser
 
@@ -327,15 +279,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "to_format", None) == "net" and getattr(args, "base", 1) == 0:
-            parser.error("Pajek NET output requires --base 1")
     except SystemExit as exc:
         return int(exc.code or 0)
     # A run builds large acyclic object trees; collector passes free nothing.
     gc_was_enabled = gc.isenabled()
     gc.disable()
+    rejects = ()  # _resolve's usage errors exit 2 on every subcommand
     try:
+        _resolve(args)
+        rejects = args.rejects
         return args.func(args)
+    except (NetconvError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID if isinstance(exc, rejects) else EXIT_FAILURE
     finally:
         if gc_was_enabled:
             gc.enable()

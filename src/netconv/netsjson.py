@@ -139,7 +139,7 @@ def parse_netsjson(source: IO[str]) -> Network:
     ``[rule] locator: message``; :func:`validate_netsjson_document` reports
     every finding.
     """
-    records, report = load_netsjson_document(source)
+    records, report = _load(source)
     for f in report.findings:
         if f.rule in PARSE_FATAL:
             raise PARSE_FATAL[f.rule](f"[{f.rule}] {f.location}: {f.message}")
@@ -155,12 +155,10 @@ def validate_netsjson_document(source: IO[str], strict: bool = False) -> Validat
     modification dates, and (once a time window marks the network as
     temporal) a tq on every node and link.
     """
-    return load_netsjson_document(source, strict)[1]
+    return _load(source, strict)[1]
 
 
-def load_netsjson_document(
-    source: IO[str], strict: bool = False
-) -> tuple[Optional[dict], ValidationReport]:
+def _load(source: IO[str], strict: bool = False) -> tuple[Optional[dict], ValidationReport]:
     """Decode a document and walk it once.
 
     Returns the keyword arguments of :func:`~netconv.model.make_network` for
@@ -326,6 +324,7 @@ class _Walk:
         self.out: list[Finding] = []
         self.org, self.window = 1, None
         self.listed, self.n_listed = None, 0  # the levels of info.relations, if given
+        self.any_tq = False
 
     def err(self, rule: str, location: str, message: str, severity=Severity.ERROR) -> None:
         self.out.append(Finding(severity, rule, location, message))
@@ -385,10 +384,13 @@ class _Walk:
         nodes, ids, id_type = self.nodes(raw_nodes or [])
         if raw_nodes is None:
             ids = id_type = None  # nothing to resolve endpoints or relation kinds against
-        links = self.links(raw_links or [], ids, id_type, raw_info)
-        if raw_info is not None:  # the counters are reported after info.org
+        links = self.links(raw_links or [], ids, id_type, info)
+        if raw_info is not None:  # info findings that need the records come after info.org
             n_nodes, n_edges = len(raw_nodes or ()), self.n_edges
             found = self.counters(raw_info, n_nodes, len(links) - n_edges, n_edges)
+            if self.any_tq and "time" not in raw_info:
+                message = "temporal quantities present but no time window declared"
+                found.append(Finding(Severity.WARNING, "tq-no-window", "$.info", message))
             self.out[self.counters_at : self.counters_at] = found
         if any(f.rule in PARSE_FATAL for f in self.out):
             return None
@@ -535,6 +537,7 @@ class _Walk:
     # -- records ---------------------------------------------------------------
 
     def tq(self, raw: Any, where: str) -> Optional[TemporalQuantity]:
+        self.any_tq = True
         if type(raw) is not list:
             self.err("tq-malformed", where, "tq must be an array of [s, f, v] triples")
             return None
@@ -608,13 +611,14 @@ class _Walk:
             nodes.append(NodeRecord(node_id, lab, slab, x, y, mode, tq, props))
         return nodes, ids, None if mixed else (int if kinds == {int} else str)
 
-    def links(self, raw_links: list, ids: Optional[set], id_type, raw_info: Optional[dict]):
-        """Link records; ``ids`` is None when there is no node list to resolve against."""
+    def links(self, raw_links: list, ids: Optional[set], id_type, info: Optional[InfoBlock]):
+        """Link records; ``ids`` is None when there is no node list to resolve against,
+        and the flag checks run only when there is an info block to read them from."""
         err, org, number = self.err, self.org, self.number
         listed, n_listed = self.listed, self.n_listed
         need_tq = self.level is Level.STRICT and self.window is not None
-        simple = bool(raw_info.get("simple")) if raw_info is not None else False
-        one_relation = raw_info is not None and raw_info.get("multirel") is False
+        simple = info is not None and info.simple
+        one_relation = info is not None and not info.multirel
         rels_seen, link_keys, links = set(), set(), []
         for i, raw in enumerate(raw_links):
             if type(raw) is not dict:
@@ -668,12 +672,13 @@ class _Walk:
             links.append(LinkRecord(kind, raw.get("n1"), raw.get("n2"), rel, weight, label, tq, props))
 
         self.n_edges = n_edges = sum(1 for link in links if link.kind is LinkKind.EDGE)
-        if raw_info is not None:
+        if info is not None:
             if one_relation and len(rels_seen) > 1:
                 err("multirel-violated", "$.links", f"{len(rels_seen)} relations but multirel is off")
-            directed, warning = raw_info.get("directed"), Severity.WARNING
-            if directed is True and n_edges:
-                err("directed-kind-mismatch", "$.links", "directed network contains edges", warning)
-            elif directed is False and len(links) > n_edges:
-                err("directed-kind-mismatch", "$.links", "undirected network contains arcs", warning)
+            if info.directed and n_edges:
+                message = "directed network contains edges"
+                err("directed-kind-mismatch", "$.links", message, Severity.WARNING)
+            elif not info.directed and len(links) > n_edges:
+                message = "undirected network contains arcs"
+                err("directed-kind-mismatch", "$.links", message, Severity.WARNING)
         return links

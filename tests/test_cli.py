@@ -12,7 +12,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import DATA, normalize_layout
 from corpus import CORPUS, corpus_path
-from netconv import Level, ValidationReport, check_all, parse_netsjson, validate_netsjson_document
+from netconv import (
+    Level,
+    NetconvError,
+    canonical_order,
+    check_all,
+    parse_netsjson,
+    validate_netsjson_document,
+)
 from netconv.cli import main
 from netconv.netsjson import PARSE_FATAL
 
@@ -75,24 +82,14 @@ class TestConvert:
         assert status == 0
         assert out.read_text(encoding="utf-8") == "*vertices 0\n*arcs\n"
 
-    def test_net_output_base_zero_rejected(self, bib_paths, tmp_path):
+    def test_net_output_base_zero_rejected(self, bib_paths, tmp_path, capsys, monkeypatch):
         nodes, links = bib_paths
-        status = main(
-            [
-                "convert",
-                "--to",
-                "net",
-                "--base",
-                "0",
-                "--nodes",
-                str(nodes),
-                "--links",
-                str(links),
-                "-o",
-                str(tmp_path / "x.net"),
-            ]
-        )
-        assert status == 2
+        monkeypatch.chdir(tmp_path)
+        for target in (["--to", "net"], ["-o", "x.net"]):
+            argv = ["convert", "--base", "0", "--nodes", str(nodes), "--links", str(links), *target]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "error: Pajek NET output requires --base 1\n"
+        assert not (tmp_path / "x.net").exists()
 
     def test_parse_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.net"
@@ -278,10 +275,17 @@ class TestValidate:
         [corpus_path(rule) for rule in CORPUS] + [DATA / "temporal_full.json"],
         ids=lambda p: p.name,
     )
-    def test_netsjson_matches_two_read_composition(self, path, level, report, capsys):
-        expected = two_read_validate(path, Level(level), report)
+    def test_netsjson_prints_the_walk_report(self, path, level, report, capsys):
+        with open(path, encoding="utf-8", newline="") as stream:
+            expected = validate_netsjson_document(stream, strict=level == "strict")
+        text = expected.to_json_lines() if report == "json" else expected.to_text()
         status = main(["validate", str(path), "--level", level, "--report", report])
-        assert (status, capsys.readouterr().err) == expected
+        assert status == (1 if expected.has_errors else 0)
+        assert capsys.readouterr().err == (text + "\n" if text else "")
+
+    def test_directed_kind_mismatch_reported_once(self, capsys):
+        assert main(["validate", str(corpus_path("directed-kind-mismatch"))]) == 0
+        assert capsys.readouterr().err.count("[directed-kind-mismatch]") == 1
 
     def test_main_restores_collector_state(self):
         try:
@@ -442,13 +446,41 @@ def assert_parse_raises_exactly_on_fatal_findings(text: str) -> None:
     assert f"[{fatal[0].rule}] {fatal[0].location}: " in str(excinfo.value)
 
 
+def assert_walk_reports_what_check_all_finds(text: str) -> None:
+    try:
+        network = canonical_order(parse_netsjson(io.StringIO(text)))
+    except NetconvError:
+        return
+    for level in Level:
+        report = validate_netsjson_document(io.StringIO(text), strict=level is Level.STRICT)
+        reported = {(f.severity, f.rule) for f in report.findings}
+        found = {(f.severity, f.rule) for f in check_all(network, level).findings}
+        assert found <= reported, f"{level.value}: the walk misses {sorted(found - reported)}"
+
+
 class TestParseAgreesWithValidate:
     """parse_netsjson raises exactly when the report has a parse-fatal error,
-    and its message carries that finding's rule and locator."""
+    and its message carries that finding's rule and locator. On a document
+    it accepts, the report holds every (severity, rule) check_all finds on
+    the parsed network."""
 
     @pytest.mark.parametrize("name", sorted(corpus_texts()))
     def test_corpus(self, name):
         assert_parse_raises_exactly_on_fatal_findings(corpus_texts()[name])
+        assert_walk_reports_what_check_all_finds(corpus_texts()[name])
+
+    def test_multirel_absent_means_one_relation(self):
+        doc = valid_document()
+        doc["links"].append({"n1": "b", "n2": "a", "rel": "s"})
+        report = validate_netsjson_document(io.StringIO(json.dumps(doc)))
+        assert [(f.rule, f.location) for f in report.errors] == [("multirel-violated", "$.links")]
+
+    def test_directed_absent_means_directed(self):
+        doc = with_member(valid_document(), ("links", 0, "type"), "edge")
+        report = validate_netsjson_document(io.StringIO(json.dumps(doc)))
+        assert [(f.severity.value, f.rule) for f in report.findings] == [
+            ("warning", "directed-kind-mismatch")
+        ]
 
     @given(st.data())
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -466,25 +498,114 @@ class TestParseAgreesWithValidate:
                 target[data.draw(st.integers(0, len(target) - 1))] = data.draw(JSON_VALUES)
             else:
                 target.append(data.draw(JSON_VALUES))
-        assert_parse_raises_exactly_on_fatal_findings(json.dumps(doc))
+        text = json.dumps(doc)
+        assert_parse_raises_exactly_on_fatal_findings(text)
+        assert_walk_reports_what_check_all_finds(text)
 
 
-def two_read_validate(path, level: Level, report_format: str) -> tuple[int, str]:
-    """Exit status and standard error of `netconv validate` on a NetsJSON
-    file as composed before the input was decoded once: the schema check,
-    then, when it finds no errors, parse_netsjson over a second read and
-    check_all."""
-    with open(path, encoding="utf-8", newline="") as stream:
-        report = validate_netsjson_document(stream, strict=level is Level.STRICT)
-    findings = list(report.findings)
-    if not report.has_errors:
-        with open(path, encoding="utf-8", newline="") as stream:
-            findings.extend(check_all(parse_netsjson(stream), level).findings)
-    report = ValidationReport(tuple(findings), level)
-    if not findings:
-        return 0, ""
-    text = report.to_json_lines() if report_format == "json" else report.to_text()
-    return (1 if report.has_errors else 0), text + "\n"
+NO_FILE = "error: [Errno 2] No such file or directory: '{}'\n"
+CANNOT_INFER = "error: cannot determine format; use --format\n"
+NEED_CSV_PATHS = "error: csv input requires --nodes and --links paths\n"
+BAD_NET = "error: line 2: vertex number 5 outside [1, 1]\n"
+BAD_JSON = "error: [json-malformed] $: Expecting value: line 1 column 14 (char 13)\n"
+BAD_CSV = "error: line 2: expected 2 cells, found 1\n"
+
+# (argv, exit status, standard error) for each subcommand and way of failing;
+# run in a directory holding the files written by `failure_files`.
+CLI_FAILURES = {
+    "unknown-format": [
+        ("convert -i x.txt -o y.net", 2, "error: cannot determine formats; use --from/--to\n"),
+        ("validate x.txt", 2, CANNOT_INFER),
+        ("info x.txt", 2, CANNOT_INFER),
+        ("partition -i x.txt --property p", 2, CANNOT_INFER),
+    ],
+    "missing-path": [
+        ("convert --from csv --to net --nodes n.csv", 2, NEED_CSV_PATHS),
+        ("convert --from net --to netsjson", 2, "error: net input requires -i/--input\n"),
+        ("convert -i bib.net --to csv --nodes o.csv", 2,
+         "error: csv output requires --nodes and --links paths\n"),
+        ("validate n.csv --format csv", 2, NEED_CSV_PATHS),
+        ("info n.csv --format csv", 2, NEED_CSV_PATHS),
+        ("partition -i bib.net --format csv --nodes n.csv --property p", 2, NEED_CSV_PATHS),
+    ],
+    "nonexistent-file": [
+        ("convert -i missing.net -o o.json", 2, NO_FILE.format("missing.net")),
+        ("validate missing.json", 2, NO_FILE.format("missing.json")),
+        ("validate missing.net", 2, NO_FILE.format("missing.net")),
+        ("validate missing.csv --links l.csv", 2, NO_FILE.format("missing.csv")),
+        ("info missing.net", 2, NO_FILE.format("missing.net")),
+        ("partition -i missing.net --property p", 2, NO_FILE.format("missing.net")),
+        ("partition -i bib.net --via-csv missing.csv --property mode", 2,
+         NO_FILE.format("missing.csv")),
+    ],
+    "unreadable-input": [
+        ("convert -i bad.net -o o.json", 2, BAD_NET),
+        ("convert -i bad.json -o o.net", 2, BAD_JSON),
+        ("convert --nodes bad.csv --links l.csv -o o.net", 2, BAD_CSV),
+        ("validate bad.net", 1, BAD_NET),
+        ("validate bad.json", 1, BAD_JSON),
+        ("validate bad.csv --links l.csv", 1, BAD_CSV),
+        ("info bad.net", 2, BAD_NET),
+        ("info bad.json", 2, BAD_JSON),
+        ("info bad.csv --links l.csv", 2, BAD_CSV),
+        ("partition -i bad.net --property p", 2, BAD_NET),
+        ("partition -i bad.json --property p", 2, BAD_JSON),
+        ("partition -i x --format csv --nodes bad.csv --links l.csv --property p", 2, BAD_CSV),
+    ],
+    "validation-error": [
+        ("convert -i org.json -o o.net", 1,
+         "error: [org-invalid] info.org: smallest index must be 0 or 1, got 2\n"),
+        ("validate org.json", 1,
+         "error: [org-invalid] $.info.org: smallest index must be 0 or 1, got 2\n"),
+        ("info org.json", 0, ""),
+        ("partition -i org.json --property p", 1,
+         "error: unknown property 'p': absent on every node\n"),
+    ],
+    "unknown-property": [
+        ("partition -i bib.net --property nope -o x.clu", 1,
+         "error: unknown property 'nope': absent on every node\n"),
+        ("partition -i bib.net --via-csv n.csv --property nope", 1,
+         "error: unknown property 'nope': absent on every node\n"),
+    ],
+}
+
+
+@pytest.fixture()
+def failure_files(tmp_path, monkeypatch):
+    shutil.copy(DATA / "bib.golden.net", tmp_path / "bib.net")
+    shutil.copy(DATA / "bibNodes.csv", tmp_path / "n.csv")
+    shutil.copy(DATA / "bibLinks.csv", tmp_path / "l.csv")
+    shutil.copy(corpus_path("org-invalid"), tmp_path / "org.json")
+    for name, text in (
+        ("bad.net", '*vertices 1\n5 "x"\n'),
+        ("bad.json", '{"netsJSON": '),
+        ("bad.csv", 'name;x\n"a;1\n'),
+        ("x.txt", "hi\n"),
+    ):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+class TestFailureTable:
+    """Exit status and standard error of every subcommand on each way of failing."""
+
+    @pytest.mark.parametrize(
+        "argv, status, err",
+        [row for rows in CLI_FAILURES.values() for row in rows],
+        ids=[f"{case}:{row[0]}" for case, rows in CLI_FAILURES.items() for row in rows],
+    )
+    def test_failure(self, argv, status, err, failure_files, capsys):
+        assert main(argv.split()) == status
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("delimiter", [";;", '"', ""])
+    @pytest.mark.parametrize("command", ["convert --to net --nodes", "validate"])
+    def test_bad_delimiter_is_a_usage_error(self, command, delimiter, failure_files, capsys):
+        argv = [*command.split(), "n.csv", "--links", "l.csv", "--delimiter", delimiter]
+        assert main(argv) == 2
+        message = f"--delimiter must be one character other than '\"', got {delimiter!r}"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestInfo:
