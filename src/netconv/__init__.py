@@ -33,7 +33,7 @@ from .model import (
     network_stats,
     tq_value_at,
 )
-from .netsjson import parse_netsjson, validate_netsjson_document, write_netsjson
+from .netsjson import check_netsjson, parse_netsjson, validate_netsjson_document, write_netsjson
 from .pajek import (
     Partition,
     partition_from_property,

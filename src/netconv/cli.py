@@ -2,12 +2,14 @@
 
 Exit codes: 0 success, 1 error findings (or, for ``validate``, an input it
 cannot parse; for ``partition``, a property it cannot code), 2 usage or I/O
-failures. ``validate`` prints the report of its input's one checker: for
-NetsJSON, :func:`~netconv.netsjson.validate_netsjson_document`; for NET and
-CSV, :func:`~netconv.validation.check_all` on the network read. Findings
-go to standard error; ``-`` means standard input/output. Output files are
-written via a temporary file and renamed, so a failed run leaves no
-partial output behind.
+failures. ``validate`` and ``convert`` check their input once and print the
+same report: for NetsJSON the walk's
+(:func:`~netconv.netsjson.validate_netsjson_document`), for NET and CSV
+:func:`~netconv.validation.check_all` on the network read. ``convert``
+prints it before any transform and runs no check after one. Findings go to
+standard error; ``-`` means standard input/output. Output files are written
+via a temporary file and renamed, so a failed run leaves no partial output
+behind.
 
 :func:`main` settles formats and paths and raises every usage error before
 a subcommand runs, and it is the one place that turns a failure into one
@@ -17,6 +19,7 @@ a subcommand runs, and it is the one place that turns a failure into one
 from __future__ import annotations
 
 import argparse
+import datetime
 import gc
 import io
 import os
@@ -78,10 +81,10 @@ def _resolve(args) -> None:
 
     A csv input's node table is ``--nodes``, else the input path.
     """
-    if len(args.delimiter) != 1 or args.delimiter == '"':
-        message = f"--delimiter must be one character other than '\"', got {args.delimiter!r}"
-        raise NetconvError(message)
-    args.opts = tabular.TableOptions(delimiter=args.delimiter, decimal_separator=args.decimal)
+    try:
+        args.opts = tabular.TableOptions(delimiter=args.delimiter, decimal_separator=args.decimal)
+    except ValueError as exc:  # the message names the option the flag sets
+        raise NetconvError(f"--{exc}") from None
     args.from_format = args.from_format or _infer_format(args.input) or (
         "csv" if args.nodes else None
     )
@@ -144,30 +147,40 @@ def _write_network(args, network: Network) -> None:
     _write_atomic(args.output, text)
 
 
+def _read_checked(args, build: bool = True) -> tuple[ValidationReport, Network | None]:
+    """Read the input and check it once, with the checker for its format:
+    the NetsJSON walk, or :func:`check_all` on the NET or CSV network read.
+
+    Returns the report and the network read. For NetsJSON input the
+    network is None when a finding is parse-fatal or ``build`` is false.
+    """
+    level = Level(args.level)
+    if args.from_format != "netsjson":
+        network = _read_network(args)
+        return check_all(network, level), network
+    with _open_text(args.input) as stream:
+        return netsjson.check_netsjson(stream, level is Level.STRICT, build)
+
+
 def cmd_convert(args) -> int:
-    network = _read_network(args)
+    report, network = _read_checked(args)
+    _emit_report(report, args.report)
+    if any(f.rule in netsjson.PARSE_FATAL for f in report.errors):
+        return EXIT_FAILURE  # an input convert cannot read, as for NET and CSV
+    if report.has_errors:
+        return EXIT_INVALID
     if args.factorize:
         if network.is_factorized:
             network = defactorize_network(network)  # rebase via labeled form
         network = factorize_network(network, args.base)
     elif args.defactorize:
         network = defactorize_network(network)
-    network = canonical_order(network)
-    report = check_all(network, Level(args.level))
-    _emit_report(report, args.report)
-    if report.has_errors:
-        return EXIT_INVALID
-    _write_network(args, network)
+    _write_network(args, canonical_order(network))
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    level = Level(args.level)
-    if args.from_format == "netsjson":
-        with _open_text(args.input) as stream:
-            report = netsjson.validate_netsjson_document(stream, strict=level is Level.STRICT)
-    else:
-        report = check_all(_read_network(args), level)
+    report, _ = _read_checked(args, build=False)
     _emit_report(report, args.report)
     return EXIT_INVALID if report.has_errors else EXIT_OK
 
@@ -191,8 +204,10 @@ def cmd_info(args) -> int:
         print(f"modified: {info.modified}")
     if info.meta:
         print("events:")
-        ordered = sorted(info.meta, key=lambda e: parse_iso_date(e.date) or e.date)
-        for event in ordered:
+        # ISO-dated events in date order, then the others in file order
+        dated = [(parse_iso_date(event.date), event) for event in info.meta]
+        dated.sort(key=lambda pair: (pair[0] is None, pair[0] or datetime.date.min))
+        for _, event in dated:
             print(f"  {event.date}  {event.title}")
     return EXIT_OK
 
@@ -262,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     info.set_defaults(func=cmd_info, rejects=(), directed=True, base=1)
 
     partition = sub.add_parser("partition", help="extract a node partition as a CLU file")
-    partition.add_argument("-i", "--input", required=True, help="network file")
+    partition.add_argument("-i", "--input", help="network file (csv: the node table)")
     partition.add_argument("--format", dest="from_format", choices=FORMATS)
     partition.add_argument("--nodes", help="csv node table path (csv format)")
     partition.add_argument("--links", help="csv link table path (csv format)")

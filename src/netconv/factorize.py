@@ -84,6 +84,5 @@ def defactorize_network(network: Network) -> Network:
         for l in network.links
     )
     net = replace(network, nodes=nodes, links=links)
-    stats = network_stats(net)  # revalidates endpoint resolution
-    assert stats.n_nodes == net.info.n_nodes
+    network_stats(net)  # revalidates endpoint resolution
     return net

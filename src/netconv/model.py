@@ -95,16 +95,14 @@ class EventRecord:
 
 @dataclass(frozen=True)
 class InfoBlock:
-    """Network-level metadata: counters, flags, provenance.
+    """Network-level metadata: flags and provenance.
 
     ``org`` is the smallest index used by coded identifiers (0 or 1).
-    The counters mirror the node and link lists; readers recompute them.
+    Counts are not stored: :func:`network_stats` derives them from the
+    node and link lists.
     """
 
     org: int = 1
-    n_nodes: int = 0
-    n_arcs: int = 0
-    n_edges: int = 0
     simple: bool = False
     directed: bool = True
     multirel: bool = False
@@ -223,13 +221,16 @@ def make_network(
     node_coding: Optional[CodingTable] = None,
     property_codings: Optional[dict[str, CodingTable]] = None,
 ) -> Network:
-    """Assemble a network, reconciling the info counters with the lists.
+    """Assemble a network and derive the coding tables it was not given.
 
-    When ``info`` is given its descriptive fields are kept and only the
-    counters are recomputed; otherwise the simple/multirel/mode flags are
-    computed from content. Missing coding tables are derived: relations
-    sorted from the link relation names, node coding in file order from the
-    node identifiers (labeled form only).
+    When ``info`` is given it is kept as it is; otherwise the
+    simple/multirel/mode flags are computed from content. Missing coding
+    tables are derived at the base ``org`` (1 when that is neither 0 nor
+    1): relations sorted from the link relation names, or, when every
+    link relation is an integer code, every code from the smallest to the
+    largest as its own name, based at the smallest; node coding in file
+    order from the node identifiers (empty in factorized form). A missing
+    relation, or names mixed with codes, raises :class:`StructuralError`.
     """
     nodes = tuple(nodes)
     links = tuple(links)
@@ -238,19 +239,21 @@ def make_network(
         dupes = sorted({str(i) for i, count in Counter(ids).items() if count > 1})
         raise StructuralError(f"duplicate node identifier(s): {', '.join(dupes)}")
 
-    labeled = not (nodes and isinstance(nodes[0].id, int))
+    base = info.org if info is not None else org
+    base = base if base in (0, 1) else 1
     if relations is None:
-        rel_names = [link.rel for link in links]
-        if any(not isinstance(r, str) for r in rel_names):
-            raise StructuralError("cannot derive relation names from coded links")
-        base = info.org if info is not None else org
-        relations = build_coding_table("relation", rel_names, LevelPolicy.SORTED, base)
-    if node_coding is None:
-        if labeled:
-            base = info.org if info is not None else org
-            node_coding = build_coding_table("node", [str(i) for i in ids], LevelPolicy.FILE_ORDER, base)
+        rels = [link.rel for link in links]
+        if rels and all(type(r) is int for r in rels):
+            lo, hi = min(rels), max(rels)
+            relations = CodingTable("relation", tuple(str(c) for c in range(lo, hi + 1)), lo)
+        elif all(isinstance(r, str) for r in rels):
+            relations = build_coding_table("relation", rels, LevelPolicy.SORTED, base)
         else:
-            node_coding = CodingTable("node")
+            raise StructuralError("link relations must be all names or all integer codes")
+    if node_coding is None:
+        labeled = not (nodes and isinstance(nodes[0].id, int))
+        names = [str(i) for i in ids] if labeled else []
+        node_coding = build_coding_table("node", names, LevelPolicy.FILE_ORDER, base)
 
     net = Network(
         info=info if info is not None else InfoBlock(org=org, directed=directed),
@@ -260,26 +263,20 @@ def make_network(
         node_coding=node_coding,
         property_codings=dict(property_codings or {}),
     )
-    stats = network_stats(net)
-    new_info = replace(
-        net.info, n_nodes=stats.n_nodes, n_arcs=stats.n_arcs, n_edges=stats.n_edges
-    )
+    stats = network_stats(net)  # raises on an endpoint that names no node
     if info is None:
-        new_info = replace(
-            new_info,
-            simple=not _parallel_links_exist(links),
-            multirel=stats.n_relations > 1,
-            mode=stats.n_modes,
-        )
-    return replace(net, info=new_info)
+        simple, multirel = not _parallel_links_exist(links), stats.n_relations > 1
+        info = replace(net.info, simple=simple, multirel=multirel, mode=stats.n_modes)
+        net = replace(net, info=info)
+    return net
 
 
 def canonical_order(network: Network) -> Network:
     """Normalize a network for deterministic emission.
 
     Relation levels are sorted by Unicode code point (coded links are
-    remapped to the new codes); node and link order are preserved; the info
-    counters are recomputed. Idempotent.
+    remapped to the new codes); node and link order are preserved.
+    Idempotent.
     """
     old = network.relations
     new_rel = CodingTable(old.name, tuple(sorted(old.levels)), old.base)
@@ -289,9 +286,4 @@ def canonical_order(network: Network) -> Network:
             replace(l, rel=new_rel.code_of(old.value_of(l.rel))) if isinstance(l.rel, int) else l
             for l in links
         )
-    net = replace(network, relations=new_rel, links=links)
-    stats = network_stats(net)
-    return replace(
-        net,
-        info=replace(net.info, n_nodes=stats.n_nodes, n_arcs=stats.n_arcs, n_edges=stats.n_edges),
-    )
+    return replace(network, relations=new_rel, links=links)

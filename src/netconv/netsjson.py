@@ -24,10 +24,13 @@ Concrete schema points this implementation fixes:
 Reading and checking are one walk over the decoded document: it checks
 each member's type once, records a finding with a ``$.`` JSON-path locator
 for each problem, and builds the network's records. The validator reports
-every finding. The parser raises on the first finding of a rule in
+every finding; :func:`check_netsjson` returns that report together with
+the network, so a caller needs the walk only once. The parser raises on the first finding of a rule in
 :data:`PARSE_FATAL` (``json-malformed``, ``member-*``, ``version-unsupported``,
 ``tlab-key-invalid``, ``id-*``, ``endpoint-unresolved``, ``link-type-invalid``,
-``tq-malformed``); the other rules are semantic, left to ``check_all``.
+``tq-malformed``); the other rules are semantic, and the parser returns
+the network despite them. The walk passes on the coding tables a document
+carries; :func:`~netconv.model.make_network` derives the ones it omits.
 
 Serialization is a normal form: member order is fixed, user keys are
 sorted, and writing the parse of a written document reproduces it byte for
@@ -40,7 +43,7 @@ from __future__ import annotations
 import json
 from typing import IO, Any, Optional
 
-from .coding import CodingTable, LevelPolicy, build_coding_table
+from .coding import CodingTable
 from .errors import ExportError, ParseError, SchemaError, StructuralError, TemporalError
 from .model import (
     EventRecord,
@@ -134,16 +137,17 @@ def parse_netsjson(source: IO[str]) -> Network:
     """Parse a NetsJSON basic document into a network.
 
     Node identifiers may be text (labeled form) or integers at or above
-    info.org (factorized form) but not mixed. Counters are reconciled with
-    the lists. The first parse-fatal finding is raised as
+    info.org (factorized form) but not mixed. Coding tables the document
+    does not carry are derived by :func:`~netconv.model.make_network`. The
+    first parse-fatal finding is raised as
     ``[rule] locator: message``; :func:`validate_netsjson_document` reports
     every finding.
     """
-    records, report = _load(source)
+    report, network = check_netsjson(source)
     for f in report.findings:
         if f.rule in PARSE_FATAL:
             raise PARSE_FATAL[f.rule](f"[{f.rule}] {f.location}: {f.message}")
-    return make_network(**records)
+    return network
 
 
 def validate_netsjson_document(source: IO[str], strict: bool = False) -> ValidationReport:
@@ -155,15 +159,17 @@ def validate_netsjson_document(source: IO[str], strict: bool = False) -> Validat
     modification dates, and (once a time window marks the network as
     temporal) a tq on every node and link.
     """
-    return _load(source, strict)[1]
+    return check_netsjson(source, strict, build=False)[0]
 
 
-def _load(source: IO[str], strict: bool = False) -> tuple[Optional[dict], ValidationReport]:
+def check_netsjson(
+    source: IO[str], strict: bool = False, build: bool = True
+) -> tuple[ValidationReport, Optional[Network]]:
     """Decode a document and walk it once.
 
-    Returns the keyword arguments of :func:`~netconv.model.make_network` for
-    the records the walk built (None when a finding is parse-fatal) and the
-    :func:`validate_netsjson_document` report.
+    Returns the :func:`validate_netsjson_document` report and, when
+    ``build`` is true and no finding is parse-fatal, the network
+    :func:`parse_netsjson` returns (else None).
     """
     level = Level.STRICT if strict else Level.LENIENT
     try:
@@ -175,9 +181,10 @@ def _load(source: IO[str], strict: bool = False) -> tuple[Optional[dict], Valida
     else:
         walk = _Walk(level)
         records = walk.document(doc)
-        return records, ValidationReport(tuple(walk.out), level)
+        network = make_network(**records) if build and records is not None else None
+        return ValidationReport(tuple(walk.out), level), network
     malformed = Finding(Severity.ERROR, "json-malformed", "$", message)
-    return None, ValidationReport((malformed,), level)
+    return ValidationReport((malformed,), level), None
 
 
 # -- serialization -------------------------------------------------------------
@@ -235,7 +242,7 @@ def write_netsjson(network: Network, pretty: bool = False) -> str:
     for key in sorted(info.extra):
         if key == "data":
             data = info.extra[key]
-        elif key in _INFO_MEMBERS or key in ("nNodes", "nArcs", "nEdges"):
+        elif key in _INFO_MEMBERS:
             raise ExportError(f"info extra entry {key!r} collides with a schema member")
         else:
             raw_info[key] = _value_to_json(info.extra[key])
@@ -395,22 +402,8 @@ class _Walk:
         if any(f.rule in PARSE_FATAL for f in self.out):
             return None
 
-        base = info.org if info.org in (0, 1) else 1
-        relations, node_coding = self.relations, self.node_coding
-        if relations is None and id_type is int:
-            codes = {link.rel for link in links}
-            lo, hi = (min(codes), max(codes)) if codes else (base, base - 1)
-            relations = CodingTable("relation", tuple(str(c) for c in range(lo, hi + 1)), lo)
-        elif relations is None:
-            rels = [link.rel for link in links]
-            relations = build_coding_table("relation", rels, LevelPolicy.SORTED, base)
-        if node_coding is None and id_type is int:
-            node_coding = CodingTable("node", (), base)
-        elif node_coding is None:
-            names = [str(n.id) for n in nodes]
-            node_coding = build_coding_table("node", names, LevelPolicy.FILE_ORDER, base)
-        return dict(nodes=nodes, links=links, info=info, relations=relations,
-                    node_coding=node_coding, property_codings=self.property_codings)  # fmt: skip
+        return dict(nodes=nodes, links=links, info=info, relations=self.relations,
+                    node_coding=self.node_coding, property_codings=self.property_codings)  # fmt: skip
 
     # -- info ------------------------------------------------------------------
 

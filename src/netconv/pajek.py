@@ -194,6 +194,8 @@ def read_pajek_net(source: IO[str]) -> Network:
                     f"vertex number {vnum} outside [1, {n_declared}]", line=lineno
                 )
             if len(toks) > 1:
+                if not toks[1]:
+                    raise ParseError("empty vertex label", line=lineno)
                 labels[vnum] = toks[1]
             if len(toks) > 3:
                 try:
@@ -235,17 +237,16 @@ def read_pajek_net(source: IO[str]) -> Network:
     node_coding = CodingTable("node", node_levels, base=1)
 
     codes = set(declarations) | {rel for rel, *_ in raw_links}
-    if codes:
+    if codes and min(codes) < 1:
+        raise ParseError(f"relation code {min(codes)} is below 1")
+    relations = None  # without *relation lines make_network names each code by itself
+    if declarations:
         lo, hi = min(codes), max(codes)
-        if lo < 1:
-            raise ParseError(f"relation code {lo} is below 1")
         levels = tuple(declarations.get(c, str(c)) for c in range(lo, hi + 1))
         try:
             relations = CodingTable("relation", levels, base=lo)
         except ValueError as exc:
             raise ParseError(f"relation names are not distinct: {exc}") from None
-    else:
-        relations = CodingTable("relation")
 
     links = tuple(
         LinkRecord(kind=kind, n1=n1, n2=n2, rel=rel, weight=weight)

@@ -41,8 +41,9 @@ class TableOptions:
     na_strings: frozenset[str] = frozenset({"", "NA", "NaN"})
 
     def __post_init__(self):
-        if self.delimiter == '"':
-            raise ValueError("delimiter must differ from the quote character")
+        if len(self.delimiter) != 1 or self.delimiter == '"':
+            message = f"delimiter must be one character other than '\"', got {self.delimiter!r}"
+            raise ValueError(message)
 
 
 @dataclass(frozen=True)

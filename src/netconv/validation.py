@@ -1,10 +1,10 @@
 """Cross-format structural checking with uniform, deterministic reports.
 
-Every reader and the CLI funnel through the checks here. Problems are
-never raised; they are collected as findings ordered by input location,
-each carrying a stable rule identifier from :data:`RULES`. Two levels
-exist: ``lenient`` mirrors what legacy tools accept, ``strict`` upgrades
-counter mismatches and additionally enforces metadata recommendations.
+Problems are never raised; they are collected as findings ordered by
+input location, each carrying a stable rule identifier from :data:`RULES`.
+Two levels exist: ``lenient`` mirrors what legacy tools accept, ``strict``
+upgrades a document's declared-counter mismatches and additionally
+enforces metadata recommendations.
 The strict error set is always a superset of the lenient one.
 """
 
@@ -154,40 +154,19 @@ def _scan_intervals(value, location: str, out: list[Finding]) -> None:
 def check_network(network: Network, level: Level = Level.LENIENT) -> ValidationReport:
     """Verify the structural invariants of a network and its flags.
 
-    Counter mismatches are warnings at the lenient level and errors at the
-    strict level; everything else keeps one severity across levels.
+    Every rule keeps one severity across levels; the report records ``level``.
+    A network stores no counts, so the ``count-*`` rules are reported only
+    against a document's declared ones, by the NetsJSON walk.
     """
     out: list[Finding] = []
     info = network.info
     err = lambda rule, loc, msg: out.append(Finding(Severity.ERROR, rule, loc, msg))
     warn = lambda rule, loc, msg: out.append(Finding(Severity.WARNING, rule, loc, msg))
-    count_sev = Severity.ERROR if level is Level.STRICT else Severity.WARNING
 
     if info.org not in (0, 1):
         err("org-invalid", "info.org", f"smallest index must be 0 or 1, got {info.org}")
     if info.mode < 1:
         err("mode-invalid", "info.mode", f"mode count must be at least 1, got {info.mode}")
-    if info.n_nodes != len(network.nodes):
-        out.append(
-            Finding(
-                count_sev,
-                "count-nodes-mismatch",
-                "info.nNodes",
-                f"declared {info.n_nodes} nodes, list has {len(network.nodes)}",
-            )
-        )
-    n_arcs = sum(1 for l in network.links if l.kind is LinkKind.ARC)
-    n_edges = len(network.links) - n_arcs
-    if info.n_arcs != n_arcs or info.n_edges != n_edges:
-        out.append(
-            Finding(
-                count_sev,
-                "count-links-mismatch",
-                "info.nArcs",
-                f"declared {info.n_arcs} arcs and {info.n_edges} edges,"
-                f" list has {n_arcs} and {n_edges}",
-            )
-        )
     for attr in ("created", "modified"):
         value = getattr(info, attr)
         if value is not None and parse_iso_date(value) is None:

@@ -4,8 +4,10 @@ import copy
 import gc
 import io
 import json
+import random
 import shutil
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -17,11 +19,16 @@ from netconv import (
     NetconvError,
     canonical_order,
     check_all,
+    defactorize_network,
+    factorize_network,
     parse_netsjson,
+    read_pajek_net,
     validate_netsjson_document,
+    write_pajek_net,
 )
 from netconv.cli import main
 from netconv.netsjson import PARSE_FATAL
+from netgen import random_csv_network, random_pajek_network
 
 
 @pytest.fixture()
@@ -446,23 +453,50 @@ def assert_parse_raises_exactly_on_fatal_findings(text: str) -> None:
     assert f"[{fatal[0].rule}] {fatal[0].location}: " in str(excinfo.value)
 
 
+def refactorize(base: int):
+    return lambda network: factorize_network(defactorize_network(network), base)
+
+
+# The transforms convert can apply to the network it read; it writes the
+# canonical_order of the result and runs no check on it.
+CONVERT_TRANSFORMS = {
+    "identity": lambda network: network,
+    "factorize-0": refactorize(0),
+    "factorize-1": refactorize(1),
+    "defactorize": defactorize_network,
+}
+
+
+def converted(network, transform: str):
+    """The network convert writes after ``transform``; None when that raises."""
+    try:
+        return canonical_order(CONVERT_TRANSFORMS[transform](network))
+    except NetconvError:  # convert prints the one error line and exits 2
+        return None
+
+
 def assert_walk_reports_what_check_all_finds(text: str) -> None:
     try:
-        network = canonical_order(parse_netsjson(io.StringIO(text)))
+        network = parse_netsjson(io.StringIO(text))
     except NetconvError:
         return
     for level in Level:
         report = validate_netsjson_document(io.StringIO(text), strict=level is Level.STRICT)
         reported = {(f.severity, f.rule) for f in report.findings}
-        found = {(f.severity, f.rule) for f in check_all(network, level).findings}
-        assert found <= reported, f"{level.value}: the walk misses {sorted(found - reported)}"
+        for transform in CONVERT_TRANSFORMS:
+            output = converted(network, transform)
+            if output is None:
+                continue
+            found = {(f.severity, f.rule) for f in check_all(output, level).findings}
+            missed = sorted(found - reported)
+            assert not missed, f"{level.value}, {transform}: the walk misses {missed}"
 
 
 class TestParseAgreesWithValidate:
     """parse_netsjson raises exactly when the report has a parse-fatal error,
     and its message carries that finding's rule and locator. On a document
     it accepts, the report holds every (severity, rule) check_all finds on
-    the parsed network."""
+    the parsed network, and on what each convert transform makes of it."""
 
     @pytest.mark.parametrize("name", sorted(corpus_texts()))
     def test_corpus(self, name):
@@ -503,12 +537,42 @@ class TestParseAgreesWithValidate:
         assert_walk_reports_what_check_all_finds(text)
 
 
+class TestTransformsKeepFindings:
+    """check_all finds the same on a NET or CSV network before and after each
+    convert transform, so checking the network read loses no finding."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        source=st.sampled_from(["net", "csv"]),
+        flags=st.fixed_dictionaries(
+            {"simple": st.booleans(), "directed": st.booleans(), "multirel": st.booleans()}
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_networks(self, seed, source, flags):
+        rng = random.Random(seed)
+        if source == "net":
+            text = write_pajek_net(random_pajek_network(rng, 30, 30)[0])
+            network = read_pajek_net(io.StringIO(text))
+        else:
+            network = random_csv_network(rng, 30, 30)
+        network = replace(network, info=replace(network.info, **flags))
+        for level in Level:
+            before = check_all(network, level).findings
+            for transform in CONVERT_TRANSFORMS:
+                after = converted(network, transform)
+                assert after is not None, transform
+                assert check_all(after, level).findings == before, transform
+
+
 NO_FILE = "error: [Errno 2] No such file or directory: '{}'\n"
 CANNOT_INFER = "error: cannot determine format; use --format\n"
 NEED_CSV_PATHS = "error: csv input requires --nodes and --links paths\n"
 BAD_NET = "error: line 2: vertex number 5 outside [1, 1]\n"
 BAD_JSON = "error: [json-malformed] $: Expecting value: line 1 column 14 (char 13)\n"
 BAD_CSV = "error: line 2: expected 2 cells, found 1\n"
+EMPTY_LABEL = "error: line 2: empty vertex label\n"
+NO_RELATION = "error: link table contains a missing 'relation' value\n"
 
 # (argv, exit status, standard error) for each subcommand and way of failing;
 # run in a directory holding the files written by `failure_files`.
@@ -518,6 +582,7 @@ CLI_FAILURES = {
         ("validate x.txt", 2, CANNOT_INFER),
         ("info x.txt", 2, CANNOT_INFER),
         ("partition -i x.txt --property p", 2, CANNOT_INFER),
+        ("partition --property p", 2, CANNOT_INFER),
     ],
     "missing-path": [
         ("convert --from csv --to net --nodes n.csv", 2, NEED_CSV_PATHS),
@@ -551,10 +616,17 @@ CLI_FAILURES = {
         ("partition -i bad.net --property p", 2, BAD_NET),
         ("partition -i bad.json --property p", 2, BAD_JSON),
         ("partition -i x --format csv --nodes bad.csv --links l.csv --property p", 2, BAD_CSV),
+        ("convert -i nolabel.net -o o.json", 2, EMPTY_LABEL),
+        ("validate nolabel.net", 1, EMPTY_LABEL),
+        ("info nolabel.net", 2, EMPTY_LABEL),
+        ("partition -i nolabel.net --property p", 2, EMPTY_LABEL),
+        ("convert --nodes n.csv --links norel.csv -o o.net", 2, NO_RELATION),
+        ("validate n.csv --links norel.csv", 1, NO_RELATION),
+        ("info n.csv --links norel.csv", 2, NO_RELATION),
     ],
     "validation-error": [
         ("convert -i org.json -o o.net", 1,
-         "error: [org-invalid] info.org: smallest index must be 0 or 1, got 2\n"),
+         "error: [org-invalid] $.info.org: smallest index must be 0 or 1, got 2\n"),
         ("validate org.json", 1,
          "error: [org-invalid] $.info.org: smallest index must be 0 or 1, got 2\n"),
         ("info org.json", 0, ""),
@@ -580,6 +652,10 @@ def failure_files(tmp_path, monkeypatch):
         ("bad.net", '*vertices 1\n5 "x"\n'),
         ("bad.json", '{"netsJSON": '),
         ("bad.csv", 'name;x\n"a;1\n'),
+        ("nolabel.net", '*vertices 1\n1 ""\n'),
+        ("norel.csv", 'from;relation;to\n"Batagelj, Vladimir";;"Mrvar, Andrej"\n'),
+        ("mixed.net", "*vertices 2\n*arcs\n1 2\n*edges\n2 1\n"),
+        ("edges.csv", 'from;relation;to;kind\n"Batagelj, Vladimir";r;"Mrvar, Andrej";edge\n'),
         ("x.txt", "hi\n"),
     ):
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -606,6 +682,48 @@ class TestFailureTable:
         assert main(argv) == 2
         message = f"--delimiter must be one character other than '\"', got {delimiter!r}"
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# NET and CSV inputs beside the NetsJSON corpus: (validate argv, convert argv,
+# whether the input is unreadable), run where `failure_files` wrote its files.
+NET_CSV_INPUTS = {
+    "bib.net": ("validate bib.net", "convert -i bib.net", False),
+    "bib.csv": ("validate n.csv --links l.csv", "convert --nodes n.csv --links l.csv", False),
+    "mixed.net": ("validate mixed.net", "convert -i mixed.net", False),
+    "edges.csv": ("validate n.csv --links edges.csv", "convert --nodes n.csv --links edges.csv", False),
+    "bad.net": ("validate bad.net", "convert -i bad.net", True),
+    "bad.csv": ("validate bad.csv --links l.csv", "convert --nodes bad.csv --links l.csv", True),
+}
+
+
+def has_parse_fatal_finding(path) -> bool:
+    with open(path, encoding="utf-8", newline="") as stream:
+        return any(f.rule in PARSE_FATAL for f in validate_netsjson_document(stream).errors)
+
+
+NETSJSON_INPUTS = {
+    path.name: (f"validate {path}", f"convert -i {path}", has_parse_fatal_finding(path))
+    for path in [corpus_path(rule) for rule in CORPUS] + [DATA / "temporal_full.json"]
+}
+
+
+class TestConvertPrintsValidateReport:
+    """convert checks its input once, with validate's checker, and prints the
+    same report; it exits 1 exactly when validate does, but 2 on input it
+    cannot read."""
+
+    @pytest.mark.parametrize("report", ["text", "json"])
+    @pytest.mark.parametrize("level", ["lenient", "strict"])
+    @pytest.mark.parametrize("name", [*NETSJSON_INPUTS, *NET_CSV_INPUTS])
+    def test_same_report(self, name, level, report, failure_files, capsys):
+        validate, convert, unreadable = (NETSJSON_INPUTS | NET_CSV_INPUTS)[name]
+        flags = ["--level", level, "--report", report]
+        validate_status = main([*validate.split(), *flags])
+        expected = capsys.readouterr().err
+        convert_status = main([*convert.split(), "-o", "o.json", *flags])
+        assert capsys.readouterr().err == expected
+        assert convert_status == (2 if unreadable else validate_status)
+        assert (failure_files / "o.json").exists() == (convert_status == 0)
 
 
 class TestInfo:
@@ -640,6 +758,20 @@ class TestInfo:
         assert main(["info", str(path)]) == 0
         out = capsys.readouterr().out
         assert out.index("2019-01-01") < out.index("2021-05-01")
+
+    def test_events_with_non_iso_dates_follow_in_file_order(self, tmp_path, capsys):
+        meta = [
+            {"date": "2020-01-01", "title": "a"},
+            {"date": "soon", "title": "b"},
+            {"date": "2019-01-01", "title": "c"},
+            {"date": "later", "title": "d"},
+        ]
+        doc = {"netsJSON": "basic", "info": {"meta": meta}, "nodes": [], "links": []}
+        path = tmp_path / "meta.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["info", str(path)]) == 0
+        events = capsys.readouterr().out.split("events:\n")[1].split()
+        assert events == ["2019-01-01", "c", "2020-01-01", "a", "soon", "b", "later", "d"]
 
 
 class TestPartition:
@@ -687,6 +819,12 @@ class TestPartition:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "% 1 f 2 m"
         assert lines[2:] == ["2", "2", "1", "2", "1", "2"] + ["0"] * 10
+
+    def test_csv_input_needs_no_input_path(self, bib_paths, tmp_path, capsys):
+        nodes, links = bib_paths
+        argv = ["partition", "--format", "csv", "--nodes", str(nodes), "--links", str(links)]
+        assert main([*argv, "--property", "mode"]) == 0
+        assert capsys.readouterr().out.startswith("% 1 book 2 journal 3 paper")
 
     def test_unknown_property(self, bib_paths, tmp_path, capsys):
         net_path = convert_bib_to_net(bib_paths, tmp_path)

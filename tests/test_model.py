@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 import oracles
 from netconv import (
     CodingTable,
+    InfoBlock,
     LinkKind,
     LinkRecord,
     Network,
@@ -48,9 +49,11 @@ class TestNetworkStats:
             network_stats(net)
 
     def test_counters_reconciled_by_make_network(self, bib_network):
-        assert bib_network.info.n_nodes == 16
-        assert bib_network.info.n_arcs == 19
-        assert bib_network.info.n_edges == 0
+        # A given info block is kept as it is; the counts come from the lists.
+        info = InfoBlock(title="bib", simple=True)
+        net = make_network(bib_network.nodes, bib_network.links, info=info)
+        assert net.info == info
+        assert network_stats(net)[:3] == (16, 19, 0)
 
 
 class TestTqValueAt:
@@ -166,6 +169,28 @@ class TestMakeNetwork:
         with pytest.raises(StructuralError) as excinfo:
             make_network(nodes, [])
         assert str(excinfo.value) == f"duplicate node identifier(s): {listed}"
+
+    @pytest.mark.parametrize(
+        "ids, rels, levels, base",
+        [
+            (["a", "b"], ["s", "r"], ("r", "s"), 1),  # names: sorted
+            ([1, 2], ["s", "r"], ("r", "s"), 1),  # names on coded nodes: still sorted
+            ([1, 2], [4, 2], ("2", "3", "4"), 2),  # codes: each code names itself
+            ([1, 2], [], (), 1),
+        ],
+    )
+    def test_relations_derived_by_relation_type(self, ids, rels, levels, base):
+        nodes = [NodeRecord(id=i, lab=str(i)) for i in ids]
+        links = [LinkRecord(LinkKind.ARC, ids[0], ids[1], r) for r in rels]
+        relations = make_network(nodes, links).relations
+        assert (relations.levels, relations.base) == (levels, base)
+
+    @pytest.mark.parametrize("rels", [[None], ["r", None], ["r", 2], [True]])
+    def test_missing_or_mixed_relation_rejected(self, rels):
+        nodes = [NodeRecord(id="a", lab="a"), NodeRecord(id="b", lab="b")]
+        links = [LinkRecord(LinkKind.ARC, "a", "b", r) for r in rels]
+        with pytest.raises(StructuralError, match="all names or all integer codes"):
+            make_network(nodes, links)
 
     def test_flags_computed_without_info(self):
         net = net_of(["a", "b"], [("a", "r", "b"), ("a", "s", "b")])

@@ -15,11 +15,14 @@ from netconv import (
     SchemaError,
     TemporalError,
     TemporalQuantity,
+    check_netsjson,
+    network_stats,
     parse_netsjson,
     tq_value_at,
     validate_netsjson_document,
     write_netsjson,
 )
+from netconv.netsjson import PARSE_FATAL
 from netgen import random_json_network
 
 MINIMAL = json.dumps(
@@ -78,7 +81,7 @@ class TestParse:
 
     def test_counters_reconciled(self):
         doc = MINIMAL.replace('"nNodes": 2', '"nNodes": 9')
-        assert parse(doc).info.n_nodes == 2
+        assert network_stats(parse(doc)).n_nodes == 2
 
     def test_missing_member(self):
         bad = json.dumps({"netsJSON": "basic", "info": {}, "nodes": []})
@@ -237,6 +240,23 @@ class TestValidateDocument:
 
     def test_minimal_valid(self):
         assert self.validate(MINIMAL).findings == ()
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            MINIMAL,
+            MINIMAL.replace('"nNodes": 2', '"nNodes": 3'),  # semantic: the network is built
+            MINIMAL.replace('"n2": 2', '"n2": 9'),  # parse-fatal: no network
+            "{ nope",
+        ],
+    )
+    def test_check_returns_validate_report_and_parse_network(self, text, strict):
+        report, network = check_netsjson(io.StringIO(text), strict)
+        assert report == self.validate(text, strict)
+        fatal = any(f.rule in PARSE_FATAL for f in report.errors)
+        assert network == (None if fatal else parse(text))
+        assert check_netsjson(io.StringIO(text), strict, build=False) == (report, None)
 
     def test_temporal_document_strict_clean(self, data_dir):
         raw = (data_dir / "temporal_full.json").read_text(encoding="utf-8")

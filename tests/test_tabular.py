@@ -203,6 +203,20 @@ class TestQuotingAndRoundTrips:
         )
         assert net.nodes[0].x == 1.5 and net.nodes[0].y == 2.25
 
+    def test_missing_relation_rejected(self):
+        # read_link_table rejects the empty cell; a table built in code reaches the model
+        nodes = Table(("name",), (("a",), ("b",)))
+        links = Table(("from", "relation", "to"), (("a", None, "b"),))
+        with pytest.raises(StructuralError, match="all names or all integer codes"):
+            tables_to_network(nodes, links)
+
+    @pytest.mark.parametrize("delimiter", [";;", "", '"'])
+    def test_delimiter_must_be_one_character_other_than_quote(self, delimiter):
+        message = f"delimiter must be one character other than '\"', got {delimiter!r}"
+        with pytest.raises(ValueError) as excinfo:
+            TableOptions(delimiter=delimiter)
+        assert str(excinfo.value) == message
+
     def test_weight_and_kind_columns(self):
         nodes = Table(("name",), (("a",), ("b",)))
         links = Table(
