@@ -8,8 +8,9 @@ same report: for NetsJSON the walk's
 :func:`~netconv.validation.check_all` on the network read. ``convert``
 prints it before any transform and runs no check after one. Findings go to
 standard error; ``-`` means standard input/output. Output files are written
-via a temporary file and renamed, so a failed run leaves no partial output
-behind.
+via temporary files, renamed once all of them are written, so a failed run
+leaves no partial output behind (csv output writes its two tables as a
+pair).
 
 :func:`main` settles formats and paths and raises every usage error before
 a subcommand runs, and it is the one place that turns a failure into one
@@ -52,21 +53,35 @@ def _open_text(path: str, encoding: str = "utf-8"):
     return open(path, "r", encoding=encoding, newline="")
 
 
-def _write_atomic(path: str, text: str, encoding: str = "utf-8") -> None:
-    if path == "-":
-        sys.stdout.write(text)
-        sys.stdout.flush()
-        return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".netconv-")
+def _write_outputs(*outputs: tuple[str, str], encoding: str = "utf-8") -> None:
+    """Write each ``(path, text)``; the path ``-`` is standard output.
+
+    Files are staged as temporaries beside their targets, with the mode
+    ``open(path, "w")`` would give, and renamed only once every one is
+    staged; a failure removes the temporaries and leaves the targets as
+    they were.
+    """
+    mask = os.umask(0)
+    os.umask(mask)
+    staged = []
     try:
-        with os.fdopen(fd, "w", encoding=encoding, newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        for path, text in outputs:
+            if path != "-":
+                fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".netconv-")
+                staged.append(tmp)
+                with os.fdopen(fd, "w", encoding=encoding, newline="") as handle:
+                    os.fchmod(handle.fileno(), 0o666 & ~mask)
+                    handle.write(text)
+        for path, text in outputs:
+            if path == "-":
+                sys.stdout.write(text)
+                sys.stdout.flush()
+            else:
+                os.replace(staged[0], path)
+                del staged[0]
+    finally:
+        for tmp in staged:
             os.unlink(tmp)
-        raise
 
 
 def _emit_report(report: ValidationReport, fmt: str) -> None:
@@ -137,14 +152,13 @@ def _write_network(args, network: Network) -> None:
             sink = io.StringIO()
             tabular.write_table(table, sink, args.opts)
             rendered.append((path, sink.getvalue()))
-        for path, text in rendered:  # render fully before touching either file
-            _write_atomic(path, text)
+        _write_outputs(*rendered)
         return
     if args.to_format == "net":
         text = pajek.write_pajek_net(network, base=1, coordinates=args.coords)
     else:
         text = netsjson.write_netsjson(network, pretty=args.pretty)
-    _write_atomic(args.output, text)
+    _write_outputs((args.output, text))
 
 
 def _read_checked(args, build: bool = True) -> tuple[ValidationReport, Network | None]:
@@ -219,7 +233,7 @@ def cmd_partition(args) -> int:
             node_table = tabular.read_node_table(stream, args.opts)
         network = tabular.merge_node_properties(network, node_table, decimal_separator=args.decimal)
     partition = pajek.partition_from_property(network, args.property)
-    _write_atomic(args.output, pajek.write_pajek_clu(partition))
+    _write_outputs((args.output, pajek.write_pajek_clu(partition)))
     return EXIT_OK
 
 

@@ -195,15 +195,16 @@ def network_stats(network: Network) -> NetworkStats:
     return NetworkStats(len(network.nodes), n_arcs, n_edges, len(rels), max(1, len(modes)))
 
 
+def parallel_key(link: LinkRecord) -> tuple:
+    """Links are parallel when their keys are equal: same kind and relation,
+    and the same endpoints, ordered for arcs and unordered for edges."""
+    ends = frozenset((link.n1, link.n2)) if link.kind is LinkKind.EDGE else (link.n1, link.n2)
+    return link.kind, link.rel, ends
+
+
 def _parallel_links_exist(links: Sequence[LinkRecord]) -> bool:
-    # Arcs compare ordered endpoint pairs, edges unordered.
     seen = set()
-    for link in links:
-        if link.kind is LinkKind.EDGE:
-            ends = frozenset((link.n1, link.n2))
-        else:
-            ends = (link.n1, link.n2)
-        key = (link.kind, link.rel, ends)
+    for key in map(parallel_key, links):
         if key in seen:
             return True
         seen.add(key)

@@ -21,16 +21,22 @@ Concrete schema points this implementation fixes:
 * the top-level ``data`` member is preserved verbatim but never
   interpreted; the name is reserved and may not appear inside ``info``.
 
-Reading and checking are one walk over the decoded document: it checks
-each member's type once, records a finding with a ``$.`` JSON-path locator
-for each problem, and builds the network's records. The validator reports
-every finding; :func:`check_netsjson` returns that report together with
-the network, so a caller needs the walk only once. The parser raises on the first finding of a rule in
-:data:`PARSE_FATAL` (``json-malformed``, ``member-*``, ``version-unsupported``,
-``tlab-key-invalid``, ``id-*``, ``endpoint-unresolved``, ``link-type-invalid``,
-``tq-malformed``); the other rules are semantic, and the parser returns
-the network despite them. The walk passes on the coding tables a document
-carries; :func:`~netconv.model.make_network` derives the ones it omits.
+Reading and checking are one walk over the decoded document. The walk
+checks what depends on the JSON text: well-formedness, member presence
+and types, the version tag, ``Tlabs`` keys, link types, tq shape, the
+declared counters, and (strict) the presence of the dates. It builds the
+network's records and hands each one, as soon as it is built, to
+:class:`~netconv.validation.Checker`, which codes every rule about the
+network itself. Each finding carries a ``$.`` JSON-path locator, in
+document order. The validator reports every
+finding; :func:`check_netsjson` returns that report together with the
+network, so a caller needs the walk only once. The parser raises on the
+first finding of a rule in :data:`PARSE_FATAL` (``json-malformed``,
+``member-*``, ``version-unsupported``, ``tlab-key-invalid``, ``id-*``,
+``endpoint-unresolved``, ``link-type-invalid``, ``tq-malformed``); the
+other rules are semantic, and the parser returns the network despite them.
+The walk passes on the coding tables a document carries;
+:func:`~netconv.model.make_network` derives the ones it omits.
 
 Serialization is a normal form: member order is fixed, user keys are
 sorted, and writing the parse of a written document reproduces it byte for
@@ -58,15 +64,7 @@ from .model import (
     make_network,
     network_stats,
 )
-from .validation import (
-    Finding,
-    Level,
-    Severity,
-    ValidationReport,
-    _scan_intervals,
-    check_tq_bounds,
-    parse_iso_date,
-)
+from .validation import Checker, Finding, Level, Severity, ValidationReport
 
 _INFO_MEMBERS = {
     "org", "nNodes", "nArcs", "nEdges", "simple", "directed", "multirel", "mode", "network",
@@ -77,7 +75,6 @@ _LINK_MEMBERS = {"type", "n1", "n2", "rel", "weight", "label", "tq"}
 _EVENT_MEMBERS = ("date", "title", "author", "desc", "url", "cite", "copy")
 _LINK_KINDS = {kind.value: kind for kind in LinkKind}
 _NESTED = (dict, list)  # the JSON values _value_from_json rebuilds
-_STRUCTURED = (Interval, dict, list)  # the property values that can hold an interval
 
 # Rules whose findings make parse_netsjson raise, with the class it raises.
 PARSE_FATAL: dict[str, type] = {
@@ -319,22 +316,21 @@ def _link_to_json(link: LinkRecord, keep_defaults: bool) -> dict:
 
 
 class _Walk:
-    """One pass over a decoded document: findings go to ``out`` in document
-    order, and :meth:`document` returns make_network's keyword arguments
-    (None after a parse-fatal finding). Decoded JSON holds exact types, so
-    record loops test ``type(v) is str``. Locators are formatted for
-    findings, and once per record for the tq and interval checks.
+    """One pass over a decoded document. It checks what depends on the JSON
+    text and builds the records, handing each record (and each member of
+    the info block) to a :class:`~netconv.validation.Checker` as soon as it
+    is built, so findings go to ``out`` in document order. :meth:`document`
+    returns make_network's keyword arguments (None after a parse-fatal
+    finding). A member that fails its type check enters its record as the
+    default (None, ``""``, or an empty tq), so no network rule runs on a
+    value the schema rejected. Decoded JSON holds exact types, so record
+    loops test ``type(v) is str``.
     """
 
     def __init__(self, level: Level):
         self.level = level
-        self.out: list[Finding] = []
-        self.org, self.window = 1, None
-        self.listed, self.n_listed = None, 0  # the levels of info.relations, if given
-        self.any_tq = False
-
-    def err(self, rule: str, location: str, message: str, severity=Severity.ERROR) -> None:
-        self.out.append(Finding(severity, rule, location, message))
+        self.check = Checker(level)
+        self.out, self.err = self.check.out, self.check.err  # one list for both, in document order
 
     def typed(self, obj: dict, key: str, ok, what: str, where: str, default=None):
         """obj[key] if present and ok; else default (and member-type if present)."""
@@ -362,17 +358,17 @@ class _Walk:
             self.err("member-type", loc, f"value cannot be read: {exc}")
             return None
 
-    def coding(self, obj: dict, member: str, name: str, where: str):
-        """The levels of obj[member] when an array of text, and their table."""
+    def coding(self, obj: dict, member: str, name: str, where: str) -> Optional[CodingTable]:
+        """The table of obj[member] when that is an array of distinct text levels."""
         text_list = lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)
         levels = self.typed(obj, member, text_list, "an array of text levels", where)
         if levels is None:
-            return None, None
+            return None
         try:
-            return levels, CodingTable(name, tuple(levels), self.org)
+            return CodingTable(name, tuple(levels), self.check.org)
         except ValueError as exc:  # an empty or repeated level
             self.err("member-type", f"{where}.{member}", str(exc))
-            return levels, None
+            return None
 
     def document(self, doc: Any) -> Optional[dict]:
         if not isinstance(doc, dict):
@@ -387,51 +383,50 @@ class _Walk:
         raw_nodes = self.typed(doc, "nodes", lambda v: isinstance(v, list), "an array", "$")
         raw_links = self.typed(doc, "links", lambda v: isinstance(v, list), "an array", "$")
 
-        info = self.info(raw_info, doc) if raw_info is not None else None
-        nodes, ids, id_type = self.nodes(raw_nodes or [])
-        if raw_nodes is None:
-            ids = id_type = None  # nothing to resolve endpoints or relation kinds against
-        links = self.links(raw_links or [], ids, id_type, info)
+        check = self.check
+        check.flags = info = self.info(raw_info, doc) if raw_info is not None else None
+        nodes = self.nodes(raw_nodes or [])
+        id_type = None if check.mixed else check.id_kind or str  # what rel must be
+        if raw_nodes is None:  # nothing to resolve endpoints or relation kinds against
+            check.ids = id_type = None
+        links = self.links(raw_links or [], id_type)
         if raw_info is not None:  # info findings that need the records come after info.org
-            n_nodes, n_edges = len(raw_nodes or ()), self.n_edges
-            found = self.counters(raw_info, n_nodes, len(links) - n_edges, n_edges)
-            if self.any_tq and "time" not in raw_info:
-                message = "temporal quantities present but no time window declared"
-                found.append(Finding(Severity.WARNING, "tq-no-window", "$.info", message))
+            tail = len(self.out)
+            n_edges = sum(1 for link in links if link.kind is LinkKind.EDGE)
+            self.counters(raw_info, len(raw_nodes or ()), len(links) - n_edges, n_edges)
+            check.tq_end()
+            found = self.out[tail:]
+            del self.out[tail:]
             self.out[self.counters_at : self.counters_at] = found
         if any(f.rule in PARSE_FATAL for f in self.out):
             return None
 
-        return dict(nodes=nodes, links=links, info=info, relations=self.relations,
+        return dict(nodes=nodes, links=links, info=info, relations=check.relations,
                     node_coding=self.node_coding, property_codings=self.property_codings)  # fmt: skip
 
     # -- info ------------------------------------------------------------------
 
     def info(self, raw: dict, doc: dict) -> InfoBlock:
-        err, typed = self.err, self.typed
+        err, typed, check = self.err, self.typed, self.check
         org = typed(raw, "org", _is_int, "an integer", "$.info", 1)
-        if org not in (0, 1):
-            err("org-invalid", "$.info.org", f"smallest index must be 0 or 1, got {org}")
-        self.org, self.counters_at = org, len(self.out)
+        check.info_org(org)
+        self.counters_at = len(self.out)
         simple, directed, multirel = (
             typed(raw, member, lambda v: isinstance(v, bool), "a boolean", "$.info", default)
             for member, default in (("simple", False), ("directed", True), ("multirel", False))
         )
         mode = typed(raw, "mode", _is_int, "an integer", "$.info", 1)
-        if mode < 1:
-            err("mode-invalid", "$.info.mode", f"mode count must be at least 1, got {mode}")
+        check.info_mode(mode)
         network, title = (typed(raw, m, _is_text, "text", "$.info", "") for m in ("network", "title"))
-        self.window = self.time(raw["time"]) if "time" in raw else None
+        window = self.time(raw["time"]) if "time" in raw else None
         meta = self.meta(raw["meta"]) if "meta" in raw else ()
         created, modified = self.dates(raw)
 
-        levels, self.relations = self.coding(raw, "relations", "relation", "$.info")
-        if levels is not None:
-            self.listed, self.n_listed = frozenset(levels), len(levels)
-        self.node_coding = self.coding(raw, "nodeCoding", "node", "$.info")[1]
+        check.relations = self.coding(raw, "relations", "relation", "$.info")
+        self.node_coding = self.coding(raw, "nodeCoding", "node", "$.info")
         codings = typed(raw, "propertyCodings", lambda v: isinstance(v, dict), "an object", "$.info")
         self.property_codings = {
-            name: self.coding(codings, name, name, "$.info.propertyCodings")[1] for name in codings or ()
+            name: self.coding(codings, name, name, "$.info.propertyCodings") for name in codings or ()
         }
         if "data" in raw:
             err("member-reserved", "$.info.data", "'data' belongs at the top level")
@@ -442,33 +437,29 @@ class _Walk:
         if "data" in doc:
             extra["data"] = self.value(doc["data"], "$", "data")
         return InfoBlock(org=org, simple=simple, directed=directed, multirel=multirel, mode=mode,
-                         network=network, title=title, time=self.window, meta=meta,
+                         network=network, title=title, time=window, meta=meta,
                          created=created, modified=modified, extra=extra)  # fmt: skip
 
-    def counters(self, raw: dict, n_nodes: int, n_arcs: int, n_edges: int) -> list[Finding]:
-        found = []
+    def counters(self, raw: dict, n_nodes: int, n_arcs: int, n_edges: int) -> None:
         severity = Severity.ERROR if self.level is Level.STRICT else Severity.WARNING
         for counter, actual in (("nNodes", n_nodes), ("nArcs", n_arcs), ("nEdges", n_edges)):
             if counter not in raw:
                 continue
             where = f"$.info.{counter}"
             if not _is_int(raw[counter]):
-                message = f"{counter} must be an integer"
-                found.append(Finding(Severity.ERROR, "member-type", where, message))
+                self.err("member-type", where, f"{counter} must be an integer")
             elif raw[counter] != actual:
-                rule = "count-nodes-mismatch" if counter == "nNodes" else "count-links-mismatch"
                 message = f"declared {raw[counter]}, counted {actual}"
-                found.append(Finding(severity, rule, where, message))
-        return found
+                if counter == "nNodes":
+                    self.err("count-nodes-mismatch", where, message, severity)
+                else:
+                    self.err("count-links-mismatch", where, message, severity)
 
     def time(self, raw: Any) -> Optional[TimeWindow]:
         if not isinstance(raw, dict) or not _is_int(raw.get("Tmin")) or not _is_int(raw.get("Tmax")):
             self.err("member-type", "$.info.time", "time must be an object with integer Tmin and Tmax")
             return None
-        t_min, t_max = raw["Tmin"], raw["Tmax"]
-        if t_min > t_max:
-            self.err("time-window-invalid", "$.info.time", f"Tmin {t_min} exceeds Tmax {t_max}")
-        labs = {}
+        labs, located = {}, []  # located: each time point with its key as written
         raw_labs = self.typed(raw, "Tlabs", lambda v: isinstance(v, dict), "an object", "$.info.time")
         for key, label in (raw_labs or {}).items():
             where = f"$.info.time.Tlabs.{key}"
@@ -479,10 +470,14 @@ class _Walk:
                 continue
             if not isinstance(label, str):
                 self.err("member-type", where, "Tlabs value must be text")
-            if not t_min <= t <= t_max:
-                self.err("tlab-outside-window", where, f"label for {t} outside [{t_min}, {t_max}]")
+                label = ""
             labs[t] = label
-        return TimeWindow(t_min=t_min, t_max=t_max, t_labs=labs)
+            located.append((t, where))
+        window = TimeWindow(t_min=raw["Tmin"], t_max=raw["Tmax"], t_labs=labs)
+        self.check.info_time(window)
+        for t, where in located:
+            self.check.tlab(t, where)
+        return window
 
     def meta(self, raw: Any) -> tuple[EventRecord, ...]:
         if not isinstance(raw, list):
@@ -494,57 +489,42 @@ class _Walk:
             if not isinstance(event, dict):
                 self.err("member-type", where, "event must be an object")
                 continue
-            date, title = event.get("date"), event.get("title")
-            if not isinstance(date, str) or parse_iso_date(date) is None:
-                self.err("event-date-invalid", where, f"event date {date!r}")
-            if not isinstance(title, str) or not title:
-                self.err("event-title-empty", where, "event has no title")
-            for name in _EVENT_MEMBERS:
-                self.typed(event, name, _is_text, "text", where)
+            date, title = (self.typed(event, m, _is_text, "text", where, "") for m in ("date", "title"))
+            fields = {name: self.typed(event, name, _is_text, "text", where) for name in _EVENT_MEMBERS[2:]}
             extra = {k: self.value(v, where, k) for k, v in event.items()
                      if k not in _EVENT_MEMBERS and v is not None}  # fmt: skip
-            fields = {name: event.get(name) for name in _EVENT_MEMBERS[2:]}
-            date, title = event.get("date", ""), event.get("title", "")
             events.append(EventRecord(date, title, **fields, extra=extra))
+            self.check.info_event(events[-1], where)
         return tuple(events)
 
     def dates(self, raw: dict) -> tuple[Optional[str], Optional[str]]:
-        found = []
-        for member in ("created", "modified"):
-            value = self.typed(raw, member, _is_text, "text", "$.info")
-            if value is not None and parse_iso_date(value) is None:
-                self.err("date-invalid", f"$.info.{member}", f"{value!r} is not an ISO date")
-            elif member not in raw and self.level is Level.STRICT:
+        def missing(member: str) -> None:
+            if member not in raw and self.level is Level.STRICT:
                 message = f"recommended member {member!r} is absent"
                 self.err("dates-missing", "$.info", message, Severity.WARNING)
-            found.append(value)
-        created, modified = found
-        if created is not None and modified is not None:
-            c, m = parse_iso_date(created), parse_iso_date(modified)
-            if c and m and m < c:
-                self.err("dates-order", "$.info.modified", f"modified {m} precedes created {c}")
-        elif "modified" in raw and "created" not in raw:
-            self.err("dates-order", "$.info.modified", "modified present without created")
+
+        created, modified = (self.typed(raw, m, _is_text, "text", "$.info") for m in ("created", "modified"))
+        missing("created")  # each where the member's own date findings would be
+        self.check.info_dates(created, modified)
+        missing("modified")
         return created, modified
 
     # -- records ---------------------------------------------------------------
 
-    def tq(self, raw: Any, where: str) -> Optional[TemporalQuantity]:
-        self.any_tq = True
+    def tq(self, raw: Any, where: str) -> TemporalQuantity:
         if type(raw) is not list:
             self.err("tq-malformed", where, "tq must be an array of [s, f, v] triples")
-            return None
+            return TemporalQuantity()
         triples = []
         for k, triple in enumerate(raw):
             if type(triple) is not list or len(triple) != 3:
                 self.err("tq-malformed", f"{where}[{k}]", "triple must be a 3-element array")
-                return None
+                return TemporalQuantity()
             s, f, value = triple
             if type(s) is not int or type(f) is not int:
                 self.err("tq-malformed", f"{where}[{k}]", "interval bounds must be integers")
-                return None
+                return TemporalQuantity()
             triples.append((s, f, self.value(value, where, k) if type(value) in _NESTED else value))
-        check_tq_bounds(triples, where, self.window, self.out)
         return TemporalQuantity(tuple(triples))
 
     def props(self, raw: dict, reserved: set, where: str) -> dict:
@@ -553,71 +533,42 @@ class _Walk:
             if key not in reserved and raw[key] is not None:
                 value = raw[key]
                 props[key] = self.value(value, where, key) if type(value) in _NESTED else value
-        for key in sorted(props) if len(props) > 1 else props:
-            if type(props[key]) in _STRUCTURED:
-                _scan_intervals(props[key], f"{where}.{key}", self.out)
         return props
 
-    def nodes(self, raw_nodes: list):
-        """Node records, the set of their ids, and the id type (None when mixed)."""
-        err, org, number = self.err, self.org, self.number
-        need_tq = self.level is Level.STRICT and self.window is not None
-        nodes, ids, kinds, mixed = [], set(), set(), False
+    def nodes(self, raw_nodes: list) -> list[NodeRecord]:
+        err, typed, number, check = self.err, self.typed, self.number, self.check
+        nodes = []
         for i, raw in enumerate(raw_nodes):
-            if type(raw) is not dict:
-                err("member-type", f"$.nodes[{i}]", "node must be an object")
-                continue
             loc = f"$.nodes[{i}]"
+            if type(raw) is not dict:
+                err("member-type", loc, "node must be an object")
+                continue
             node_id = raw.get("id")
             if "id" not in raw:
                 err("member-missing", loc, "node has no id")
-            else:
-                if type(node_id) is int:
-                    kinds.add(int)
-                    if node_id < org:
-                        err("id-invalid", f"{loc}.id", f"code {node_id} below smallest index {org}")
-                elif type(node_id) is str:
-                    kinds.add(str)
-                    if not node_id:
-                        err("id-invalid", f"{loc}.id", "empty node identifier")
-                else:
-                    err("member-type", f"{loc}.id", "id must be text or an integer")
-                    node_id = None
-                if node_id is not None:
-                    if node_id in ids:
-                        err("id-duplicate", f"{loc}.id", f"identifier {node_id!r} already used")
-                    ids.add(node_id)
-                if len(kinds) > 1:
-                    err("id-kind-mixed", f"{loc}.id", "text and integer identifiers are mixed")
-                    kinds, mixed = {next(iter(kinds))}, True
-            for member in ("lab", "slab", "mode"):
-                if member in raw and type(raw[member]) is not str:
-                    err("member-type", f"{loc}.{member}", f"{member} must be text")
-            lab, slab, mode = raw.get("lab", ""), raw.get("slab"), raw.get("mode")
-            if type(slab) is str and type(lab) is str and len(slab) > len(lab):
-                err("slab-longer-than-label", f"{loc}.slab", "short label longer than label")
+            elif type(node_id) is not int and type(node_id) is not str:
+                err("member-type", f"{loc}.id", "id must be text or an integer")
+                node_id = None
+            lab = typed(raw, "lab", _is_text, "text", loc, "")
+            slab, mode = typed(raw, "slab", _is_text, "text", loc), typed(raw, "mode", _is_text, "text", loc)
             x, y = number(raw, "x", loc, None), number(raw, "y", loc, None)
             tq = self.tq(raw["tq"], loc + ".tq") if "tq" in raw else None
-            if need_tq and "tq" not in raw:
-                err("tq-missing", loc, "temporal network node lacks a tq")
-            props = self.props(raw, _NODE_MEMBERS, loc)
-            nodes.append(NodeRecord(node_id, lab, slab, x, y, mode, tq, props))
-        return nodes, ids, None if mixed else (int if kinds == {int} else str)
+            node = NodeRecord(node_id, lab, slab, x, y, mode, tq, self.props(raw, _NODE_MEMBERS, loc))
+            check.node(node, loc)
+            check.tq(node, loc)
+            check.props(node.props, loc)
+            nodes.append(node)
+        return nodes
 
-    def links(self, raw_links: list, ids: Optional[set], id_type, info: Optional[InfoBlock]):
-        """Link records; ``ids`` is None when there is no node list to resolve against,
-        and the flag checks run only when there is an info block to read them from."""
-        err, org, number = self.err, self.org, self.number
-        listed, n_listed = self.listed, self.n_listed
-        need_tq = self.level is Level.STRICT and self.window is not None
-        simple = info is not None and info.simple
-        one_relation = info is not None and not info.multirel
-        rels_seen, link_keys, links = set(), set(), []
+    def links(self, raw_links: list, id_type) -> list[LinkRecord]:
+        """Link records; ``id_type`` is the type rel must have, None when any will do."""
+        err, number, check = self.err, self.number, self.check
+        links = []
         for i, raw in enumerate(raw_links):
-            if type(raw) is not dict:
-                err("member-type", f"$.links[{i}]", "link must be an object")
-                continue
             loc = f"$.links[{i}]"
+            if type(raw) is not dict:
+                err("member-type", loc, "link must be an object")
+                continue
             kind_text = raw.get("type", "arc")
             kind = _LINK_KINDS.get(kind_text) if type(kind_text) is str else None
             if kind is None:
@@ -625,53 +576,33 @@ class _Walk:
                 kind = LinkKind.ARC
             ends = []
             for member in ("n1", "n2"):
+                end = raw.get(member)
                 if member not in raw:
                     err("member-missing", loc, f"link has no {member}")
-                    continue
-                end = raw[member]
-                if type(end) is not int and type(end) is not str:
+                elif type(end) is not int and type(end) is not str:
                     err("member-type", f"{loc}.{member}", "endpoint must be text or an integer")
-                    continue
+                    end = None
                 ends.append(end)
-                if ids is not None and end not in ids:
-                    err("endpoint-unresolved", f"{loc}.{member}", f"{end!r} names no node")
             rel = raw.get("rel")
             if "rel" not in raw:
                 err("member-missing", loc, "link has no rel")
             elif type(rel) is not int and type(rel) is not str:
                 err("member-type", f"{loc}.rel", "rel must be text or an integer")
-            else:
-                if id_type is not None and type(rel) is not id_type:
-                    err("member-type", f"{loc}.rel", "rel must match the node identifier kind")
-                elif rel == "":
-                    err("member-type", f"{loc}.rel", "rel must be non-empty text")
-                if one_relation:
-                    rels_seen.add(rel)
-                if listed is not None and not (
-                    1 <= rel - org + 1 <= n_listed if type(rel) is int else rel in listed
-                ):
-                    err("relation-unlisted", f"{loc}.rel", f"{rel!r} not covered by info.relations")
-                if simple and len(ends) == 2:
-                    key = (kind, rel, frozenset(ends) if kind is LinkKind.EDGE else tuple(ends))
-                    if key in link_keys:
-                        err("simple-violated", loc, "parallel link in a network flagged simple")
-                    link_keys.add(key)
+                rel = None
+            elif id_type is not None and type(rel) is not id_type:
+                err("member-type", f"{loc}.rel", "rel must match the node identifier kind")
+                rel = None
+            elif rel == "":
+                err("member-type", f"{loc}.rel", "rel must be non-empty text")
+                rel = None
             weight = number(raw, "weight", loc, 1.0)
             label = self.typed(raw, "label", _is_text, "text", loc)
             tq = self.tq(raw["tq"], loc + ".tq") if "tq" in raw else None
-            if need_tq and "tq" not in raw:
-                err("tq-missing", loc, "temporal network link lacks a tq")
             props = self.props(raw, _LINK_MEMBERS, loc)
-            links.append(LinkRecord(kind, raw.get("n1"), raw.get("n2"), rel, weight, label, tq, props))
-
-        self.n_edges = n_edges = sum(1 for link in links if link.kind is LinkKind.EDGE)
-        if info is not None:
-            if one_relation and len(rels_seen) > 1:
-                err("multirel-violated", "$.links", f"{len(rels_seen)} relations but multirel is off")
-            if info.directed and n_edges:
-                message = "directed network contains edges"
-                err("directed-kind-mismatch", "$.links", message, Severity.WARNING)
-            elif not info.directed and len(links) > n_edges:
-                message = "undirected network contains arcs"
-                err("directed-kind-mismatch", "$.links", message, Severity.WARNING)
+            link = LinkRecord(kind, ends[0], ends[1], rel, weight, label, tq, props)
+            check.link(link, loc)
+            check.tq(link, loc)
+            check.props(props, loc)
+            links.append(link)
+        check.links_end()
         return links

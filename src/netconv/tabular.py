@@ -44,6 +44,8 @@ class TableOptions:
         if len(self.delimiter) != 1 or self.delimiter == '"':
             message = f"delimiter must be one character other than '\"', got {self.delimiter!r}"
             raise ValueError(message)
+        if len(self.decimal_separator) != 1:
+            raise ValueError(f"decimal must be one character, got {self.decimal_separator!r}")
 
 
 @dataclass(frozen=True)

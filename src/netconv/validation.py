@@ -6,6 +6,13 @@ Two levels exist: ``lenient`` mirrors what legacy tools accept, ``strict``
 upgrades a document's declared-counter mismatches and additionally
 enforces metadata recommendations.
 The strict error set is always a superset of the lenient one.
+
+Each rule about the network itself is coded once, in :class:`Checker`,
+which takes one record at a time. :func:`check_network` and
+:func:`check_temporal` drive it over a network's records, and the NetsJSON
+walk drives it over each record as soon as it is built; the walk itself
+checks only what depends on the JSON text. Every finding is located by a
+``$.`` path into the network's NetsJSON form.
 """
 
 from __future__ import annotations
@@ -16,11 +23,20 @@ from enum import Enum
 from itertools import combinations
 from typing import Optional
 
+from .coding import CodingTable
 from .model import (
+    EventRecord,
+    InfoBlock,
     Interval,
     LinkKind,
+    LinkRecord,
     Network,
+    NodeRecord,
+    TimeWindow,
+    parallel_key,
 )
+
+_STRUCTURED = (Interval, dict, list)  # the property values that can hold an interval
 
 # Published registry of rule identifiers. Finding construction is checked
 # against this mapping, so reports can never cite an unregistered rule.
@@ -132,114 +148,6 @@ def _bound(x: float) -> str:
     return text[:-2] if text.endswith(".0") else text  # whole numbers as documents write them
 
 
-def _scan_intervals(value, location: str, out: list[Finding]) -> None:
-    if isinstance(value, Interval):
-        if value.lo > value.hi:
-            out.append(
-                Finding(
-                    Severity.ERROR,
-                    "interval-invalid",
-                    location,
-                    f"interval bounds reversed: lo={_bound(value.lo)} > hi={_bound(value.hi)}",
-                )
-            )
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _scan_intervals(item, f"{location}[{i}]", out)
-    elif isinstance(value, dict):
-        for k in sorted(value):
-            _scan_intervals(value[k], f"{location}.{k}", out)
-
-
-def check_network(network: Network, level: Level = Level.LENIENT) -> ValidationReport:
-    """Verify the structural invariants of a network and its flags.
-
-    Every rule keeps one severity across levels; the report records ``level``.
-    A network stores no counts, so the ``count-*`` rules are reported only
-    against a document's declared ones, by the NetsJSON walk.
-    """
-    out: list[Finding] = []
-    info = network.info
-    err = lambda rule, loc, msg: out.append(Finding(Severity.ERROR, rule, loc, msg))
-    warn = lambda rule, loc, msg: out.append(Finding(Severity.WARNING, rule, loc, msg))
-
-    if info.org not in (0, 1):
-        err("org-invalid", "info.org", f"smallest index must be 0 or 1, got {info.org}")
-    if info.mode < 1:
-        err("mode-invalid", "info.mode", f"mode count must be at least 1, got {info.mode}")
-    for attr in ("created", "modified"):
-        value = getattr(info, attr)
-        if value is not None and parse_iso_date(value) is None:
-            err("date-invalid", f"info.{attr}", f"{value!r} is not an ISO date")
-    if info.modified is not None:
-        if info.created is None:
-            err("dates-order", "info.modified", "modified present without created")
-        else:
-            c, m = parse_iso_date(info.created), parse_iso_date(info.modified)
-            if c and m and m < c:
-                err("dates-order", "info.modified", f"modified {m} precedes created {c}")
-    for i, event in enumerate(info.meta):
-        if not event.date or parse_iso_date(event.date) is None:
-            err("event-date-invalid", f"info.meta[{i}]", f"event date {event.date!r}")
-        if not event.title:
-            err("event-title-empty", f"info.meta[{i}]", "event has no title")
-
-    ids: set = set()
-    kinds: set = set()
-    for i, node in enumerate(network.nodes):
-        loc = f"nodes[{i}]"
-        kinds.add(type(node.id))
-        if isinstance(node.id, str):
-            if not node.id:
-                err("id-invalid", loc, "empty node identifier")
-        elif node.id < info.org:
-            err("id-invalid", loc, f"code {node.id} below smallest index {info.org}")
-        if node.id in ids:
-            err("id-duplicate", loc, f"identifier {node.id!r} already used")
-        ids.add(node.id)
-        if node.slab is not None and len(node.slab) > len(node.lab):
-            err("slab-longer-than-label", loc, f"short label {node.slab!r} longer than label")
-        for name in sorted(node.props):
-            _scan_intervals(node.props[name], f"{loc}.{name}", out)
-    if len(kinds) > 1:
-        err("id-kind-mixed", "nodes", "text and integer identifiers are mixed")
-
-    rels_seen = set()
-    link_keys = set()
-    for i, link in enumerate(network.links):
-        loc = f"links[{i}]"
-        for endpoint in (link.n1, link.n2):
-            if endpoint not in ids:
-                err("endpoint-unresolved", loc, f"endpoint {endpoint!r} is not a node")
-        if isinstance(link.rel, str):
-            if link.rel not in network.relations:
-                err("relation-unlisted", loc, f"relation {link.rel!r} not in the coding table")
-        elif not network.relations.in_range(link.rel):
-            err("relation-unlisted", loc, f"relation code {link.rel} outside the coding table")
-        rels_seen.add(link.rel)
-        ends = frozenset((link.n1, link.n2)) if link.kind is LinkKind.EDGE else (link.n1, link.n2)
-        key = (link.kind, link.rel, ends)
-        if key in link_keys and info.simple:
-            err("simple-violated", loc, "parallel link in a network flagged simple")
-        link_keys.add(key)
-        for name in sorted(link.props):
-            _scan_intervals(link.props[name], f"{loc}.{name}", out)
-    if not info.multirel and len(rels_seen) > 1:
-        err(
-            "multirel-violated",
-            "links",
-            f"{len(rels_seen)} relations used but multirel is off",
-        )
-    has_edges = any(l.kind is LinkKind.EDGE for l in network.links)
-    has_arcs = any(l.kind is LinkKind.ARC for l in network.links)
-    if info.directed and has_edges:
-        warn("directed-kind-mismatch", "links", "directed network contains edges")
-    elif not info.directed and has_arcs:
-        warn("directed-kind-mismatch", "links", "undirected network contains arcs")
-
-    return ValidationReport(tuple(out), level)
-
-
 def check_tq_bounds(triples, loc: str, window, out: list[Finding]) -> None:
     """Append the findings on one temporal quantity's ``(s, f, v)`` triples.
 
@@ -276,62 +184,204 @@ def check_tq_bounds(triples, loc: str, window, out: list[Finding]) -> None:
         err("tq-overlap", loc, f"intervals {overlap[0]} and {overlap[1]} overlap")
 
 
+class Checker:
+    """The network rules, each coded once, applied one record at a time.
+
+    Each step checks one record (or one member of the info block), located
+    at ``where``, and appends its findings to ``out`` with the ``$.``
+    locators of the network's NetsJSON form. The checker holds the state
+    that spans records. Structural steps: ``info_org``, ``info_mode``,
+    ``info_event``, ``info_dates``, ``node``, ``link``, ``props`` and
+    ``links_end``; temporal steps: ``info_time``, ``tlab``, ``tq`` and
+    ``tq_end``. Info steps come first, ``tlab`` after ``info_time``, and
+    ``link`` after every ``node``.
+
+    What a NetsJSON document may lack is None: ``flags`` (the info block
+    whose flags are checked), ``relations`` (the table links must be
+    covered by) and ``ids`` (the node ids endpoints resolve against). No
+    rule runs on a record field that is None.
+    """
+
+    def __init__(self, level: Level):
+        self.level, self.out = level, []
+        self.org, self.window, self.need_tq = 1, None, False
+        self.flags: Optional[InfoBlock] = None
+        self.relations: Optional[CodingTable] = None
+        self.ids: Optional[set] = set()
+        self.id_kind, self.mixed = None, False  # the type of the last id; whether it changed
+        self.rels, self.link_kinds, self.link_keys = set(), set(), set()
+        self.any_tq = False
+
+    def err(self, rule: str, location: str, message: str, severity=Severity.ERROR) -> None:
+        self.out.append(Finding(severity, rule, location, message))
+
+    # -- structural steps -----------------------------------------------------
+
+    def info_org(self, org: int) -> None:
+        self.org = org
+        if org not in (0, 1):
+            self.err("org-invalid", "$.info.org", f"smallest index must be 0 or 1, got {org}")
+
+    def info_mode(self, mode: int) -> None:
+        if mode < 1:
+            self.err("mode-invalid", "$.info.mode", f"mode count must be at least 1, got {mode}")
+
+    def info_event(self, event: EventRecord, where: str) -> None:
+        if not event.date or parse_iso_date(event.date) is None:
+            self.err("event-date-invalid", where, f"event date {event.date or None!r}")  # '' as absent
+        if not event.title:
+            self.err("event-title-empty", where, "event has no title")
+
+    def info_dates(self, created: Optional[str], modified: Optional[str]) -> None:
+        for member, value in (("created", created), ("modified", modified)):
+            if value is not None and parse_iso_date(value) is None:
+                self.err("date-invalid", f"$.info.{member}", f"{value!r} is not an ISO date")
+        if modified is None:
+            return
+        if created is None:
+            self.err("dates-order", "$.info.modified", "modified present without created")
+            return
+        c, m = parse_iso_date(created), parse_iso_date(modified)
+        if c and m and m < c:
+            self.err("dates-order", "$.info.modified", f"modified {m} precedes created {c}")
+
+    def node(self, node: NodeRecord, where: str) -> None:
+        node_id, err = node.id, self.err
+        if node_id is not None:
+            kind = type(node_id)
+            if kind is str:
+                if not node_id:
+                    err("id-invalid", f"{where}.id", "empty node identifier")
+            elif node_id < self.org:
+                err("id-invalid", f"{where}.id", f"code {node_id} below smallest index {self.org}")
+            if node_id in self.ids:
+                err("id-duplicate", f"{where}.id", f"identifier {node_id!r} already used")
+            self.ids.add(node_id)
+            if kind is not self.id_kind:
+                if self.id_kind is not None:
+                    err("id-kind-mixed", f"{where}.id", "text and integer identifiers are mixed")
+                    self.mixed = True
+                self.id_kind = kind
+        if node.slab is not None and len(node.slab) > len(node.lab):
+            err("slab-longer-than-label", f"{where}.slab", "short label longer than label")
+
+    def link(self, link: LinkRecord, where: str) -> None:
+        ids, rel = self.ids, link.rel
+        if ids is not None and (link.n1 not in ids or link.n2 not in ids):
+            for member, end in (("n1", link.n1), ("n2", link.n2)):
+                if end is not None and end not in ids:
+                    self.err("endpoint-unresolved", f"{where}.{member}", f"{end!r} names no node")
+        self.link_kinds.add(link.kind)
+        if rel is None:
+            return
+        table = self.relations
+        if table is not None and not (rel in table if isinstance(rel, str) else table.in_range(rel)):
+            self.err("relation-unlisted", f"{where}.rel", f"{rel!r} not covered by info.relations")
+        self.rels.add(rel)
+        if self.flags is not None and self.flags.simple and None not in (link.n1, link.n2):
+            key = parallel_key(link)
+            if key in self.link_keys:
+                self.err("simple-violated", where, "parallel link in a network flagged simple")
+            self.link_keys.add(key)
+
+    def props(self, props: dict, where: str) -> None:
+        for key in sorted(props) if len(props) > 1 else props:
+            if type(props[key]) in _STRUCTURED:
+                self.intervals(props[key], f"{where}.{key}")
+
+    def intervals(self, value, where: str) -> None:
+        if isinstance(value, Interval):
+            if value.lo > value.hi:
+                message = f"interval bounds reversed: lo={_bound(value.lo)} > hi={_bound(value.hi)}"
+                self.err("interval-invalid", where, message)
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                self.intervals(item, f"{where}[{i}]")
+        elif isinstance(value, dict):
+            for k in sorted(value):
+                self.intervals(value[k], f"{where}.{k}")
+
+    def links_end(self) -> None:
+        flags = self.flags
+        if flags is None:
+            return
+        if not flags.multirel and len(self.rels) > 1:
+            self.err("multirel-violated", "$.links", f"{len(self.rels)} relations but multirel is off")
+        if flags.directed and LinkKind.EDGE in self.link_kinds:
+            message = "directed network contains edges"
+            self.err("directed-kind-mismatch", "$.links", message, Severity.WARNING)
+        elif not flags.directed and LinkKind.ARC in self.link_kinds:
+            message = "undirected network contains arcs"
+            self.err("directed-kind-mismatch", "$.links", message, Severity.WARNING)
+
+    # -- temporal steps -------------------------------------------------------
+
+    def info_time(self, window: Optional[TimeWindow]) -> None:
+        self.window = window
+        self.need_tq = self.level is Level.STRICT and window is not None
+        if window is not None and window.t_min > window.t_max:
+            message = f"Tmin {window.t_min} exceeds Tmax {window.t_max}"
+            self.err("time-window-invalid", "$.info.time", message)
+
+    def tlab(self, t: int, where: str) -> None:
+        t_min, t_max = self.window.t_min, self.window.t_max
+        if not t_min <= t <= t_max:
+            self.err("tlab-outside-window", where, f"label for {t} outside [{t_min}, {t_max}]")
+
+    def tq(self, record: NodeRecord | LinkRecord, where: str) -> None:
+        if record.tq is not None:
+            self.any_tq = True
+            check_tq_bounds(record.tq.triples, where + ".tq", self.window, self.out)
+        elif self.need_tq:
+            what = "link" if type(record) is LinkRecord else "node"
+            self.err("tq-missing", where, f"temporal network {what} lacks a tq")
+
+    def tq_end(self) -> None:
+        if self.any_tq and self.window is None:
+            message = "temporal quantities present but no time window declared"
+            self.err("tq-no-window", "$.info", message, Severity.WARNING)
+
+
+def check_network(network: Network, level: Level = Level.LENIENT) -> ValidationReport:
+    """Verify the structural invariants of a network and its flags.
+
+    Every rule keeps one severity across levels; the report records ``level``.
+    A network stores no counts, so the ``count-*`` rules are reported only
+    against a document's declared ones, by the NetsJSON walk.
+    """
+    info = network.info
+    check = Checker(level)
+    check.flags, check.relations = info, network.relations
+    check.info_org(info.org)
+    check.info_mode(info.mode)
+    for i, event in enumerate(info.meta):
+        check.info_event(event, f"$.info.meta[{i}]")
+    check.info_dates(info.created, info.modified)
+    for i, node in enumerate(network.nodes):
+        check.node(node, f"$.nodes[{i}]")
+        check.props(node.props, f"$.nodes[{i}]")
+    for i, link in enumerate(network.links):
+        check.link(link, f"$.links[{i}]")
+        check.props(link.props, f"$.links[{i}]")
+    check.links_end()
+    return ValidationReport(tuple(check.out), level)
+
+
 def check_temporal(network: Network, level: Level = Level.LENIENT) -> ValidationReport:
     """Check temporal quantities against their invariants and the time window.
 
     Strict level additionally requires a tq on every node and link once the
     network declares a time window (that is what marks it as temporal).
     """
-    out: list[Finding] = []
-    window = network.info.time
-    if window is not None:
-        if window.t_min > window.t_max:
-            out.append(
-                Finding(
-                    Severity.ERROR,
-                    "time-window-invalid",
-                    "info.time",
-                    f"Tmin {window.t_min} exceeds Tmax {window.t_max}",
-                )
-            )
-        for t in sorted(window.t_labs):
-            if not window.t_min <= t <= window.t_max:
-                out.append(
-                    Finding(
-                        Severity.ERROR,
-                        "tlab-outside-window",
-                        "info.time.Tlabs",
-                        f"label for {t} outside [{window.t_min}, {window.t_max}]",
-                    )
-                )
-    any_tq = any(n.tq is not None for n in network.nodes) or any(
-        l.tq is not None for l in network.links
-    )
-    if window is None and any_tq:
-        out.append(
-            Finding(
-                Severity.WARNING,
-                "tq-no-window",
-                "info",
-                "temporal quantities present but no time window declared",
-            )
-        )
-    strict_temporal = level is Level.STRICT and window is not None
+    check, window = Checker(level), network.info.time
+    check.info_time(window)
+    for t in window.t_labs if window is not None else ():
+        check.tlab(t, f"$.info.time.Tlabs.{t}")
     for group, records in (("nodes", network.nodes), ("links", network.links)):
         for i, record in enumerate(records):
-            loc = f"{group}[{i}].tq"
-            if record.tq is not None:
-                check_tq_bounds(record.tq.triples, loc, window, out)
-            elif strict_temporal:
-                out.append(
-                    Finding(
-                        Severity.ERROR,
-                        "tq-missing",
-                        f"{group}[{i}]",
-                        "temporal network element lacks a temporal quantity",
-                    )
-                )
-    return ValidationReport(tuple(out), level)
+            check.tq(record, f"$.{group}[{i}]")
+    check.tq_end()
+    return ValidationReport(tuple(check.out), level)
 
 
 def check_all(network: Network, level: Level = Level.LENIENT) -> ValidationReport:

@@ -4,8 +4,10 @@ import copy
 import gc
 import io
 import json
+import os
 import random
 import shutil
+import stat
 import sys
 from dataclasses import replace
 
@@ -119,6 +121,25 @@ class TestConvert:
         assert status == 1
         assert not out.exists()
         assert "org-invalid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o002, 0o664)], ids=["022", "002"])
+    def test_output_mode_follows_umask(self, umask, mode, bib_paths, tmp_path):
+        previous = os.umask(umask)
+        try:
+            out = convert_bib_to_net(bib_paths, tmp_path)
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+
+    def test_csv_pair_written_together_or_not_at_all(self, tmp_path, capsys):
+        shutil.copy(DATA / "bib.golden.net", tmp_path / "bib.net")
+        nodes = tmp_path / "n.csv"
+        nodes.write_text("old\n", encoding="utf-8")
+        argv = ["convert", "-i", str(tmp_path / "bib.net"), "--to", "csv", "--nodes", str(nodes)]
+        assert main([*argv, "--links", str(tmp_path / "missing_dir" / "l.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+        assert nodes.read_text(encoding="utf-8") == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bib.net", "n.csv"]  # no temporaries
 
     def test_stdout_output(self, bib_paths, capsys):
         nodes, links = bib_paths
@@ -573,6 +594,8 @@ BAD_JSON = "error: [json-malformed] $: Expecting value: line 1 column 14 (char 1
 BAD_CSV = "error: line 2: expected 2 cells, found 1\n"
 EMPTY_LABEL = "error: line 2: empty vertex label\n"
 NO_RELATION = "error: link table contains a missing 'relation' value\n"
+MIXED_KINDS = "warning: [directed-kind-mismatch] $.links: directed network contains edges\n"
+LONG_SLAB = "error: [slab-longer-than-label] $.nodes[0].slab: short label longer than label\n"
 
 # (argv, exit status, standard error) for each subcommand and way of failing;
 # run in a directory holding the files written by `failure_files`.
@@ -633,6 +656,17 @@ CLI_FAILURES = {
         ("partition -i org.json --property p", 1,
          "error: unknown property 'p': absent on every node\n"),
     ],
+    "network-rule": [
+        ("validate mixed.net", 0, MIXED_KINDS),
+        ("convert -i mixed.net -o o.json", 0, MIXED_KINDS),
+        ("validate slab.csv --links loop.csv", 1, LONG_SLAB),
+        ("convert --nodes slab.csv --links loop.csv -o o.net", 1, LONG_SLAB),
+    ],
+    "bad-option": [
+        ("validate n.csv --links l.csv --decimal=", 2, "error: --decimal must be one character, got ''\n"),
+        ("convert --nodes n.csv --links l.csv -o o.net --decimal=,,", 2,
+         "error: --decimal must be one character, got ',,'\n"),
+    ],
     "unknown-property": [
         ("partition -i bib.net --property nope -o x.clu", 1,
          "error: unknown property 'nope': absent on every node\n"),
@@ -656,6 +690,8 @@ def failure_files(tmp_path, monkeypatch):
         ("norel.csv", 'from;relation;to\n"Batagelj, Vladimir";;"Mrvar, Andrej"\n'),
         ("mixed.net", "*vertices 2\n*arcs\n1 2\n*edges\n2 1\n"),
         ("edges.csv", 'from;relation;to;kind\n"Batagelj, Vladimir";r;"Mrvar, Andrej";edge\n'),
+        ("slab.csv", "name;slab\na;abcd\n"),
+        ("loop.csv", "from;relation;to\na;r;a\n"),
         ("x.txt", "hi\n"),
     ):
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -691,6 +727,7 @@ NET_CSV_INPUTS = {
     "bib.csv": ("validate n.csv --links l.csv", "convert --nodes n.csv --links l.csv", False),
     "mixed.net": ("validate mixed.net", "convert -i mixed.net", False),
     "edges.csv": ("validate n.csv --links edges.csv", "convert --nodes n.csv --links edges.csv", False),
+    "slab.csv": ("validate slab.csv --links loop.csv", "convert --nodes slab.csv --links loop.csv", False),
     "bad.net": ("validate bad.net", "convert -i bad.net", True),
     "bad.csv": ("validate bad.csv --links l.csv", "convert --nodes bad.csv --links l.csv", True),
 }

@@ -292,9 +292,9 @@ class TestValidateDocument:
         raw = (data_dir / "temporal_full.json").read_text(encoding="utf-8")
         corrupted = raw.replace('"nArcs": 2', '"nArcs": 5').replace(
             '[[2, 6, "active"]]', '[[2, 6, "active"], [4, 9, 1]]'
-        )
+        ).replace('"10": "end"', '"10": "end", "011": "late"')  # a key int() reads as 11
         report = self.validate(corrupted, strict=True)
-        assert report.findings
+        assert "tlab-outside-window" in {f.rule for f in report.findings}
         doc = json.loads(corrupted)
         for finding in report.findings:
             resolve_json_path(doc, finding.location)  # must not raise

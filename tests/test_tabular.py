@@ -217,6 +217,12 @@ class TestQuotingAndRoundTrips:
             TableOptions(delimiter=delimiter)
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize("decimal", ["", ",,"])
+    def test_decimal_separator_must_be_one_character(self, decimal):
+        with pytest.raises(ValueError) as excinfo:
+            TableOptions(decimal_separator=decimal)
+        assert str(excinfo.value) == f"decimal must be one character, got {decimal!r}"
+
     def test_weight_and_kind_columns(self):
         nodes = Table(("name",), (("a",), ("b",)))
         links = Table(

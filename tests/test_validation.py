@@ -1,18 +1,22 @@
 from __future__ import annotations
 
+import ast
 import io
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from corpus import CORPUS, corpus_path
+from conftest import DATA
 from netconv import (
     Level,
     LinkKind,
     LinkRecord,
+    NetconvError,
     NodeRecord,
     RULES,
     TemporalQuantity,
@@ -21,8 +25,13 @@ from netconv import (
     check_network,
     check_temporal,
     make_network,
+    netsjson,
+    parse_netsjson,
     validate_netsjson_document,
+    validation,
+    write_netsjson,
 )
+from test_netsjson import resolve_json_path
 
 
 def rules_of(report):
@@ -168,8 +177,8 @@ class TestCheckTemporal:
         if window is not None:
             net = replace(net, info=replace(net.info, time=TimeWindow(*window)))
             info["time"] = {"Tmin": window[0], "Tmax": window[1]}
-        assert tq_findings(check_temporal(net), "nodes[0].tq") == oracles.tq_bounds_findings(
-            triples, "nodes[0].tq", window
+        assert tq_findings(check_temporal(net), "$.nodes[0].tq") == oracles.tq_bounds_findings(
+            triples, "$.nodes[0].tq", window
         )
         doc = {"netsJSON": "basic", "info": info, "nodes": [{"id": "a", "tq": triples}]}
         doc["links"] = []
@@ -266,3 +275,66 @@ class TestReportProperties:
 
         with pytest.raises(ValueError):
             Finding(Severity.ERROR, "made-up-rule", "x", "y")
+
+
+# The rules about the network itself: coded once, in validation.Checker.
+NETWORK_RULES = {
+    "org-invalid", "mode-invalid", "date-invalid", "dates-order", "event-date-invalid",
+    "event-title-empty", "time-window-invalid", "tlab-outside-window", "id-invalid",
+    "id-duplicate", "id-kind-mixed", "slab-longer-than-label", "endpoint-unresolved",
+    "relation-unlisted", "multirel-violated", "simple-violated", "directed-kind-mismatch",
+    "tq-no-window", "tq-missing",
+}  # fmt: skip
+# Rules the NetsJSON walk reports that no network can break on its own.
+DOCUMENT_ONLY_RULES = {"count-nodes-mismatch", "count-links-mismatch", "dates-missing"}
+
+
+def emitted_rules(module) -> set[str]:
+    """Registered rule ids a module passes to ``Finding`` or an ``err`` helper."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    found = set()
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call):
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            if name in ("Finding", "err"):
+                found |= {a.value for a in call.args if isinstance(a, ast.Constant) and a.value in RULES}
+    return found
+
+
+class TestEachRuleCodedOnce:
+    def test_walk_and_checker_emit_disjoint_rules(self):
+        walk, checker = emitted_rules(netsjson), emitted_rules(validation)
+        assert not walk & checker
+        assert NETWORK_RULES <= checker
+        assert walk | checker == set(RULES)
+
+    def test_check_all_locators_resolve_against_netsjson_form(self):
+        """On every corpus document the parser accepts, check_all cites $. paths
+        into the parsed network's NetsJSON form, and finds the document's rule
+        unless only a document can break it."""
+        for path in [corpus_path(rule) for rule in CORPUS] + [DATA / "temporal_full.json"]:
+            try:
+                network = parse_netsjson(io.StringIO(path.read_text(encoding="utf-8")))
+            except NetconvError:
+                continue
+            doc = json.loads(write_netsjson(network))
+            report = check_all(network, Level.STRICT)
+            for finding in check_all(network, Level.LENIENT).findings + report.findings:
+                resolve_json_path(doc, finding.location)
+            if path.stem in CORPUS and path.stem not in DOCUMENT_ONLY_RULES:
+                assert path.stem in rules_of(report), path.name
+
+    def test_hand_built_network_cites_netsjson_paths(self):
+        net = make_network(
+            [NodeRecord(id="a", lab="a", slab="abcd"), NodeRecord(id="b", lab="b")],
+            [
+                LinkRecord(kind=LinkKind.ARC, n1="a", n2="b", rel="r"),
+                LinkRecord(kind=LinkKind.EDGE, n1="b", n2="a", rel="r"),
+            ],
+        )
+        report = check_all(replace(net, info=replace(net.info, created="2020-13-01")))
+        assert report.to_text().splitlines() == [
+            "error: [date-invalid] $.info.created: '2020-13-01' is not an ISO date",
+            "error: [slab-longer-than-label] $.nodes[0].slab: short label longer than label",
+            "warning: [directed-kind-mismatch] $.links: directed network contains edges",
+        ]
