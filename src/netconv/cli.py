@@ -57,9 +57,9 @@ def _write_outputs(*outputs: tuple[str, str], encoding: str = "utf-8") -> None:
     """Write each ``(path, text)``; the path ``-`` is standard output.
 
     Files are staged as temporaries beside their targets, with the mode
-    ``open(path, "w")`` would give, and renamed only once every one is
-    staged; a failure removes the temporaries and leaves the targets as
-    they were.
+    ``open(path, "w")`` would give (an existing target keeps its own), and
+    renamed only once every one is staged; a failure removes the
+    temporaries and leaves the targets as they were.
     """
     mask = os.umask(0)
     os.umask(mask)
@@ -67,10 +67,11 @@ def _write_outputs(*outputs: tuple[str, str], encoding: str = "utf-8") -> None:
     try:
         for path, text in outputs:
             if path != "-":
+                mode = os.stat(path).st_mode & 0o777 if os.path.exists(path) else 0o666 & ~mask
                 fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".netconv-")
                 staged.append(tmp)
                 with os.fdopen(fd, "w", encoding=encoding, newline="") as handle:
-                    os.fchmod(handle.fileno(), 0o666 & ~mask)
+                    os.fchmod(handle.fileno(), mode)
                     handle.write(text)
         for path, text in outputs:
             if path == "-":
@@ -113,6 +114,9 @@ def _resolve(args) -> None:
             raise NetconvError("Pajek NET output requires --base 1")
         if args.to_format == "csv" and not (args.nodes and args.links):
             raise NetconvError("csv output requires --nodes and --links paths")
+        if args.to_format == "csv" and "-" not in (args.nodes, args.links):
+            if os.path.realpath(args.nodes) == os.path.realpath(args.links):
+                raise NetconvError("csv output requires --nodes and --links to be different files")
     elif args.from_format is None:
         raise NetconvError("cannot determine format; use --format")
     if args.from_format == "csv":

@@ -15,6 +15,7 @@ the arc grammar (the format exemplar shows arcs only).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import IO
 
@@ -30,37 +31,16 @@ def _quote(text: str) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
+_TOKEN = re.compile(r'\s*(?:"((?:[^"]|"")*)"|([^\s"]\S*)|(\S))')  # quoted | bare | lone quote
+
+
 def _tokens(line: str, lineno: int) -> list[str]:
-    """Split a line into whitespace-separated tokens honoring double quotes."""
+    """Whitespace-separated tokens of a line; in a quoted token "" stands for a quote."""
     out = []
-    i = 0
-    n = len(line)
-    while i < n:
-        if line[i].isspace():
-            i += 1
-            continue
-        if line[i] == '"':
-            i += 1
-            buf = []
-            while True:
-                if i >= n:
-                    raise ParseError("unterminated quoted token", line=lineno)
-                if line[i] == '"':
-                    if i + 1 < n and line[i + 1] == '"':
-                        buf.append('"')
-                        i += 2
-                        continue
-                    i += 1
-                    break
-                buf.append(line[i])
-                i += 1
-            out.append("".join(buf))
-        else:
-            j = i
-            while j < n and not line[j].isspace():
-                j += 1
-            out.append(line[i:j])
-            i = j
+    for quoted, bare, stray in _TOKEN.findall(line):
+        if stray:
+            raise ParseError("unterminated quoted token", line=lineno)
+        out.append(bare or quoted.replace('""', '"'))
     return out
 
 

@@ -1,18 +1,27 @@
 """Two-table network description: a node table plus a link table.
 
 The tables are delimited text (semicolon by default) with RFC-4180 quoting
-adapted to the configured delimiter. The node table needs a ``name`` column,
-the link table ``from``, ``relation``, ``to``. Columns whose every
-non-missing cell parses as a number are typed numeric (stored as reals);
-everything else stays text, so numeric-looking text values and cells equal
-to an NA string do not survive a round trip -- the format is untyped.
+adapted to the configured delimiter. Reserved columns fill record fields;
+every other column is a property:
+
+- node table: ``name`` (required, unique), ``mode``, ``slab``, ``x``, ``y``;
+- link table: ``from``, ``relation``, ``to`` (required), ``kind`` (``arc``
+  or ``edge``), ``weight`` (1 when missing), ``label``.
+
+``x``, ``y`` and ``weight`` hold numbers; a cell there that is not one raises
+``ParseError("<node|link> row <i>: <column> <cell> is not numeric")``. A
+property column whose every non-missing cell parses as a number is typed
+numeric (stored as reals); every other stays text, so numeric-looking text
+values and cells equal to an NA string do not survive a round trip -- the
+format is untyped.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import IO, Optional
 
 from .errors import ExportError, ParseError, SchemaError, StructuralError
@@ -29,9 +38,12 @@ from .model import (
 NODE_NAME_COLUMN = "name"
 LINK_REQUIRED_COLUMNS = ("from", "relation", "to")
 
-# Columns routed to dedicated record fields rather than the property map.
-_NODE_RESERVED = {"name", "slab", "mode", "x", "y"}
-_LINK_RESERVED = {"from", "relation", "to", "kind", "weight", "label"}
+# The reserved columns of each table: column -> (record field it fills,
+# whether it holds numbers). Every other column is a property.
+_NODE_COLUMNS = {"name": ("id", False), "mode": ("mode", False), "slab": ("slab", False),
+                 "x": ("x", True), "y": ("y", True)}
+_LINK_COLUMNS = {"from": ("n1", False), "relation": ("rel", False), "to": ("n2", False),
+                 "kind": ("kind", False), "weight": ("weight", True), "label": ("label", False)}
 
 
 @dataclass(frozen=True)
@@ -117,33 +129,44 @@ def _parse_number(cell: str, decimal_separator: str) -> float:
     return value
 
 
-def _numeric_column(cells: list[Optional[str]], decimal_separator: str) -> bool:
-    saw_value = False
-    for cell in cells:
-        if cell is None:
-            continue
-        saw_value = True
+def _numbers(cells: list[Optional[str]], what: str, name: str, decimal_separator: str) -> list:
+    """A column's cells as numbers; the first cell that is not one raises ParseError."""
+    values = []
+    for i, cell in enumerate(cells, start=1):
         try:
-            _parse_number(cell, decimal_separator)
+            values.append(None if cell is None else _parse_number(cell, decimal_separator))
         except ValueError:
-            return False
-    return saw_value
+            raise ParseError(f"{what} row {i}: {name} {cell!r} is not numeric") from None
+    return values
 
 
-def _typed_columns(
-    table: Table, reserved_text: set[str], decimal_separator: str
-) -> dict[str, list]:
-    """Per-column values with numeric inference applied outside reserved names."""
-    out: dict[str, list] = {}
-    for name in table.header:
-        cells = table.column(name)
-        if name not in reserved_text and _numeric_column(cells, decimal_separator):
-            out[name] = [
-                None if c is None else _parse_number(c, decimal_separator) for c in cells
-            ]
+def _decode(table: Table, declared: dict, what: str, decimal_separator: str):
+    """Each row's record-field keywords and property map, built column by column.
+
+    A declared column fills its field (None when the cell is missing) and is
+    parsed as numbers when it holds them. Any other column is a property,
+    typed numeric when every present cell parses as a number; missing cells
+    are left out of the property map.
+    """
+    fields = [{} for _ in table.rows]
+    props = [{} for _ in table.rows]
+    for j, name in enumerate(table.header):
+        values = [row[j] for row in table.rows]
+        if name in declared:
+            field, number = declared[name]
+            if number:
+                values = _numbers(values, what, name, decimal_separator)
+            for row, value in zip(fields, values):
+                row[field] = value
         else:
-            out[name] = cells
-    return out
+            try:
+                values = _numbers(values, what, name, decimal_separator)
+            except ParseError:
+                pass  # a text column
+            for row, value in zip(props, values):
+                if value is not None:
+                    row[name] = value
+    return zip(fields, props)
 
 
 def tables_to_network(
@@ -160,166 +183,92 @@ def tables_to_network(
     become arcs when ``directed`` (overridable per row by a ``kind`` column);
     weight defaults to 1.
     """
-    cols = _typed_columns(nodes, {"name", "mode", "slab"}, decimal_separator)
-    names = cols[NODE_NAME_COLUMN]
-    node_records = []
-    for i in range(len(nodes.rows)):
-        props = {}
-        for col in nodes.header:
-            if col in _NODE_RESERVED:
-                continue
-            v = cols[col][i]
-            if v is not None:
-                props[col] = v
-        node_records.append(
-            NodeRecord(
-                id=names[i],
-                lab=names[i],
-                slab=cols["slab"][i] if "slab" in cols else None,
-                x=_coord(cols, "x", i),
-                y=_coord(cols, "y", i),
-                mode=cols["mode"][i] if "mode" in cols else None,
-                props=props,
-            )
-        )
-
-    lcols = _typed_columns(links, {"from", "relation", "to", "kind", "label"}, decimal_separator)
-    name_set = set(names)
+    node_records = [
+        NodeRecord(lab=fields["id"], **fields, props=props)
+        for fields, props in _decode(nodes, _NODE_COLUMNS, "node", decimal_separator)
+    ]
+    names = {n.id for n in node_records}
+    default_kind = LinkKind.ARC if directed else LinkKind.EDGE
     link_records = []
-    for i in range(len(links.rows)):
-        src, rel, dst = lcols["from"][i], lcols["relation"][i], lcols["to"][i]
-        for endpoint in (src, dst):
-            if endpoint not in name_set:
-                raise StructuralError(f"link row {i + 1} references unknown node {endpoint!r}")
-        kind = LinkKind.ARC if directed else LinkKind.EDGE
-        if "kind" in lcols and lcols["kind"][i] is not None:
-            try:
-                kind = LinkKind(lcols["kind"][i])
-            except ValueError:
-                raise ParseError(f"link row {i + 1}: kind must be 'arc' or 'edge'") from None
-        weight = 1.0
-        if "weight" in lcols and lcols["weight"][i] is not None:
-            w = lcols["weight"][i]
-            if isinstance(w, str):
-                raise ParseError(f"link row {i + 1}: weight {w!r} is not numeric")
-            weight = float(w)
-        props = {}
-        for col in links.header:
-            if col in _LINK_RESERVED:
-                continue
-            v = lcols[col][i]
-            if v is not None:
-                props[col] = v
-        link_records.append(
-            LinkRecord(
-                kind=kind,
-                n1=src,
-                n2=dst,
-                rel=rel,
-                weight=weight,
-                label=lcols["label"][i] if "label" in lcols else None,
-                props=props,
-            )
-        )
+    rows = _decode(links, _LINK_COLUMNS, "link", decimal_separator)
+    for i, (fields, props) in enumerate(rows, start=1):
+        for endpoint in (fields["n1"], fields["n2"]):
+            if endpoint not in names:
+                raise StructuralError(f"link row {i} references unknown node {endpoint!r}")
+        kind = fields.get("kind")
+        try:
+            fields["kind"] = default_kind if kind is None else LinkKind(kind)
+        except ValueError:
+            raise ParseError(f"link row {i}: kind must be 'arc' or 'edge'") from None
+        if fields.get("weight") is None:
+            fields["weight"] = 1.0
+        link_records.append(LinkRecord(**fields, props=props))
     return make_network(node_records, link_records, org=base, directed=directed)
 
 
-def _coord(cols: dict[str, list], name: str, i: int) -> Optional[float]:
-    if name not in cols:
-        return None
-    v = cols[name][i]
-    return v if isinstance(v, float) else None
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
+def _cell(value) -> Optional[str]:
+    if value is None or type(value) is str:
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, float)):
         return str(value)
+    if isinstance(value, LinkKind):
+        return value.value
     if isinstance(value, (list, dict, Interval, TemporalQuantity)):
         raise ExportError(f"structured value {value!r} cannot be written to a table cell")
     return str(value)
+
+
+def _encode(records, header: list[str], declared: dict) -> Table:
+    """Records as a table, built column by column: a declared column's cells
+    come from its record field, any other column's from the property map."""
+    getters = [
+        attrgetter(declared[name][0]) if name in declared else (lambda r, n=name: r.props.get(n))
+        for name in header
+    ]
+    try:
+        columns = [[_cell(get(record)) for record in records] for get in getters]
+    except ExportError:  # name the first structured value in row order
+        for record in records:
+            for get in getters:
+                _cell(get(record))
+        raise
+    return Table(header=tuple(header), rows=tuple(zip(*columns)))
 
 
 def network_to_tables(network: Network) -> tuple[Table, Table]:
     """Project a labeled network onto a node table and a link table.
 
     Scalar properties only; re-parsing the tables reproduces the network up
-    to property column order.
+    to property column order. The node table always has ``x`` and ``y``;
+    ``mode``, ``slab`` and ``label`` appear when some record has one, ``kind``
+    when arcs and edges mix, ``weight`` when some weight differs from 1.
     """
     if network.is_factorized:
         raise ExportError("cannot export a factorized network to tables; defactorize first")
+    nodes, links = network.nodes, network.links
+    node_header = [NODE_NAME_COLUMN, *_used(nodes, "mode", "slab"), *_prop_names(nodes), "x", "y"]
+    link_header = list(LINK_REQUIRED_COLUMNS)
+    if len({l.kind for l in links}) > 1:
+        link_header.append("kind")
+    if any(l.weight != 1.0 for l in links):
+        link_header.append("weight")
+    link_header += _used(links, "label") + _prop_names(links)
+    return _encode(nodes, node_header, _NODE_COLUMNS), _encode(links, link_header, _LINK_COLUMNS)
 
-    prop_names = sorted({p for n in network.nodes for p in n.props})
-    header = ["name"]
-    if any(n.mode is not None for n in network.nodes):
-        header.append("mode")
-    if any(n.slab is not None for n in network.nodes):
-        header.append("slab")
-    header += prop_names + ["x", "y"]
-    rows = []
-    for n in network.nodes:
-        row = []
-        for col in header:
-            if col == "name":
-                row.append(str(n.id))
-            elif col == "mode":
-                row.append(_cell(n.mode) if n.mode is not None else None)
-            elif col == "slab":
-                row.append(_cell(n.slab) if n.slab is not None else None)
-            elif col == "x":
-                row.append(None if n.x is None else str(n.x))
-            elif col == "y":
-                row.append(None if n.y is None else str(n.y))
-            else:
-                row.append(_cell(n.props[col]) if col in n.props else None)
-        rows.append(tuple(row))
-    node_table = Table(header=tuple(header), rows=tuple(rows))
 
-    lprop_names = sorted({p for l in network.links for p in l.props})
-    mixed = {l.kind for l in network.links} == {LinkKind.ARC, LinkKind.EDGE}
-    lheader = ["from", "relation", "to"]
-    if mixed:
-        lheader.append("kind")
-    if any(l.weight != 1.0 for l in network.links):
-        lheader.append("weight")
-    if any(l.label is not None for l in network.links):
-        lheader.append("label")
-    lheader += lprop_names
-    lrows = []
-    for l in network.links:
-        row = []
-        for col in lheader:
-            if col == "from":
-                row.append(str(l.n1))
-            elif col == "relation":
-                row.append(str(l.rel))
-            elif col == "to":
-                row.append(str(l.n2))
-            elif col == "kind":
-                row.append(l.kind.value)
-            elif col == "weight":
-                row.append(str(l.weight))
-            elif col == "label":
-                row.append(None if l.label is None else l.label)
-            else:
-                row.append(_cell(l.props[col]) if col in l.props else None)
-        lrows.append(tuple(row))
-    return node_table, Table(header=tuple(lheader), rows=tuple(lrows))
+def _used(records, *names: str) -> list[str]:
+    return [name for name in names if any(getattr(r, name) is not None for r in records)]
+
+
+def _prop_names(records) -> list[str]:
+    return sorted({p for r in records for p in r.props})
 
 
 def write_table(table: Table, sink: IO[str], opts: TableOptions = TableOptions()) -> None:
     """Write a table with minimal quoting; missing cells become empty."""
-    writer = csv.writer(
-        sink,
-        delimiter=opts.delimiter,
-        quotechar='"',
-        doublequote=True,
-        lineterminator="\n",
-        quoting=csv.QUOTE_MINIMAL,
-    )
+    writer = csv.writer(sink, delimiter=opts.delimiter, lineterminator="\n")  # quotes doubled
     writer.writerow(table.header)
     for row in table.rows:
         writer.writerow(["" if cell is None else cell for cell in row])
@@ -331,42 +280,19 @@ def merge_node_properties(
     """Attach node-table columns to matching nodes of an existing network.
 
     Rows are matched by name against each node's label (or its text id);
-    unmatched rows are ignored. Used to re-attach properties a format such
-    as Pajek NET cannot carry.
+    unmatched rows are ignored, and a missing cell leaves the node's value
+    as it was. Used to re-attach properties a format such as Pajek NET
+    cannot carry.
     """
-    cols = _typed_columns(node_table, {"name", "mode", "slab"}, decimal_separator)
-    names = cols[NODE_NAME_COLUMN]
-    by_name = {name: i for i, name in enumerate(names)}
-
+    rows = {}
+    for fields, props in _decode(node_table, _NODE_COLUMNS, "node", decimal_separator):
+        name = fields.pop("id")
+        rows[name] = ({k: v for k, v in fields.items() if v is not None}, props)
     nodes = []
     for n in network.nodes:
-        key = n.lab or (n.id if isinstance(n.id, str) else None)
-        i = by_name.get(key)
-        if i is None:
-            nodes.append(n)
-            continue
-        props = dict(n.props)
-        for col in node_table.header:
-            if col in _NODE_RESERVED:
-                continue
-            v = cols[col][i]
-            if v is not None:
-                props[col] = v
-        nodes.append(
-            replace(
-                n,
-                mode=cols["mode"][i] if "mode" in cols and cols["mode"][i] is not None else n.mode,
-                slab=cols["slab"][i] if "slab" in cols and cols["slab"][i] is not None else n.slab,
-                x=_coord(cols, "x", i) if _coord(cols, "x", i) is not None else n.x,
-                y=_coord(cols, "y", i) if _coord(cols, "y", i) is not None else n.y,
-                props=props,
-            )
-        )
-    return make_network(
-        nodes,
-        network.links,
-        info=network.info,
-        relations=network.relations,
-        node_coding=network.node_coding,
-        property_codings=network.property_codings,
-    )
+        row = rows.get(n.lab or (n.id if isinstance(n.id, str) else None))
+        if row is not None:
+            fields, props = row
+            n = replace(n, **fields, props={**n.props, **props})
+        nodes.append(n)
+    return replace(network, nodes=tuple(nodes))

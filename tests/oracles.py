@@ -7,6 +7,8 @@ cannot hide behind an identically-buggy expectation.
 
 from __future__ import annotations
 
+from netconv import ParseError
+
 
 def sorted_levels(values):
     """Distinct non-missing values in Unicode code point order."""
@@ -91,4 +93,40 @@ def tq_bounds_findings(triples, loc, window):
             if max(triples[i][0], triples[j][0]) < min(triples[i][1], triples[j][1]):
                 out.append(("tq-overlap", loc, f"intervals {i} and {j} overlap"))
                 return out
+    return out
+
+
+def pajek_tokens(line: str, lineno: int) -> list[str]:
+    """Pajek line tokens by a character scan: whitespace (``str.isspace``)
+    separates tokens; a token that opens with a quote runs to the next lone
+    quote, and a doubled quote inside it stands for one."""
+    out = []
+    i = 0
+    n = len(line)
+    while i < n:
+        if line[i].isspace():
+            i += 1
+            continue
+        if line[i] == '"':
+            i += 1
+            buf = []
+            while True:
+                if i >= n:
+                    raise ParseError("unterminated quoted token", line=lineno)
+                if line[i] == '"':
+                    if i + 1 < n and line[i + 1] == '"':
+                        buf.append('"')
+                        i += 2
+                        continue
+                    i += 1
+                    break
+                buf.append(line[i])
+                i += 1
+            out.append("".join(buf))
+        else:
+            j = i
+            while j < n and not line[j].isspace():
+                j += 1
+            out.append(line[i:j])
+            i = j
     return out

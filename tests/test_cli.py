@@ -131,6 +131,19 @@ class TestConvert:
             os.umask(previous)
         assert stat.S_IMODE(out.stat().st_mode) == mode
 
+    @pytest.mark.parametrize("mode", [0o600, 0o640], ids=["600", "640"])
+    def test_existing_output_keeps_its_mode(self, mode, bib_paths, tmp_path):
+        out = tmp_path / "bib.net"
+        out.write_text("old\n", encoding="utf-8")
+        out.chmod(mode)
+        previous = os.umask(0o022)
+        try:
+            convert_bib_to_net(bib_paths, tmp_path)
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+        assert out.read_text(encoding="utf-8").startswith("*vertices 16\n")
+
     def test_csv_pair_written_together_or_not_at_all(self, tmp_path, capsys):
         shutil.copy(DATA / "bib.golden.net", tmp_path / "bib.net")
         nodes = tmp_path / "n.csv"
@@ -596,6 +609,7 @@ EMPTY_LABEL = "error: line 2: empty vertex label\n"
 NO_RELATION = "error: link table contains a missing 'relation' value\n"
 MIXED_KINDS = "warning: [directed-kind-mismatch] $.links: directed network contains edges\n"
 LONG_SLAB = "error: [slab-longer-than-label] $.nodes[0].slab: short label longer than label\n"
+TEXT_X = "error: node row 1: x 'left' is not numeric\n"
 
 # (argv, exit status, standard error) for each subcommand and way of failing;
 # run in a directory holding the files written by `failure_files`.
@@ -662,6 +676,16 @@ CLI_FAILURES = {
         ("validate slab.csv --links loop.csv", 1, LONG_SLAB),
         ("convert --nodes slab.csv --links loop.csv -o o.net", 1, LONG_SLAB),
     ],
+    "text-in-number-column": [
+        ("convert --nodes textx.csv --links loop.csv -o o.net", 2, TEXT_X),
+        ("validate textx.csv --links loop.csv", 1, TEXT_X),
+        ("info textx.csv --links loop.csv", 2, TEXT_X),
+        ("partition -i bib.net --via-csv textx.csv --property mode", 2, TEXT_X),
+    ],
+    "same-output-file": [
+        ("convert -i bib.net --to csv --nodes t.csv --links ./t.csv", 2,
+         "error: csv output requires --nodes and --links to be different files\n"),
+    ],
     "bad-option": [
         ("validate n.csv --links l.csv --decimal=", 2, "error: --decimal must be one character, got ''\n"),
         ("convert --nodes n.csv --links l.csv -o o.net --decimal=,,", 2,
@@ -692,6 +716,7 @@ def failure_files(tmp_path, monkeypatch):
         ("edges.csv", 'from;relation;to;kind\n"Batagelj, Vladimir";r;"Mrvar, Andrej";edge\n'),
         ("slab.csv", "name;slab\na;abcd\n"),
         ("loop.csv", "from;relation;to\na;r;a\n"),
+        ("textx.csv", "name;x;y\na;left;1\nb;2;2\n"),
         ("x.txt", "hi\n"),
     ):
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -730,6 +755,7 @@ NET_CSV_INPUTS = {
     "slab.csv": ("validate slab.csv --links loop.csv", "convert --nodes slab.csv --links loop.csv", False),
     "bad.net": ("validate bad.net", "convert -i bad.net", True),
     "bad.csv": ("validate bad.csv --links l.csv", "convert --nodes bad.csv --links l.csv", True),
+    "textx.csv": ("validate textx.csv --links loop.csv", "convert --nodes textx.csv --links loop.csv", True),
 }
 
 

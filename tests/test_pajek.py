@@ -5,6 +5,7 @@ import random
 import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from conftest import normalize_layout
@@ -29,6 +30,7 @@ from netconv import (
     write_pajek_clu,
     write_pajek_net,
 )
+from netconv.pajek import _tokens
 from netgen import random_pajek_network
 
 # Frozen from the brute-force oracle over the bundled node table.
@@ -173,6 +175,35 @@ class TestReadNet:
             text = write_pajek_net(net, coordinates=with_coords)
             back = defactorize_network(read_pajek_net(io.StringIO(text)))
             assert back == canonical_order(net)
+
+
+# Pieces of NET lines: quotes, doubled quotes, letters, and ASCII and Unicode
+# whitespace (str.isspace counts \x1c, \x85 and \u3000 as whitespace).
+LINE_PIECES = ['"', '""', "a", "b", "Z", " ", "\t", "\x0b", "\x0c", "\r", "\n"]
+LINE_PIECES += ["\x1c", "\x85", "\u3000"]
+
+
+def tokens_or_error(tokenize, line):
+    try:
+        return tokenize(line, 7)
+    except ParseError as exc:
+        return str(exc)
+
+
+class TestTokens:
+    """The regex tokenizer splits every line as the character-scan oracle does."""
+
+    @given(st.lists(st.sampled_from(LINE_PIECES), max_size=30).map("".join))
+    @example('1 "a""b" c"d\u3000"" "x y"')
+    @example('"open ""quote')
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_character_scan(self, line):
+        assert tokens_or_error(_tokens, line) == tokens_or_error(oracles.pajek_tokens, line)
+
+    def test_doubled_quote_and_unterminated_token(self):
+        assert _tokens('1 "a""b" c"d ""', 1) == ["1", 'a"b', 'c"d', ""]
+        with pytest.raises(ParseError, match='^line 4: unterminated quoted token$'):
+            _tokens('1 "a" "b', 4)
 
 
 class TestUndecodableInput:

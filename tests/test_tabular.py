@@ -7,6 +7,7 @@ import random
 import pytest
 
 from netconv import (
+    ExportError,
     LinkKind,
     Network,
     NodeRecord,
@@ -16,6 +17,7 @@ from netconv import (
     Table,
     TableOptions,
     make_network,
+    merge_node_properties,
     network_stats,
     network_to_tables,
     read_link_table,
@@ -164,6 +166,14 @@ class TestNetworkToTables:
         assert nt.rows[0][nt.header.index("y")] is None
         assert lt.rows == ()
 
+    def test_structured_value_named_in_row_order(self):
+        net = make_network(
+            [NodeRecord(id="a", lab="a", props={"b": [1]}), NodeRecord(id="c", lab="c", props={"a": {}})],
+            [],
+        )
+        with pytest.raises(ExportError, match=r"^structured value \[1\] cannot"):
+            network_to_tables(net)
+
     def test_factorized_rejected(self, bib_canonical):
         from netconv import ExportError, factorize_network
 
@@ -232,3 +242,67 @@ class TestQuotingAndRoundTrips:
         net = tables_to_network(nodes, links, directed=True)
         assert net.links[0].kind is LinkKind.EDGE and net.links[0].weight == 2.5
         assert net.links[1].kind is LinkKind.ARC and net.links[1].weight == 1.0
+
+
+def table(text: str) -> Table:
+    return read_node_table(io.StringIO(text))
+
+
+class TestNumberColumns:
+    """x, y and weight always hold numbers; a text cell there is an error
+    naming the cell, where a property column would just stay text."""
+
+    def test_text_in_x(self):
+        nodes = table("name;x;y\na;left;1\nb;2;2\n")
+        with pytest.raises(ParseError) as excinfo:
+            tables_to_network(nodes, Table(("from", "relation", "to")))
+        assert str(excinfo.value) == "node row 1: x 'left' is not numeric"
+
+    def test_text_weight_names_its_row(self):
+        nodes = Table(("name",), (("a",), ("b",)))
+        links = Table(
+            ("from", "relation", "to", "weight"), (("a", "r", "b", "2"), ("b", "r", "a", "heavy"))
+        )
+        with pytest.raises(ParseError) as excinfo:
+            tables_to_network(nodes, links)
+        assert str(excinfo.value) == "link row 2: weight 'heavy' is not numeric"
+
+    def test_text_property_column_stays_text(self):
+        net = tables_to_network(table("name;size\na;1\nb;big\n"), Table(("from", "relation", "to")))
+        assert [n.props["size"] for n in net.nodes] == ["1", "big"]
+
+
+class TestMergeNodeProperties:
+    BASE = make_network(
+        [
+            NodeRecord(id="a", lab="a", mode="m0", x=1.0, props={"color": "red", "size": 3.0}),
+            NodeRecord(id="b", lab="b"),
+        ],
+        [],
+    )
+
+    def test_fields_and_properties_overlaid(self):
+        rows = table("name;mode;slab;x;y;color;year\na;person;A;2.5;3;blue;1999\n")
+        merged = merge_node_properties(self.BASE, rows)
+        a = merged.nodes[0]
+        assert (a.mode, a.slab, a.x, a.y) == ("person", "A", 2.5, 3.0)
+        assert a.props == {"color": "blue", "size": 3.0, "year": 1999.0}
+        assert merged.nodes[1] == self.BASE.nodes[1]
+
+    def test_unmatched_rows_ignored(self):
+        merged = merge_node_properties(self.BASE, table("name;mode;color\nzz;person;green\n"))
+        assert merged == self.BASE
+
+    def test_missing_cells_keep_existing_values(self):
+        rows = table("name;mode;slab;x;y;color\nb;;;;;\na;NA;;;;\n")
+        assert merge_node_properties(self.BASE, rows) == self.BASE
+
+    def test_decimal_separator(self):
+        rows = read_node_table(io.StringIO("name;x\nb;0,5\n"), TableOptions(decimal_separator=","))
+        merged = merge_node_properties(self.BASE, rows, decimal_separator=",")
+        assert merged.nodes[1].x == 0.5
+
+    def test_text_x_rejected(self):
+        with pytest.raises(ParseError, match="^node row 2: x 'left' is not numeric$"):
+            merge_node_properties(self.BASE, table("name;x\nb;1\na;left\n"))
+
