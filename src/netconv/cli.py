@@ -56,20 +56,22 @@ def _open_text(path: str, encoding: str = "utf-8"):
 def _write_outputs(*outputs: tuple[str, str], encoding: str = "utf-8") -> None:
     """Write each ``(path, text)``; the path ``-`` is standard output.
 
-    Files are staged as temporaries beside their targets, with the mode
-    ``open(path, "w")`` would give (an existing target keeps its own), and
-    renamed only once every one is staged; a failure removes the
+    As with ``open(path, "w")``, a symbolic link is written through and
+    an existing file keeps its mode; a new one gets the mode the umask
+    gives. Files are staged as temporaries beside the files they replace
+    and renamed only once every one is staged; a failure removes the
     temporaries and leaves the targets as they were.
     """
     mask = os.umask(0)
     os.umask(mask)
-    staged = []
+    staged = []  # (temporary, target) pairs
     try:
         for path, text in outputs:
             if path != "-":
-                mode = os.stat(path).st_mode & 0o777 if os.path.exists(path) else 0o666 & ~mask
-                fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".netconv-")
-                staged.append(tmp)
+                target = os.path.realpath(path)
+                mode = os.stat(target).st_mode & 0o777 if os.path.exists(target) else 0o666 & ~mask
+                fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".netconv-")
+                staged.append((tmp, target))
                 with os.fdopen(fd, "w", encoding=encoding, newline="") as handle:
                     os.fchmod(handle.fileno(), mode)
                     handle.write(text)
@@ -78,10 +80,10 @@ def _write_outputs(*outputs: tuple[str, str], encoding: str = "utf-8") -> None:
                 sys.stdout.write(text)
                 sys.stdout.flush()
             else:
-                os.replace(staged[0], path)
+                os.replace(*staged[0])
                 del staged[0]
     finally:
-        for tmp in staged:
+        for tmp, _ in staged:
             os.unlink(tmp)
 
 

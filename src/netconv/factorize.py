@@ -3,6 +3,8 @@
 Factorizing replaces node identifiers and relation names with their codes
 from coding tables; the tables stay on the network, so the transformation
 is always invertible (unlike formats that drop the tables as metadata).
+Both directions rewrite identifiers only through those tables, with
+:func:`~netconv.model.recode`.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import replace
 
 from .coding import CodingTable, LevelPolicy, build_coding_table
 from .errors import CodingError, StructuralError
-from .model import Network, network_stats
+from .model import Network, network_stats, recode
 
 
 def factorize_network(network: Network, base: int = 1) -> Network:
@@ -19,47 +21,28 @@ def factorize_network(network: Network, base: int = 1) -> Network:
 
     Node ids are coded in file order, relation names in sorted order, both
     with the given base; info.org is set to the base. The input must be in
-    labeled form.
+    labeled form, where node ids and relations are all text.
     """
     if base not in (0, 1):
         raise ValueError(f"base must be 0 or 1, got {base}")
     if network.is_factorized:
         raise StructuralError("network is already factorized")
 
-    ids = [str(n.id) for n in network.nodes]
+    ids = [n.id for n in network.nodes]
     node_coding = build_coding_table("node", ids, LevelPolicy.FILE_ORDER, base)
     if len(node_coding) != len(ids):
         raise StructuralError("duplicate node identifiers prevent factorization")
     # Keep declared-but-unused relation levels so inversion restores them.
-    rel_names = list(network.relations.levels) + [
-        l.rel for l in network.links if isinstance(l.rel, str)
-    ]
+    rel_names = [*network.relations.levels, *(l.rel for l in network.links)]
     relations = build_coding_table("relation", rel_names, LevelPolicy.SORTED, base)
-
-    nodes = tuple(replace(n, id=node_coding.code_of(str(n.id))) for n in network.nodes)
-    links = tuple(
-        replace(
-            l,
-            n1=node_coding.code_of(str(l.n1)),
-            n2=node_coding.code_of(str(l.n2)),
-            rel=relations.code_of(str(l.rel)),
-        )
-        for l in network.links
-    )
     # Property codings follow the network-wide base convention.
     property_codings = {
         name: CodingTable(table.name, table.levels, base)
         for name, table in network.property_codings.items()
     }
-    return replace(
-        network,
-        info=replace(network.info, org=base),
-        nodes=nodes,
-        links=links,
-        relations=relations,
-        node_coding=node_coding,
-        property_codings=property_codings,
-    )
+    info = replace(network.info, org=base)
+    return recode(network, node_coding.code_of, relations.code_of, info=info, relations=relations,
+                  node_coding=node_coding, property_codings=property_codings)
 
 
 def defactorize_network(network: Network) -> Network:
@@ -72,17 +55,6 @@ def defactorize_network(network: Network) -> Network:
         return network
     if len(network.node_coding) == 0:
         raise CodingError("cannot invert: network carries no node coding table")
-
-    nodes = tuple(replace(n, id=network.node_coding.value_of(n.id)) for n in network.nodes)
-    links = tuple(
-        replace(
-            l,
-            n1=network.node_coding.value_of(l.n1),
-            n2=network.node_coding.value_of(l.n2),
-            rel=network.relations.value_of(l.rel) if isinstance(l.rel, int) else l.rel,
-        )
-        for l in network.links
-    )
-    net = replace(network, nodes=nodes, links=links)
+    net = recode(network, network.node_coding.value_of, network.relations.value_of)
     network_stats(net)  # revalidates endpoint resolution
     return net

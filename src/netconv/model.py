@@ -17,7 +17,7 @@ import bisect
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, NamedTuple, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .coding import CodingTable, LevelPolicy, build_coding_table
 from .errors import StructuralError
@@ -224,14 +224,14 @@ def make_network(
 ) -> Network:
     """Assemble a network and derive the coding tables it was not given.
 
-    When ``info`` is given it is kept as it is; otherwise the
-    simple/multirel/mode flags are computed from content. Missing coding
-    tables are derived at the base ``org`` (1 when that is neither 0 nor
-    1): relations sorted from the link relation names, or, when every
-    link relation is an integer code, every code from the smallest to the
-    largest as its own name, based at the smallest; node coding in file
-    order from the node identifiers (empty in factorized form). A missing
-    relation, or names mixed with codes, raises :class:`StructuralError`.
+    A network holds one identifier form: each link relation is text when
+    the node ids are (labeled) and an ``int``, not a ``bool``, when they are
+    codes (factorized); any other relation raises :class:`StructuralError`.
+    A given ``info`` is kept as it is; otherwise the simple/multirel/mode
+    flags are computed from content. Missing coding tables are derived at
+    the base ``org`` (1 unless 0 or 1): labeled, relations sorted and node
+    ids in file order; factorized, every relation code from the smallest
+    to the largest as its own name, based at the smallest, and no node ids.
     """
     nodes = tuple(nodes)
     links = tuple(links)
@@ -240,20 +240,20 @@ def make_network(
         dupes = sorted({str(i) for i, count in Counter(ids).items() if count > 1})
         raise StructuralError(f"duplicate node identifier(s): {', '.join(dupes)}")
 
+    factorized = bool(nodes) and isinstance(ids[0], int)
+    rels = [link.rel for link in links]
+    if not set(map(type, rels)) <= {int if factorized else str}:
+        raise StructuralError("link relations must be all names or all integer codes,"
+                              " matching the node identifiers")
     base = info.org if info is not None else org
     base = base if base in (0, 1) else 1
-    if relations is None:
-        rels = [link.rel for link in links]
-        if rels and all(type(r) is int for r in rels):
-            lo, hi = min(rels), max(rels)
-            relations = CodingTable("relation", tuple(str(c) for c in range(lo, hi + 1)), lo)
-        elif all(isinstance(r, str) for r in rels):
-            relations = build_coding_table("relation", rels, LevelPolicy.SORTED, base)
-        else:
-            raise StructuralError("link relations must be all names or all integer codes")
+    if relations is None and factorized and rels:
+        lo, hi = min(rels), max(rels)
+        relations = CodingTable("relation", tuple(str(c) for c in range(lo, hi + 1)), lo)
+    elif relations is None:
+        relations = build_coding_table("relation", rels, LevelPolicy.SORTED, base)
     if node_coding is None:
-        labeled = not (nodes and isinstance(nodes[0].id, int))
-        names = [str(i) for i in ids] if labeled else []
+        names = [] if factorized else [str(i) for i in ids]
         node_coding = build_coding_table("node", names, LevelPolicy.FILE_ORDER, base)
 
     net = Network(
@@ -272,6 +272,17 @@ def make_network(
     return net
 
 
+def recode(network: Network, node: Callable, rel: Callable, **changes) -> Network:
+    """Rebuild every record of ``network`` with each node id and link
+    endpoint mapped through ``node`` and each link relation through
+    ``rel``; ``changes`` replace other :class:`Network` fields."""
+    nodes = tuple(NodeRecord(node(n.id), n.lab, n.slab, n.x, n.y, n.mode, n.tq, n.props)
+                  for n in network.nodes)
+    links = tuple(LinkRecord(l.kind, node(l.n1), node(l.n2), rel(l.rel), l.weight, l.label, l.tq,
+                             l.props) for l in network.links)
+    return replace(network, nodes=nodes, links=links, **changes)
+
+
 def canonical_order(network: Network) -> Network:
     """Normalize a network for deterministic emission.
 
@@ -280,11 +291,8 @@ def canonical_order(network: Network) -> Network:
     Idempotent.
     """
     old = network.relations
-    new_rel = CodingTable(old.name, tuple(sorted(old.levels)), old.base)
-    links = network.links
-    if new_rel.levels != old.levels and any(isinstance(l.rel, int) for l in links):
-        links = tuple(
-            replace(l, rel=new_rel.code_of(old.value_of(l.rel))) if isinstance(l.rel, int) else l
-            for l in links
-        )
-    return replace(network, relations=new_rel, links=links)
+    new = CodingTable(old.name, tuple(sorted(old.levels)), old.base)
+    if new.levels == old.levels or not network.is_factorized:
+        return replace(network, relations=new)
+    return recode(network, lambda code: code, lambda code: new.code_of(old.value_of(code)),
+                  relations=new)

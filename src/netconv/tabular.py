@@ -44,13 +44,13 @@ _NODE_COLUMNS = {"name": ("id", False), "mode": ("mode", False), "slab": ("slab"
                  "x": ("x", True), "y": ("y", True)}
 _LINK_COLUMNS = {"from": ("n1", False), "relation": ("rel", False), "to": ("n2", False),
                  "kind": ("kind", False), "weight": ("weight", True), "label": ("label", False)}
+_NA_STRINGS = frozenset({"", "NA", "NaN"})  # cells read as missing
 
 
 @dataclass(frozen=True)
 class TableOptions:
     delimiter: str = ";"
     decimal_separator: str = "."
-    na_strings: frozenset[str] = frozenset({"", "NA", "NaN"})
 
     def __post_init__(self):
         if len(self.delimiter) != 1 or self.delimiter == '"':
@@ -84,7 +84,7 @@ def _read_table(source: IO[str], opts: TableOptions) -> Table:
                 raise ParseError(
                     f"expected {len(header)} cells, found {len(row)}", line=reader.line_num
                 )
-            rows.append(tuple(None if cell in opts.na_strings else cell for cell in row))
+            rows.append(tuple(None if cell in _NA_STRINGS else cell for cell in row))
     except UnicodeDecodeError as exc:
         raise ParseError.undecodable(exc, reader.line_num) from None
     except csv.Error as exc:  # a field over csv.field_size_limit; a NUL byte before 3.11

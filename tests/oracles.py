@@ -7,7 +7,17 @@ cannot hide behind an identically-buggy expectation.
 
 from __future__ import annotations
 
-from netconv import ParseError
+from dataclasses import replace
+
+from netconv import (
+    CodingError,
+    CodingTable,
+    LevelPolicy,
+    ParseError,
+    StructuralError,
+    build_coding_table,
+    network_stats,
+)
 
 
 def sorted_levels(values):
@@ -130,3 +140,81 @@ def pajek_tokens(line: str, lineno: int) -> list[str]:
             out.append(line[i:j])
             i = j
     return out
+
+
+# The identifier rewrites as written before they shared one positional
+# record rebuild: every record is copied with ``dataclasses.replace``, so a
+# field the rebuild drops or swaps shows up as a difference.
+
+
+def factorize_network(network, base=1):
+    """Labeled network -> integer-coded network, record by record."""
+    if base not in (0, 1):
+        raise ValueError(f"base must be 0 or 1, got {base}")
+    if network.is_factorized:
+        raise StructuralError("network is already factorized")
+    ids = [str(n.id) for n in network.nodes]
+    node_coding = build_coding_table("node", ids, LevelPolicy.FILE_ORDER, base)
+    if len(node_coding) != len(ids):
+        raise StructuralError("duplicate node identifiers prevent factorization")
+    rel_names = list(network.relations.levels) + [
+        l.rel for l in network.links if isinstance(l.rel, str)
+    ]
+    relations = build_coding_table("relation", rel_names, LevelPolicy.SORTED, base)
+    nodes = tuple(replace(n, id=node_coding.code_of(str(n.id))) for n in network.nodes)
+    links = tuple(
+        replace(
+            l,
+            n1=node_coding.code_of(str(l.n1)),
+            n2=node_coding.code_of(str(l.n2)),
+            rel=relations.code_of(str(l.rel)),
+        )
+        for l in network.links
+    )
+    property_codings = {
+        name: CodingTable(table.name, table.levels, base)
+        for name, table in network.property_codings.items()
+    }
+    return replace(
+        network,
+        info=replace(network.info, org=base),
+        nodes=nodes,
+        links=links,
+        relations=relations,
+        node_coding=node_coding,
+        property_codings=property_codings,
+    )
+
+
+def defactorize_network(network):
+    """Integer-coded network -> labeled network, record by record."""
+    if not network.is_factorized:
+        return network
+    if len(network.node_coding) == 0:
+        raise CodingError("cannot invert: network carries no node coding table")
+    nodes = tuple(replace(n, id=network.node_coding.value_of(n.id)) for n in network.nodes)
+    links = tuple(
+        replace(
+            l,
+            n1=network.node_coding.value_of(l.n1),
+            n2=network.node_coding.value_of(l.n2),
+            rel=network.relations.value_of(l.rel) if isinstance(l.rel, int) else l.rel,
+        )
+        for l in network.links
+    )
+    net = replace(network, nodes=nodes, links=links)
+    network_stats(net)
+    return net
+
+
+def canonical_order(network):
+    """Relation levels sorted; coded links remapped to the new codes."""
+    old = network.relations
+    new_rel = CodingTable(old.name, tuple(sorted(old.levels)), old.base)
+    links = network.links
+    if new_rel.levels != old.levels and any(isinstance(l.rel, int) for l in links):
+        links = tuple(
+            replace(l, rel=new_rel.code_of(old.value_of(l.rel))) if isinstance(l.rel, int) else l
+            for l in links
+        )
+    return replace(network, relations=new_rel, links=links)

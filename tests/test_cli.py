@@ -144,6 +144,21 @@ class TestConvert:
         assert stat.S_IMODE(out.stat().st_mode) == mode
         assert out.read_text(encoding="utf-8").startswith("*vertices 16\n")
 
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "dangling"])
+    def test_output_written_through_symbolic_link(self, existing, bib_paths, tmp_path):
+        target = tmp_path / "real" / "target.net"
+        target.parent.mkdir()
+        if existing:
+            target.write_text("old\n", encoding="utf-8")
+            target.chmod(0o600)
+        (tmp_path / "bib.net").symlink_to(target)
+        out = convert_bib_to_net(bib_paths, tmp_path)
+        assert out.is_symlink() and os.readlink(out) == str(target)
+        assert target.read_text(encoding="utf-8").startswith("*vertices 16\n")
+        assert [p.name for p in target.parent.iterdir()] == ["target.net"]  # no temporaries
+        if existing:
+            assert stat.S_IMODE(target.stat().st_mode) == 0o600
+
     def test_csv_pair_written_together_or_not_at_all(self, tmp_path, capsys):
         shutil.copy(DATA / "bib.golden.net", tmp_path / "bib.net")
         nodes = tmp_path / "n.csv"

@@ -1,20 +1,30 @@
 from __future__ import annotations
 
+import io
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from netconv import (
     CodingError,
-    LinkKind,
+    CodingTable,
     Network,
     NodeRecord,
     StructuralError,
+    build_coding_table,
+    canonical_order,
     defactorize_network,
     factorize_network,
-    make_network,
+    read_pajek_net,
+    write_pajek_net,
 )
-from netgen import random_labeled_network
+from netgen import random_labeled_network, random_pajek_network
+
+SEEDS = st.integers(0, 2**32 - 1)
+UNUSED_RELATIONS = st.sets(st.text(min_size=1, max_size=3), max_size=3)
 
 
 class TestFactorize:
@@ -86,3 +96,34 @@ class TestDefactorize:
             assert back.info.org == 0
             assert [n.id for n in back.nodes] == [n.id for n in net.nodes]
             assert back.links == net.links
+
+
+class TestMatchesRecordCopies:
+    """The transforms give the networks that copying each record with
+    ``dataclasses.replace`` gives (``oracles``), field for field, so a field
+    dropped or swapped in the shared rebuild shows even where it would be
+    swapped back on the way home."""
+
+    @given(seed=SEEDS, unused=UNUSED_RELATIONS, base=st.sampled_from((0, 1)))
+    @settings(max_examples=100, deadline=None)
+    def test_labeled_networks(self, seed, unused, base):
+        net = random_labeled_network(random.Random(seed), max_nodes=30, max_links=40)
+        declared = [*net.relations.levels, *unused]  # levels no link uses
+        net = replace(net, relations=build_coding_table("relation", declared, base=net.info.org))
+        coded = factorize_network(net, base)
+        assert coded == oracles.factorize_network(net, base)
+        assert defactorize_network(coded) == oracles.defactorize_network(coded)
+        assert canonical_order(coded) == oracles.canonical_order(coded)
+        assert canonical_order(net) == oracles.canonical_order(net)
+
+    @given(seed=SEEDS, unused=UNUSED_RELATIONS)
+    @settings(max_examples=100, deadline=None)
+    def test_coded_net_networks_with_unsorted_relations(self, seed, unused):
+        rng = random.Random(seed)
+        text = write_pajek_net(random_pajek_network(rng, 30, 40)[0], coordinates=True)
+        coded = read_pajek_net(io.StringIO(text))
+        levels = list(dict.fromkeys([*coded.relations.levels, *sorted(unused)]))
+        rng.shuffle(levels)
+        coded = replace(coded, relations=CodingTable("relation", tuple(levels), coded.relations.base))
+        assert canonical_order(coded) == oracles.canonical_order(coded)
+        assert defactorize_network(coded) == oracles.defactorize_network(coded)

@@ -174,7 +174,6 @@ class TestMakeNetwork:
         "ids, rels, levels, base",
         [
             (["a", "b"], ["s", "r"], ("r", "s"), 1),  # names: sorted
-            ([1, 2], ["s", "r"], ("r", "s"), 1),  # names on coded nodes: still sorted
             ([1, 2], [4, 2], ("2", "3", "4"), 2),  # codes: each code names itself
             ([1, 2], [], (), 1),
         ],
@@ -189,6 +188,17 @@ class TestMakeNetwork:
     def test_missing_or_mixed_relation_rejected(self, rels):
         nodes = [NodeRecord(id="a", lab="a"), NodeRecord(id="b", lab="b")]
         links = [LinkRecord(LinkKind.ARC, "a", "b", r) for r in rels]
+        with pytest.raises(StructuralError, match="all names or all integer codes"):
+            make_network(nodes, links)
+
+    @pytest.mark.parametrize(
+        "ids, rels",
+        [([1, 2], ["s", "r"]), (["a", "b"], [2]), ([1, 2], [2, True])],
+        ids=["names-on-codes", "code-on-names", "bool-on-codes"],
+    )
+    def test_relation_of_other_identifier_form_rejected(self, ids, rels):
+        nodes = [NodeRecord(id=i, lab=str(i)) for i in ids]
+        links = [LinkRecord(LinkKind.ARC, ids[0], ids[1], r) for r in rels]
         with pytest.raises(StructuralError, match="all names or all integer codes"):
             make_network(nodes, links)
 

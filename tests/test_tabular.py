@@ -233,6 +233,12 @@ class TestQuotingAndRoundTrips:
             TableOptions(decimal_separator=decimal)
         assert str(excinfo.value) == f"decimal must be one character, got {decimal!r}"
 
+    def test_na_strings_are_not_an_option(self):
+        with pytest.raises(TypeError):
+            TableOptions(na_strings=frozenset())
+        table = read_node_table(io.StringIO("name;note\na;NA\nb;NaN\nc;\nd;na\n"))
+        assert table.column("note") == [None, None, None, "na"]
+
     def test_weight_and_kind_columns(self):
         nodes = Table(("name",), (("a",), ("b",)))
         links = Table(
