@@ -5,10 +5,11 @@ cannot parse; for ``partition``, a property it cannot code), 2 usage or I/O
 failures. ``validate`` and ``convert`` check their input once and print the
 same report: for NetsJSON the walk's
 (:func:`~netconv.netsjson.validate_netsjson_document`), for NET and CSV
-:func:`~netconv.validation.check_all` on the network read. ``convert``
-prints it before any transform and runs no check after one. Findings go to
-standard error; ``-`` means standard input/output. Output files are written
-via temporary files, renamed once all of them are written, so a failed run
+:func:`~netconv.validation.check_all`'s, from the two of its rules a
+network those readers build can break. ``convert`` prints it before any
+transform and runs no check after one. Findings go to standard error;
+``-`` means standard input/output. Output files are written via
+temporary files, renamed once all of them are written, so a failed run
 leaves no partial output behind (csv output writes its two tables as a
 pair).
 
@@ -31,7 +32,7 @@ from . import netsjson, pajek, tabular
 from .errors import CodingError, NetconvError
 from .factorize import defactorize_network, factorize_network
 from .model import Network, canonical_order, network_stats
-from .validation import Level, ValidationReport, check_all, parse_iso_date
+from .validation import Checker, Level, ValidationReport, parse_iso_date
 
 FORMATS = ("csv", "net", "netsjson")
 _EXTENSIONS = {".csv": "csv", ".net": "net", ".json": "netsjson"}
@@ -168,18 +169,34 @@ def _write_network(args, network: Network) -> None:
 
 
 def _read_checked(args, build: bool = True) -> tuple[ValidationReport, Network | None]:
-    """Read the input and check it once, with the checker for its format:
-    the NetsJSON walk, or :func:`check_all` on the NET or CSV network read.
+    """Read the input and check it once, with the checker for its format.
+
+    NetsJSON input gets the walk's report. A NET or CSV network gets the
+    report :func:`~netconv.validation.check_all` gives, from the only two
+    of its rules that can fire there, run through the same
+    :class:`Checker` steps: ``slab-longer-than-label`` (a CSV ``slab``
+    column; ``node``) and ``directed-kind-mismatch`` (a CSV ``kind``
+    column, ``--undirected``, or a NET file with arcs and edges;
+    ``links_end``). The others cannot: ``make_network`` derives the
+    simple, multirel and mode flags and rejects duplicate ids and
+    unresolved endpoints, ids are non-empty, and neither format carries
+    a time window, tq, event or structured value.
 
     Returns the report and the network read. For NetsJSON input the
     network is None when a finding is parse-fatal or ``build`` is false.
     """
     level = Level(args.level)
-    if args.from_format != "netsjson":
-        network = _read_network(args)
-        return check_all(network, level), network
-    with _open_text(args.input) as stream:
-        return netsjson.check_netsjson(stream, level is Level.STRICT, build)
+    if args.from_format == "netsjson":
+        with _open_text(args.input) as stream:
+            return netsjson.check_netsjson(stream, level is Level.STRICT, build)
+    network = _read_network(args)
+    check = Checker(level)
+    check.flags = network.info
+    for i, node in enumerate(network.nodes):
+        check.node(node, f"$.nodes[{i}]")
+    check.link_kinds = {link.kind for link in network.links}
+    check.links_end()
+    return ValidationReport(tuple(check.out), level), network
 
 
 def cmd_convert(args) -> int:
@@ -243,6 +260,13 @@ def cmd_partition(args) -> int:
     return EXIT_OK
 
 
+def _add_directed_flags(parser) -> None:
+    """The kind of the links of a csv table without a ``kind`` cell."""
+    directed = parser.add_mutually_exclusive_group()
+    directed.add_argument("--directed", dest="directed", action="store_true", default=True)
+    directed.add_argument("--undirected", dest="directed", action="store_false")
+
+
 def _add_table_flags(parser) -> None:
     parser.add_argument("--delimiter", default=";", help="table delimiter (default ';')")
     parser.add_argument("--decimal", default=".", help="decimal separator (default '.')")
@@ -267,9 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--factorize", action="store_true", help="code identifiers as integers")
     group.add_argument("--defactorize", action="store_true", help="restore text identifiers")
     convert.add_argument("--base", type=int, choices=(0, 1), default=1, help="smallest index")
-    directed = convert.add_mutually_exclusive_group()
-    directed.add_argument("--directed", dest="directed", action="store_true", default=True)
-    directed.add_argument("--undirected", dest="directed", action="store_false")
+    _add_directed_flags(convert)
     convert.add_argument("--coords", action="store_true", help="emit coordinates in NET output")
     convert.add_argument("--pretty", action="store_true", help="indent NetsJSON output")
     convert.add_argument("--level", choices=("lenient", "strict"), default="lenient")
@@ -284,9 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--links", help="csv link table path (csv format)")
     validate.add_argument("--level", choices=("lenient", "strict"), default="lenient")
     validate.add_argument("--report", choices=("text", "json"), default="text")
+    _add_directed_flags(validate)
     _add_table_flags(validate)
     # An input validate cannot parse is rejected (exit 1), like one with error findings.
-    validate.set_defaults(func=cmd_validate, rejects=NetconvError, directed=True, base=1)
+    validate.set_defaults(func=cmd_validate, rejects=NetconvError, base=1)
 
     info = sub.add_parser("info", help="print counts, title, dates, and the event log")
     info.add_argument("input", metavar="path", help="network file ('-' for stdin)")

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from .coding import CodingTable, LevelPolicy, build_coding_table
 from .errors import CodingError, StructuralError
-from .model import Network, network_stats, recode
+from .model import Network, recode
 
 
 def factorize_network(network: Network, base: int = 1) -> Network:
@@ -55,6 +55,4 @@ def defactorize_network(network: Network) -> Network:
         return network
     if len(network.node_coding) == 0:
         raise CodingError("cannot invert: network carries no node coding table")
-    net = recode(network, network.node_coding.value_of, network.relations.value_of)
-    network_stats(net)  # revalidates endpoint resolution
-    return net
+    return recode(network, network.node_coding.value_of, network.relations.value_of)

@@ -224,9 +224,10 @@ def make_network(
 ) -> Network:
     """Assemble a network and derive the coding tables it was not given.
 
-    A network holds one identifier form: each link relation is text when
-    the node ids are (labeled) and an ``int``, not a ``bool``, when they are
-    codes (factorized); any other relation raises :class:`StructuralError`.
+    A network holds one identifier form: every node id and link relation
+    is text when the first node id is (labeled), and an ``int``, not a
+    ``bool``, when it is a code (factorized); any other id or relation
+    raises :class:`StructuralError`.
     A given ``info`` is kept as it is; otherwise the simple/multirel/mode
     flags are computed from content. Missing coding tables are derived at
     the base ``org`` (1 unless 0 or 1): labeled, relations sorted and node
@@ -241,8 +242,11 @@ def make_network(
         raise StructuralError(f"duplicate node identifier(s): {', '.join(dupes)}")
 
     factorized = bool(nodes) and isinstance(ids[0], int)
+    form = int if factorized else str
+    if not set(map(type, ids)) <= {form}:
+        raise StructuralError("node identifiers must be all names or all integer codes")
     rels = [link.rel for link in links]
-    if not set(map(type, rels)) <= {int if factorized else str}:
+    if not set(map(type, rels)) <= {form}:
         raise StructuralError("link relations must be all names or all integer codes,"
                               " matching the node identifiers")
     base = info.org if info is not None else org

@@ -21,7 +21,6 @@ from typing import IO
 
 from .coding import CodingTable, LevelPolicy, build_coding_table, encode
 from .errors import CodingError, ExportError, ParseError
-from .factorize import factorize_network
 from .model import LinkKind, LinkRecord, Network, NodeRecord, make_network
 
 
@@ -63,52 +62,63 @@ def _format_weight(w: float) -> str:
 def write_pajek_net(network: Network, base: int = 1, *, coordinates: bool = False) -> str:
     """Serialize a network as Pajek NET text (LF line endings).
 
-    Pajek numbering is 1-based; labeled networks are factorized on the fly
-    and base-0 networks are shifted up by one. Coordinates are emitted only
-    when requested and both x and y are present.
+    Pajek numbering is 1-based. A factorized network's codes are written
+    shifted up by one when it is based at 0. A labeled network is numbered
+    as :func:`~netconv.factorize.factorize_network` would code it at base
+    1, without building the coded copy: each node by its position in node
+    order, each relation by its place in the sorted table of the declared
+    levels and the relations in use. A node without a label is labeled by
+    its identifier. Coordinates are emitted only when requested and both
+    x and y are present.
     """
     if base != 1:
         raise ExportError("Pajek NET files are 1-based; base must be 1")
-    net = network if network.is_factorized else factorize_network(network, 1)
-    shift = 1 - net.info.org
-    n = len(net.nodes)
-    numbers = {node.id + shift for node in net.nodes}
-    if net.nodes and numbers != set(range(1, n + 1)):
-        raise ExportError("node codes do not form a contiguous 1-based range")
+    nodes = network.nodes
+    if network.is_factorized:
+        shift = 1 - network.info.org
+        number = {node.id: node.id + shift for node in nodes}
+        if set(number.values()) != set(range(1, len(nodes) + 1)):
+            raise ExportError("node codes do not form a contiguous 1-based range")
+        relations, codes = network.relations, network.node_coding
+        default_label = lambda i: codes.value_of(i) if codes.in_range(i) else str(i + shift)
+        rel_code, rel_name = (lambda rel: rel + shift), relations.value_of
+    else:
+        number = {node.id: i for i, node in enumerate(nodes, start=1)}
+        # Keep declared-but-unused relation levels, as factorize_network does.
+        rel_names = [*network.relations.levels, *(l.rel for l in network.links)]
+        relations = build_coding_table("relation", rel_names, LevelPolicy.SORTED, 1)
+        default_label, rel_code, rel_name = str, relations.code_of, str
 
-    lines = [f"*vertices {n}"]
-    for node in net.nodes:
-        lab = node.lab
-        if not lab:
-            try:
-                lab = net.node_coding.value_of(node.id)
-            except CodingError:
-                lab = str(node.id + shift)
-        line = f"{node.id + shift} {_quote(lab)}"
+    lines = [f"*vertices {len(nodes)}"]
+    for node in nodes:
+        line = f"{number[node.id]} {_quote(node.lab or default_label(node.id))}"
         if coordinates and node.x is not None and node.y is not None:
             line += f" {node.x} {node.y}"
         lines.append(line)
 
-    for i, name in enumerate(net.relations.levels):
+    for i, name in enumerate(relations.levels):
         lines.append(f"*arcs :{i + 1} {_quote(name)}")
 
-    arcs = [l for l in net.links if l.kind is LinkKind.ARC]
-    edges = [l for l in net.links if l.kind is LinkKind.EDGE]
+    # Each relation's "code:" prefix and quoted name, made once per relation.
+    tags = {rel: (f"{rel_code(rel)}:", _quote(rel_name(rel)))
+            for rel in dict.fromkeys(l.rel for l in network.links)}
 
     def link_line(link: LinkRecord) -> str:
-        rel = link.rel + shift
-        name = net.relations.value_of(link.rel)
-        return (
-            f"{rel}: {link.n1 + shift} {link.n2 + shift}"
-            f" {_format_weight(link.weight)} l {_quote(name)}"
-        )
+        code, name = tags[link.rel]
+        try:
+            ends = f"{number[link.n1]} {number[link.n2]}"
+        except KeyError as exc:
+            raise ExportError(f"link endpoint {exc.args[0]!r} names no node") from None
+        return f"{code} {ends} {_format_weight(link.weight)} l {name}"
 
+    arcs = [l for l in network.links if l.kind is LinkKind.ARC]
+    edges = [l for l in network.links if l.kind is LinkKind.EDGE]
     if arcs or not edges:
         lines.append("*arcs")
-        lines.extend(link_line(l) for l in arcs)
+        lines.extend(map(link_line, arcs))
     if edges:
         lines.append("*edges")
-        lines.extend(link_line(l) for l in edges)
+        lines.extend(map(link_line, edges))
     return "\n".join(lines) + "\n"
 
 

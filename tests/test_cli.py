@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import contextlib
 import copy
+import csv
 import gc
 import io
 import json
@@ -9,6 +11,7 @@ import random
 import shutil
 import stat
 import sys
+import tempfile
 from dataclasses import replace
 
 import pytest
@@ -19,14 +22,20 @@ from corpus import CORPUS, corpus_path
 from netconv import (
     Level,
     NetconvError,
+    TableOptions,
     canonical_order,
     check_all,
     defactorize_network,
     factorize_network,
+    network_to_tables,
     parse_netsjson,
+    read_link_table,
+    read_node_table,
     read_pajek_net,
+    tables_to_network,
     validate_netsjson_document,
     write_pajek_net,
+    write_table,
 )
 from netconv.cli import main
 from netconv.netsjson import PARSE_FATAL
@@ -623,6 +632,7 @@ BAD_CSV = "error: line 2: expected 2 cells, found 1\n"
 EMPTY_LABEL = "error: line 2: empty vertex label\n"
 NO_RELATION = "error: link table contains a missing 'relation' value\n"
 MIXED_KINDS = "warning: [directed-kind-mismatch] $.links: directed network contains edges\n"
+UNDIRECTED_ARCS = "warning: [directed-kind-mismatch] $.links: undirected network contains arcs\n"
 LONG_SLAB = "error: [slab-longer-than-label] $.nodes[0].slab: short label longer than label\n"
 TEXT_X = "error: node row 1: x 'left' is not numeric\n"
 
@@ -690,6 +700,19 @@ CLI_FAILURES = {
         ("convert -i mixed.net -o o.json", 0, MIXED_KINDS),
         ("validate slab.csv --links loop.csv", 1, LONG_SLAB),
         ("convert --nodes slab.csv --links loop.csv -o o.net", 1, LONG_SLAB),
+        ("validate --format csv slab.csv --links kinds.csv --directed", 1, LONG_SLAB + MIXED_KINDS),
+        ("convert --from csv --to net --nodes slab.csv --links kinds.csv", 1,
+         LONG_SLAB + MIXED_KINDS),
+        ("validate --format csv slab.csv --links kinds.csv --undirected", 1,
+         LONG_SLAB + UNDIRECTED_ARCS),
+        ("convert --nodes slab.csv --links kinds.csv --undirected -o o.net", 1,
+         LONG_SLAB + UNDIRECTED_ARCS),
+        ("validate n.csv --links edges.csv --undirected", 0, ""),
+        ("convert --nodes n.csv --links l.csv --undirected -o o.net", 0, ""),
+        ("validate n.csv --links l.csv --undirected --level strict", 0, ""),
+        # a NET file's sections, not the flag, say which links are arcs
+        ("validate --format net mixed.net --undirected", 0, MIXED_KINDS),
+        ("convert -i mixed.net --undirected -o o.json", 0, MIXED_KINDS),
     ],
     "text-in-number-column": [
         ("convert --nodes textx.csv --links loop.csv -o o.net", 2, TEXT_X),
@@ -731,6 +754,7 @@ def failure_files(tmp_path, monkeypatch):
         ("edges.csv", 'from;relation;to;kind\n"Batagelj, Vladimir";r;"Mrvar, Andrej";edge\n'),
         ("slab.csv", "name;slab\na;abcd\n"),
         ("loop.csv", "from;relation;to\na;r;a\n"),
+        ("kinds.csv", "from;relation;to;kind\na;r;a;arc\na;s;a;edge\na;r;a;NA\n"),
         ("textx.csv", "name;x;y\na;left;1\nb;2;2\n"),
         ("x.txt", "hi\n"),
     ):
@@ -768,9 +792,18 @@ NET_CSV_INPUTS = {
     "mixed.net": ("validate mixed.net", "convert -i mixed.net", False),
     "edges.csv": ("validate n.csv --links edges.csv", "convert --nodes n.csv --links edges.csv", False),
     "slab.csv": ("validate slab.csv --links loop.csv", "convert --nodes slab.csv --links loop.csv", False),
+    "kinds.csv": ("validate --format csv slab.csv --links kinds.csv",
+                  "convert --from csv --nodes slab.csv --links kinds.csv", False),
+    "bib.net --format": ("validate --format net bib.net", "convert --from net -i bib.net", False),
     "bad.net": ("validate bad.net", "convert -i bad.net", True),
     "bad.csv": ("validate bad.csv --links l.csv", "convert --nodes bad.csv --links l.csv", True),
     "textx.csv": ("validate textx.csv --links loop.csv", "convert --nodes textx.csv --links loop.csv", True),
+}
+# The readable ones again with --undirected: csv rows without a kind cell become edges.
+NET_CSV_INPUTS |= {
+    f"{name} --undirected": (f"{validate} --undirected", f"{convert} --undirected", False)
+    for name, (validate, convert, unreadable) in NET_CSV_INPUTS.items()
+    if not unreadable and not name.endswith("--format")
 }
 
 
@@ -802,6 +835,148 @@ class TestConvertPrintsValidateReport:
         assert capsys.readouterr().err == expected
         assert convert_status == (2 if unreadable else validate_status)
         assert (failure_files / "o.json").exists() == (convert_status == 0)
+
+
+# Lines and cells the mutations below insert into NET files and tables.
+NET_LINES = ["*edges", "*arcs", "*Edges", "1 2", "2 1 3", "1: 1 1", '2: 2 1 0.5 l "x"',
+             '*arcs :2 "x"', "% note", "", '1 "dup"', '2 "dup"', "*vertices 3", "3 1"]
+CSV_CELLS = ["arc", "edge", "", "NA", "a", "abcdefgh", "x", "2.5", "r"]
+NODE_COLUMNS = {"slab": ["a", "NA", "a slab longer than any name in the seeds"],
+                "mode": ["m", ""], "x": ["1", "NA"], "p": CSV_CELLS}
+LINK_COLUMNS = {"kind": ["arc", "edge", "NA"], "weight": ["2.5", ""], "label": ["l", ""],
+                "p": CSV_CELLS}
+
+
+def table_rows(text: str) -> list[list[str]]:
+    return [list(row) for row in csv.reader(io.StringIO(text, newline=""), delimiter=";")]
+
+
+def table_text(rows: list[list[str]]) -> str:
+    sink = io.StringIO()
+    csv.writer(sink, delimiter=";", lineterminator="\n").writerows(rows)
+    return sink.getvalue()
+
+
+def net_seeds() -> list[str]:
+    texts = [(DATA / "bib.golden.net").read_text(encoding="utf-8"),
+             "*vertices 2\n*arcs\n1 2\n*edges\n2 1\n"]
+    rng = random.Random(7)
+    return texts + [write_pajek_net(random_pajek_network(rng, 8, 12)[0]) for _ in range(4)]
+
+
+def csv_seeds() -> list[tuple[str, str]]:
+    pairs = [((DATA / "bibNodes.csv").read_text(encoding="utf-8"),
+              (DATA / "bibLinks.csv").read_text(encoding="utf-8")),
+             ("name;slab\na;abcd\n", "from;relation;to;kind\na;r;a;arc\na;s;a;edge\n")]
+    rng = random.Random(7)
+    for _ in range(4):
+        texts = []
+        for table in network_to_tables(random_csv_network(rng, 8, 12)):
+            sink = io.StringIO()
+            write_table(table, sink)
+            texts.append(sink.getvalue())
+        pairs.append(tuple(texts))
+    return pairs
+
+
+def mutated_net(data, text: str) -> str:
+    lines = text.split("\n")
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(lines)))
+        op = data.draw(st.sampled_from(["insert", "replace", "delete", "duplicate"]))
+        if op == "insert" or i == len(lines):
+            lines.insert(i, data.draw(st.sampled_from(NET_LINES)))
+        elif op == "replace":
+            lines[i] = data.draw(st.sampled_from(NET_LINES))
+        elif op == "delete":
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+    return "\n".join(lines)
+
+
+def mutated_table(data, text: str, columns: dict) -> str:
+    rows = table_rows(text)
+    names = [row[0] for row in rows[1:]] or ["a"]
+    for _ in range(data.draw(st.integers(0, 3))):
+        op = data.draw(st.sampled_from(["cell", "column", "column", "delete", "duplicate"]))
+        i = data.draw(st.integers(1, max(1, len(rows) - 1)))
+        if op == "column":
+            column = data.draw(st.sampled_from(sorted(columns)))
+            rows[0].append(column)
+            for row in rows[1:]:
+                row.append(data.draw(st.sampled_from(columns[column])))
+        elif i >= len(rows):
+            continue
+        elif op == "cell":
+            j = data.draw(st.integers(0, len(rows[i]) - 1))
+            rows[i][j] = data.draw(st.sampled_from(CSV_CELLS + names))
+        elif op == "delete":
+            del rows[i]
+        else:
+            rows.insert(i, list(rows[i]))
+    return table_text(rows)
+
+
+def read_input(paths: list[str], directed: bool):
+    """The network convert reads from ``paths``, as its readers build it."""
+    if len(paths) == 1:
+        with open(paths[0], encoding="utf-8", newline="") as stream:
+            return read_pajek_net(stream)
+    with open(paths[0], encoding="utf-8", newline="") as nodes, \
+            open(paths[1], encoding="utf-8", newline="") as links:
+        tables = read_node_table(nodes, TableOptions()), read_link_table(links, TableOptions())
+    return tables_to_network(*tables, directed=directed)
+
+
+class TestConvertReportsCheckAll:
+    """On NET and CSV input, read either way and at either level, convert
+    prints exactly the findings check_all gives on the network read, in its
+    order, though it runs only the rules that network can break."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_mutated_inputs(self, data):
+        if data.draw(st.booleans()):
+            texts = [mutated_net(data, data.draw(st.sampled_from(net_seeds())))]
+            names, source = ["in.net"], ["--from", "net", "-i"]
+        else:
+            pair = data.draw(st.sampled_from(csv_seeds()))
+            texts = [mutated_table(data, pair[0], NODE_COLUMNS),
+                     mutated_table(data, pair[1], LINK_COLUMNS)]
+            names, source = ["n.csv", "l.csv"], ["--from", "csv", "--nodes"]
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [os.path.join(tmp, name) for name in names]
+            for path, text in zip(paths, texts):
+                with open(path, "w", encoding="utf-8", newline="") as handle:
+                    handle.write(text)
+            inputs = [paths[0], "--links", paths[1]] if len(paths) == 2 else paths
+            for directed in (True, False):
+                try:
+                    network = read_input(paths, directed)
+                except NetconvError:
+                    network = None
+                for level in Level:
+                    argv = ["convert", *source, *inputs, "--to", "net", "-o",
+                            os.path.join(tmp, "o.net"), "--level", level.value,
+                            "--directed" if directed else "--undirected"]
+                    err = io.StringIO()
+                    with contextlib.redirect_stderr(err):
+                        status = main(argv)
+                    err = err.getvalue()
+                    if network is None:
+                        assert status == 2 and err.count("\n") == 1 and err.startswith("error: ")
+                        continue
+                    report = check_all(network, level)
+                    expected = report.to_text() + "\n" if report.findings else ""
+                    assert err.startswith(expected), (level, directed)
+                    rest = err[len(expected):]
+                    if report.has_errors:
+                        assert (status, rest) == (1, "")
+                    else:
+                        assert (status, rest) == (0, "") or (
+                            status == 2 and rest.count("\n") == 1 and rest.startswith("error: ")
+                        )
 
 
 class TestInfo:

@@ -202,6 +202,15 @@ class TestMakeNetwork:
         with pytest.raises(StructuralError, match="all names or all integer codes"):
             make_network(nodes, links)
 
+    @pytest.mark.parametrize(
+        "ids", [["a", 1], [1, "a"], [2, True]], ids=["code-after-name", "name-after-code", "bool"]
+    )
+    def test_node_ids_of_both_forms_rejected(self, ids):
+        nodes = [NodeRecord(id=i) for i in ids]
+        links = [LinkRecord(LinkKind.ARC, ids[0], ids[1], "r" if ids[0] == "a" else 1)]
+        with pytest.raises(StructuralError, match="node identifiers must be all names or all integer codes"):
+            make_network(nodes, links)
+
     def test_flags_computed_without_info(self):
         net = net_of(["a", "b"], [("a", "r", "b"), ("a", "s", "b")])
         assert net.info.multirel is True

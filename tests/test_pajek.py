@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -31,7 +32,7 @@ from netconv import (
     write_pajek_net,
 )
 from netconv.pajek import _tokens
-from netgen import random_pajek_network
+from netgen import random_csv_network, random_labeled_network, random_pajek_network
 
 # Frozen from the brute-force oracle over the bundled node table.
 SEX_VALUES = (2, 2, 1, 2, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
@@ -97,6 +98,66 @@ class TestWriteNet:
         )
         with pytest.raises(ExportError, match="contiguous"):
             write_pajek_net(net)
+
+
+    def test_unresolved_endpoint_rejected(self):
+        for ids, link in (
+            (["a", "b"], LinkRecord(LinkKind.ARC, "a", "c", "r")),
+            ([1, 2], LinkRecord(LinkKind.ARC, 1, 3, 1)),
+        ):
+            nodes = tuple(NodeRecord(id=i, lab=str(i)) for i in ids)
+            net = Network(nodes=nodes, links=(link,), relations=CodingTable("relation", ("r",)))
+            with pytest.raises(ExportError, match="names no node"):
+                write_pajek_net(net)
+
+    def test_labeled_nodes_numbered_by_position(self):
+        net = make_network(
+            [NodeRecord(id="z"), NodeRecord(id="a", lab="A")],
+            [LinkRecord(LinkKind.ARC, "a", "z", "s"), LinkRecord(LinkKind.ARC, "z", "a", "r")],
+            relations=CodingTable("relation", ("t", "s", "r")),
+        )
+        assert write_pajek_net(net) == (
+            '*vertices 2\n1 "z"\n2 "A"\n'
+            '*arcs :1 "r"\n*arcs :2 "s"\n*arcs :3 "t"\n'
+            '*arcs\n2: 2 1 1 l "s"\n1: 1 2 1 l "r"\n'
+        )
+
+
+NET_SOURCES = {
+    "json": random_labeled_network,
+    "csv": random_csv_network,
+    "pajek": lambda rng, n, m: random_pajek_network(rng, n, m)[0],
+}
+
+
+def written(network, coordinates: bool) -> str:
+    """The NET text of ``network``, or the message of the error it raises."""
+    try:
+        return write_pajek_net(network, coordinates=coordinates)
+    except ExportError as exc:
+        return f"ExportError: {exc}"
+
+
+class TestLabeledWriteMatchesFactorized:
+    """A labeled network is written as its base-1 factorization is: the
+    writer numbers nodes and relations itself instead of building that copy."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        source=st.sampled_from(sorted(NET_SOURCES)),
+        coordinates=st.booleans(),
+        unlabeled=st.floats(0, 1),
+        unused=st.sets(st.text(min_size=1, max_size=3), max_size=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_networks(self, seed, source, coordinates, unlabeled, unused):
+        rng = random.Random(seed)
+        net = NET_SOURCES[source](rng, 30, 40)
+        nodes = [replace(n, lab="") if rng.random() < unlabeled else n for n in net.nodes]
+        declared = [*unused, *net.relations.levels]  # levels no link uses, out of order
+        relations = CodingTable("relation", tuple(dict.fromkeys(declared)), net.relations.base)
+        net = replace(net, nodes=tuple(nodes), relations=relations)
+        assert written(net, coordinates) == written(factorize_network(net, 1), coordinates)
 
 
 class TestReadNet:
