@@ -193,7 +193,7 @@ def _read_checked(args, build: bool = True) -> tuple[ValidationReport, Network |
     check = Checker(level)
     check.flags = network.info
     for i, node in enumerate(network.nodes):
-        check.node(node, f"$.nodes[{i}]")
+        check.node(node.id, node.lab, node.slab, f"$.nodes[{i}]")
     check.link_kinds = {link.kind for link in network.links}
     check.links_end()
     return ValidationReport(tuple(check.out), level), network

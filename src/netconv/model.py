@@ -195,16 +195,17 @@ def network_stats(network: Network) -> NetworkStats:
     return NetworkStats(len(network.nodes), n_arcs, n_edges, len(rels), max(1, len(modes)))
 
 
-def parallel_key(link: LinkRecord) -> tuple:
+def parallel_key(kind: LinkKind, rel, n1, n2) -> tuple:
     """Links are parallel when their keys are equal: same kind and relation,
     and the same endpoints, ordered for arcs and unordered for edges."""
-    ends = frozenset((link.n1, link.n2)) if link.kind is LinkKind.EDGE else (link.n1, link.n2)
-    return link.kind, link.rel, ends
+    if kind is LinkKind.EDGE:
+        return kind, rel, frozenset((n1, n2))
+    return kind, rel, n1, n2
 
 
 def _parallel_links_exist(links: Sequence[LinkRecord]) -> bool:
     seen = set()
-    for key in map(parallel_key, links):
+    for key in (parallel_key(l.kind, l.rel, l.n1, l.n2) for l in links):
         if key in seen:
             return True
         seen.add(key)

@@ -24,13 +24,14 @@ Concrete schema points this implementation fixes:
 Reading and checking are one walk over the decoded document. The walk
 checks what depends on the JSON text: well-formedness, member presence
 and types, the version tag, ``Tlabs`` keys, link types, tq shape, the
-declared counters, and (strict) the presence of the dates. It builds the
-network's records and hands each one, as soon as it is built, to
+declared counters, and (strict) the presence of the dates. It hands the
+fields of each node and link, as soon as it has read them, to
 :class:`~netconv.validation.Checker`, which codes every rule about the
-network itself. Each finding carries a ``$.`` JSON-path locator, in
-document order. The validator reports every
-finding; :func:`check_netsjson` returns that report together with the
-network, so a caller needs the walk only once. The parser raises on the
+network itself, and builds the records only when a network is asked for.
+Each finding carries a ``$.`` JSON-path locator, in document order. The
+validator reports every finding, and its walk builds no record;
+:func:`check_netsjson` returns that report together with the network, so
+a caller needs the walk only once. The parser raises on the
 first finding of a rule in :data:`PARSE_FATAL` (``json-malformed``,
 ``member-*``, ``version-unsupported``, ``tlab-key-invalid``, ``id-*``,
 ``endpoint-unresolved``, ``link-type-invalid``, ``tq-malformed``); the
@@ -176,9 +177,9 @@ def check_netsjson(
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         message = str(exc)
     else:
-        walk = _Walk(level)
+        walk = _Walk(level, build)
         records = walk.document(doc)
-        network = make_network(**records) if build and records is not None else None
+        network = make_network(**records) if records is not None else None
         return ValidationReport(tuple(walk.out), level), network
     malformed = Finding(Severity.ERROR, "json-malformed", "$", message)
     return ValidationReport((malformed,), level), None
@@ -317,18 +318,19 @@ def _link_to_json(link: LinkRecord, keep_defaults: bool) -> dict:
 
 class _Walk:
     """One pass over a decoded document. It checks what depends on the JSON
-    text and builds the records, handing each record (and each member of
-    the info block) to a :class:`~netconv.validation.Checker` as soon as it
-    is built, so findings go to ``out`` in document order. :meth:`document`
-    returns make_network's keyword arguments (None after a parse-fatal
-    finding). A member that fails its type check enters its record as the
-    default (None, ``""``, or an empty tq), so no network rule runs on a
-    value the schema rejected. Decoded JSON holds exact types, so record
-    loops test ``type(v) is str``.
+    text and hands the fields of each node and link (and each member of the
+    info block) to a :class:`~netconv.validation.Checker` as soon as it has
+    read them, so findings go to ``out`` in document order. Only when
+    ``build`` is true does it build the node and link records, and then
+    :meth:`document` returns make_network's keyword arguments; it returns
+    None when ``build`` is false or after a parse-fatal finding. A member
+    that fails its type check is read as the default (None, ``""``, or an
+    empty tq), so no network rule runs on a value the schema rejected.
+    Decoded JSON holds exact types, so record loops test ``type(v) is str``.
     """
 
-    def __init__(self, level: Level):
-        self.level = level
+    def __init__(self, level: Level, build: bool):
+        self.level, self.build = level, build
         self.check = Checker(level)
         self.out, self.err = self.check.out, self.check.err  # one list for both, in document order
 
@@ -392,13 +394,12 @@ class _Walk:
         links = self.links(raw_links or [], id_type)
         if raw_info is not None:  # info findings that need the records come after info.org
             tail = len(self.out)
-            n_edges = sum(1 for link in links if link.kind is LinkKind.EDGE)
-            self.counters(raw_info, len(raw_nodes or ()), len(links) - n_edges, n_edges)
+            self.counters(raw_info, len(raw_nodes or ()), self.n_arcs, self.n_edges)
             check.tq_end()
             found = self.out[tail:]
             del self.out[tail:]
             self.out[self.counters_at : self.counters_at] = found
-        if any(f.rule in PARSE_FATAL for f in self.out):
+        if not self.build or any(f.rule in PARSE_FATAL for f in self.out):
             return None
 
         return dict(nodes=nodes, links=links, info=info, relations=check.relations,
@@ -511,21 +512,22 @@ class _Walk:
 
     # -- records ---------------------------------------------------------------
 
-    def tq(self, raw: Any, where: str) -> TemporalQuantity:
+    def tq(self, raw: Any, where: str) -> tuple:
+        """The checked ``(s, f, v)`` triples of a tq; none after tq-malformed."""
         if type(raw) is not list:
             self.err("tq-malformed", where, "tq must be an array of [s, f, v] triples")
-            return TemporalQuantity()
+            return ()
         triples = []
         for k, triple in enumerate(raw):
             if type(triple) is not list or len(triple) != 3:
                 self.err("tq-malformed", f"{where}[{k}]", "triple must be a 3-element array")
-                return TemporalQuantity()
+                return ()
             s, f, value = triple
             if type(s) is not int or type(f) is not int:
                 self.err("tq-malformed", f"{where}[{k}]", "interval bounds must be integers")
-                return TemporalQuantity()
+                return ()
             triples.append((s, f, self.value(value, where, k) if type(value) in _NESTED else value))
-        return TemporalQuantity(tuple(triples))
+        return tuple(triples)
 
     def props(self, raw: dict, reserved: set, where: str) -> dict:
         props = {}
@@ -536,7 +538,8 @@ class _Walk:
         return props
 
     def nodes(self, raw_nodes: list) -> list[NodeRecord]:
-        err, typed, number, check = self.err, self.typed, self.number, self.check
+        """Node records; none when ``build`` is false."""
+        err, typed, number, check, build = self.err, self.typed, self.number, self.check, self.build
         nodes = []
         for i, raw in enumerate(raw_nodes):
             loc = f"$.nodes[{i}]"
@@ -553,17 +556,20 @@ class _Walk:
             slab, mode = typed(raw, "slab", _is_text, "text", loc), typed(raw, "mode", _is_text, "text", loc)
             x, y = number(raw, "x", loc, None), number(raw, "y", loc, None)
             tq = self.tq(raw["tq"], loc + ".tq") if "tq" in raw else None
-            node = NodeRecord(node_id, lab, slab, x, y, mode, tq, self.props(raw, _NODE_MEMBERS, loc))
-            check.node(node, loc)
-            check.tq(node, loc)
-            check.props(node.props, loc)
-            nodes.append(node)
+            props = self.props(raw, _NODE_MEMBERS, loc)
+            check.node(node_id, lab, slab, loc)
+            check.tq(tq, "node", loc)
+            check.props(props, loc)
+            if build:
+                tq = None if tq is None else TemporalQuantity(tq)
+                nodes.append(NodeRecord(node_id, lab, slab, x, y, mode, tq, props))
         return nodes
 
     def links(self, raw_links: list, id_type) -> list[LinkRecord]:
-        """Link records; ``id_type`` is the type rel must have, None when any will do."""
-        err, number, check = self.err, self.number, self.check
-        links = []
+        """Link records, none when ``build`` is false; ``id_type`` is the type
+        rel must have, None when any will do. Counts arcs and edges."""
+        err, number, check, build = self.err, self.number, self.check, self.build
+        links, n_arcs, n_edges = [], 0, 0
         for i, raw in enumerate(raw_links):
             loc = f"$.links[{i}]"
             if type(raw) is not dict:
@@ -574,6 +580,10 @@ class _Walk:
             if kind is None:
                 err("link-type-invalid", f"{loc}.type", f"got {kind_text!r}")
                 kind = LinkKind.ARC
+            if kind is LinkKind.EDGE:
+                n_edges += 1
+            else:
+                n_arcs += 1
             ends = []
             for member in ("n1", "n2"):
                 end = raw.get(member)
@@ -599,10 +609,13 @@ class _Walk:
             label = self.typed(raw, "label", _is_text, "text", loc)
             tq = self.tq(raw["tq"], loc + ".tq") if "tq" in raw else None
             props = self.props(raw, _LINK_MEMBERS, loc)
-            link = LinkRecord(kind, ends[0], ends[1], rel, weight, label, tq, props)
-            check.link(link, loc)
-            check.tq(link, loc)
+            n1, n2 = ends
+            check.link(kind, n1, n2, rel, loc)
+            check.tq(tq, "link", loc)
             check.props(props, loc)
-            links.append(link)
+            if build:
+                tq = None if tq is None else TemporalQuantity(tq)
+                links.append(LinkRecord(kind, n1, n2, rel, weight, label, tq, props))
+        self.n_arcs, self.n_edges = n_arcs, n_edges
         check.links_end()
         return links

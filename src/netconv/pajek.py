@@ -62,8 +62,10 @@ def _format_weight(w: float) -> str:
 def write_pajek_net(network: Network, base: int = 1, *, coordinates: bool = False) -> str:
     """Serialize a network as Pajek NET text (LF line endings).
 
-    Pajek numbering is 1-based. A factorized network's codes are written
-    shifted up by one when it is based at 0. A labeled network is numbered
+    Pajek numbering is 1-based. A factorized network's node codes are
+    written shifted up by one when it is based at 0, and each relation is
+    numbered by its place in the relation table, as its ``*arcs :k``
+    declaration is, whatever the table's base. A labeled network is numbered
     as :func:`~netconv.factorize.factorize_network` would code it at base
     1, without building the coded copy: each node by its position in node
     order, each relation by its place in the sorted table of the declared
@@ -81,7 +83,7 @@ def write_pajek_net(network: Network, base: int = 1, *, coordinates: bool = Fals
             raise ExportError("node codes do not form a contiguous 1-based range")
         relations, codes = network.relations, network.node_coding
         default_label = lambda i: codes.value_of(i) if codes.in_range(i) else str(i + shift)
-        rel_code, rel_name = (lambda rel: rel + shift), relations.value_of
+        rel_code, rel_name = (lambda rel: rel - relations.base + 1), relations.value_of
     else:
         number = {node.id: i for i, node in enumerate(nodes, start=1)}
         # Keep declared-but-unused relation levels, as factorize_network does.

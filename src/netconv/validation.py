@@ -8,11 +8,12 @@ enforces metadata recommendations.
 The strict error set is always a superset of the lenient one.
 
 Each rule about the network itself is coded once, in :class:`Checker`,
-which takes one record at a time. :func:`check_network` and
+which takes the fields of one record at a time. :func:`check_network` and
 :func:`check_temporal` drive it over a network's records, and the NetsJSON
-walk drives it over each record as soon as it is built; the walk itself
-checks only what depends on the JSON text. Every finding is located by a
-``$.`` path into the network's NetsJSON form.
+walk drives it over each node and link object's fields as it reads them,
+whether or not it builds records; the walk itself checks only what
+depends on the JSON text. Every finding is located by a ``$.`` path into
+the network's NetsJSON form.
 """
 
 from __future__ import annotations
@@ -29,9 +30,7 @@ from .model import (
     InfoBlock,
     Interval,
     LinkKind,
-    LinkRecord,
     Network,
-    NodeRecord,
     TimeWindow,
     parallel_key,
 )
@@ -187,13 +186,18 @@ def check_tq_bounds(triples, loc: str, window, out: list[Finding]) -> None:
 class Checker:
     """The network rules, each coded once, applied one record at a time.
 
-    Each step checks one record (or one member of the info block), located
-    at ``where``, and appends its findings to ``out`` with the ``$.``
-    locators of the network's NetsJSON form. The checker holds the state
-    that spans records. Structural steps: ``info_org``, ``info_mode``,
-    ``info_event``, ``info_dates``, ``node``, ``link``, ``props`` and
-    ``links_end``; temporal steps: ``info_time``, ``tlab``, ``tq`` and
-    ``tq_end``. Info steps come first, ``tlab`` after ``info_time``, and
+    Each step checks the fields of one record (or one member of the info
+    block), located at ``where``, and appends its findings to ``out`` with
+    the ``$.`` locators of the network's NetsJSON form; no step needs a
+    built record. The checker holds the state that spans records.
+    Structural steps: ``info_org(org)``, ``info_mode(mode)``,
+    ``info_event(event, where)``, ``info_dates(created, modified)``,
+    ``node(node_id, lab, slab, where)``, ``link(kind, n1, n2, rel,
+    where)``, ``props(props, where)`` and ``links_end()``; temporal steps:
+    ``info_time(window)``, ``tlab(t, where)``, ``tq(triples, what,
+    where)`` and ``tq_end()``. ``tq`` takes a record's ``(s, f, v)``
+    triples, None when it has no tq, and ``what`` is ``"node"`` or
+    ``"link"``. Info steps come first, ``tlab`` after ``info_time``, and
     ``link`` after every ``node``.
 
     What a NetsJSON document may lack is None: ``flags`` (the info block
@@ -245,8 +249,8 @@ class Checker:
         if c and m and m < c:
             self.err("dates-order", "$.info.modified", f"modified {m} precedes created {c}")
 
-    def node(self, node: NodeRecord, where: str) -> None:
-        node_id, err = node.id, self.err
+    def node(self, node_id, lab: str, slab: Optional[str], where: str) -> None:
+        err = self.err
         if node_id is not None:
             kind = type(node_id)
             if kind is str:
@@ -262,24 +266,24 @@ class Checker:
                     err("id-kind-mixed", f"{where}.id", "text and integer identifiers are mixed")
                     self.mixed = True
                 self.id_kind = kind
-        if node.slab is not None and len(node.slab) > len(node.lab):
+        if slab is not None and len(slab) > len(lab):
             err("slab-longer-than-label", f"{where}.slab", "short label longer than label")
 
-    def link(self, link: LinkRecord, where: str) -> None:
-        ids, rel = self.ids, link.rel
-        if ids is not None and (link.n1 not in ids or link.n2 not in ids):
-            for member, end in (("n1", link.n1), ("n2", link.n2)):
+    def link(self, kind: LinkKind, n1, n2, rel, where: str) -> None:
+        ids = self.ids
+        if ids is not None and (n1 not in ids or n2 not in ids):
+            for member, end in (("n1", n1), ("n2", n2)):
                 if end is not None and end not in ids:
                     self.err("endpoint-unresolved", f"{where}.{member}", f"{end!r} names no node")
-        self.link_kinds.add(link.kind)
+        self.link_kinds.add(kind)
         if rel is None:
             return
         table = self.relations
         if table is not None and not (rel in table if isinstance(rel, str) else table.in_range(rel)):
             self.err("relation-unlisted", f"{where}.rel", f"{rel!r} not covered by info.relations")
         self.rels.add(rel)
-        if self.flags is not None and self.flags.simple and None not in (link.n1, link.n2):
-            key = parallel_key(link)
+        if self.flags is not None and self.flags.simple and n1 is not None and n2 is not None:
+            key = parallel_key(kind, rel, n1, n2)
             if key in self.link_keys:
                 self.err("simple-violated", where, "parallel link in a network flagged simple")
             self.link_keys.add(key)
@@ -328,12 +332,11 @@ class Checker:
         if not t_min <= t <= t_max:
             self.err("tlab-outside-window", where, f"label for {t} outside [{t_min}, {t_max}]")
 
-    def tq(self, record: NodeRecord | LinkRecord, where: str) -> None:
-        if record.tq is not None:
+    def tq(self, triples: Optional[tuple], what: str, where: str) -> None:
+        if triples is not None:
             self.any_tq = True
-            check_tq_bounds(record.tq.triples, where + ".tq", self.window, self.out)
+            check_tq_bounds(triples, where + ".tq", self.window, self.out)
         elif self.need_tq:
-            what = "link" if type(record) is LinkRecord else "node"
             self.err("tq-missing", where, f"temporal network {what} lacks a tq")
 
     def tq_end(self) -> None:
@@ -358,10 +361,10 @@ def check_network(network: Network, level: Level = Level.LENIENT) -> ValidationR
         check.info_event(event, f"$.info.meta[{i}]")
     check.info_dates(info.created, info.modified)
     for i, node in enumerate(network.nodes):
-        check.node(node, f"$.nodes[{i}]")
+        check.node(node.id, node.lab, node.slab, f"$.nodes[{i}]")
         check.props(node.props, f"$.nodes[{i}]")
     for i, link in enumerate(network.links):
-        check.link(link, f"$.links[{i}]")
+        check.link(link.kind, link.n1, link.n2, link.rel, f"$.links[{i}]")
         check.props(link.props, f"$.links[{i}]")
     check.links_end()
     return ValidationReport(tuple(check.out), level)
@@ -377,9 +380,9 @@ def check_temporal(network: Network, level: Level = Level.LENIENT) -> Validation
     check.info_time(window)
     for t in window.t_labs if window is not None else ():
         check.tlab(t, f"$.info.time.Tlabs.{t}")
-    for group, records in (("nodes", network.nodes), ("links", network.links)):
+    for what, records in (("node", network.nodes), ("link", network.links)):
         for i, record in enumerate(records):
-            check.tq(record, f"$.{group}[{i}]")
+            check.tq(None if record.tq is None else record.tq.triples, what, f"$.{what}s[{i}]")
     check.tq_end()
     return ValidationReport(tuple(check.out), level)
 

@@ -38,7 +38,8 @@ from netconv import (
     write_table,
 )
 from netconv.cli import main
-from netconv.netsjson import PARSE_FATAL
+from netconv import netsjson
+from netconv.netsjson import PARSE_FATAL, check_netsjson
 from netgen import random_csv_network, random_pajek_network
 
 
@@ -550,6 +551,24 @@ def assert_walk_reports_what_check_all_finds(text: str) -> None:
             assert not missed, f"{level.value}, {transform}: the walk misses {missed}"
 
 
+def mutated_document(data) -> str:
+    """A corpus document after one to three random edits of its members."""
+    doc = copy.deepcopy(data.draw(st.sampled_from(mutation_seeds())))
+    for _ in range(data.draw(st.integers(1, 3))):
+        target = data.draw(st.sampled_from(containers(doc, [])))
+        if isinstance(target, dict):
+            key = data.draw(st.sampled_from(sorted(target) + SCHEMA_KEYS))
+            if key in target and data.draw(st.booleans()):
+                del target[key]
+            else:
+                target[key] = data.draw(JSON_VALUES)
+        elif target and data.draw(st.booleans()):
+            target[data.draw(st.integers(0, len(target) - 1))] = data.draw(JSON_VALUES)
+        else:
+            target.append(data.draw(JSON_VALUES))
+    return json.dumps(doc)
+
+
 class TestParseAgreesWithValidate:
     """parse_netsjson raises exactly when the report has a parse-fatal error,
     and its message carries that finding's rule and locator. On a document
@@ -577,22 +596,45 @@ class TestParseAgreesWithValidate:
     @given(st.data())
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_mutated_documents(self, data):
-        doc = copy.deepcopy(data.draw(st.sampled_from(mutation_seeds())))
-        for _ in range(data.draw(st.integers(1, 3))):
-            target = data.draw(st.sampled_from(containers(doc, [])))
-            if isinstance(target, dict):
-                key = data.draw(st.sampled_from(sorted(target) + SCHEMA_KEYS))
-                if key in target and data.draw(st.booleans()):
-                    del target[key]
-                else:
-                    target[key] = data.draw(JSON_VALUES)
-            elif target and data.draw(st.booleans()):
-                target[data.draw(st.integers(0, len(target) - 1))] = data.draw(JSON_VALUES)
-            else:
-                target.append(data.draw(JSON_VALUES))
-        text = json.dumps(doc)
+        text = mutated_document(data)
         assert_parse_raises_exactly_on_fatal_findings(text)
         assert_walk_reports_what_check_all_finds(text)
+
+
+def assert_findings_only_walk_agrees(text: str) -> None:
+    """The walk reports the same findings, at both levels, whether or not it builds."""
+    for strict in (False, True):
+        report, network = check_netsjson(io.StringIO(text), strict, build=False)
+        assert network is None
+        assert report == check_netsjson(io.StringIO(text), strict, build=True)[0]
+
+
+class TestFindingsOnlyWalk:
+    """``validate`` walks a document without building its records, and loses
+    no finding by it."""
+
+    @pytest.mark.parametrize("name", sorted(corpus_texts()))
+    def test_corpus(self, name):
+        assert_findings_only_walk_agrees(corpus_texts()[name])
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_mutated_documents(self, data):
+        assert_findings_only_walk_agrees(mutated_document(data))
+
+    def test_builds_no_record(self, monkeypatch):
+        texts = corpus_texts()
+        expected = {name: check_netsjson(io.StringIO(text), True)[0] for name, text in texts.items()}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the findings-only walk built a record")
+
+        for name in ("NodeRecord", "LinkRecord", "TemporalQuantity"):
+            monkeypatch.setattr(netsjson, name, refuse)
+        for name, text in texts.items():
+            assert validate_netsjson_document(io.StringIO(text), strict=True) == expected[name], name
+        with pytest.raises(AssertionError, match="built a record"):
+            parse_netsjson(io.StringIO(texts["temporal_full.json"]))
 
 
 class TestTransformsKeepFindings:

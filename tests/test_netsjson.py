@@ -323,3 +323,25 @@ class TestValidateDocument:
         strict = self.validate(doc, strict=True)
         assert [f.rule for f in strict.findings] == ["tq-missing"]
         assert self.validate(doc).findings == ()
+
+    def test_link_tq_checked_as_node_tq_is(self):
+        doc = json.dumps(
+            {
+                "netsJSON": "basic",
+                "info": {
+                    "time": {"Tmin": 0, "Tmax": 5},
+                    "created": "2020-01-01",
+                    "modified": "2020-01-02",
+                },
+                "nodes": [{"id": "a", "tq": [[0, 2, 1]]}, {"id": "b", "tq": [[0, 2, 1]]}],
+                "links": [
+                    {"n1": "a", "n2": "b", "rel": "r", "tq": [[0, 3, 1], [2, 4, 2]]},
+                    {"n1": "b", "n2": "a", "rel": "r"},
+                ],
+            }
+        )
+        overlap = ("tq-overlap", "$.links[0].tq", "intervals 0 and 1 overlap")
+        missing = ("tq-missing", "$.links[1]", "temporal network link lacks a tq")
+        found = lambda report: [(f.rule, f.location, f.message) for f in report.findings]
+        assert found(self.validate(doc, strict=True)) == [overlap, missing]
+        assert found(self.validate(doc)) == [overlap]

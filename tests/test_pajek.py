@@ -31,6 +31,7 @@ from netconv import (
     write_pajek_clu,
     write_pajek_net,
 )
+from netconv.model import recode
 from netconv.pajek import _tokens
 from netgen import random_csv_network, random_labeled_network, random_pajek_network
 
@@ -109,6 +110,26 @@ class TestWriteNet:
             net = Network(nodes=nodes, links=(link,), relations=CodingTable("relation", ("r",)))
             with pytest.raises(ExportError, match="names no node"):
                 write_pajek_net(net)
+
+    def test_relation_table_based_above_org_numbered_as_declared(self):
+        text = '*vertices 2\n*arcs :2 "a"\n*arcs\n2: 1 2\n'
+        ours = write_pajek_net(read_pajek_net(io.StringIO(text)))
+        assert ours == '*vertices 2\n1 "1"\n2 "2"\n*arcs :1 "a"\n*arcs\n1: 1 2 1 l "a"\n'
+        assert write_pajek_net(read_pajek_net(io.StringIO(ours))) == ours
+
+    @given(seed=st.integers(0, 2**32 - 1), org=st.sampled_from([0, 1]), lift=st.integers(1, 3))
+    @settings(max_examples=50, deadline=None)
+    def test_relation_table_base_does_not_change_the_text(self, seed, org, lift):
+        """A factorized network whose relation table is based above org writes
+        the NET text of the same network based at org, and reads back as it."""
+        net, with_coords = random_pajek_network(random.Random(seed), max_nodes=30, max_links=30)
+        coded = factorize_network(net, org)
+        table = coded.relations
+        lifted = recode(coded, lambda i: i, lambda rel: rel + lift,
+                        relations=CodingTable(table.name, table.levels, table.base + lift))
+        text = write_pajek_net(lifted, coordinates=with_coords)
+        assert text == write_pajek_net(coded, coordinates=with_coords)
+        assert defactorize_network(read_pajek_net(io.StringIO(text))) == canonical_order(net)
 
     def test_labeled_nodes_numbered_by_position(self):
         net = make_network(

@@ -79,6 +79,18 @@ class TestCheckNetwork:
         net = replace(net, info=replace(net.info, simple=True))
         assert "simple-violated" in rules_of(check_network(net))
 
+    def test_reversed_arcs_and_an_edge_are_not_parallel(self):
+        links = [
+            LinkRecord(kind=LinkKind.ARC, n1="1", n2="2", rel="r"),
+            LinkRecord(kind=LinkKind.ARC, n1="2", n2="1", rel="r"),
+            LinkRecord(kind=LinkKind.EDGE, n1="1", n2="2", rel="r"),
+        ]
+        net = make_network([NodeRecord(id="1", lab="1"), NodeRecord(id="2", lab="2")], links)
+        assert net.info.simple is True  # make_network derives the flag from the same key
+        assert "simple-violated" not in rules_of(check_network(net))
+        report = validate_netsjson_document(io.StringIO(write_netsjson(net)))
+        assert "simple-violated" not in rules_of(report)
+
     def test_multirel_flag(self):
         net = make_network(
             [NodeRecord(id="a", lab="a"), NodeRecord(id="b", lab="b")],
