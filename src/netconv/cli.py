@@ -101,9 +101,11 @@ def _resolve(args) -> None:
     A csv input's node table is ``--nodes``, else the input path.
     """
     try:
-        args.opts = tabular.TableOptions(delimiter=args.delimiter, decimal_separator=args.decimal)
+        args.opts = tabular.TableOptions(delimiter=args.delimiter)
     except ValueError as exc:  # the message names the option the flag sets
         raise NetconvError(f"--{exc}") from None
+    if len(args.decimal) != 1:
+        raise NetconvError(f"--decimal must be one character, got {args.decimal!r}")
     args.from_format = args.from_format or _infer_format(args.input) or (
         "csv" if args.nodes else None
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from .errors import CodingError
 
@@ -91,6 +91,17 @@ def build_coding_table(
     else:
         levels = dict.fromkeys(v for v in values if v is not None)
     return CodingTable(name=name, levels=tuple(levels), base=base)
+
+
+def code_range_table(name: str, codes: Iterable[int], names: Mapping[int, str] = {}) -> CodingTable:
+    """A table named by its codes: every code from the smallest to the largest
+    of ``codes``, based at the smallest, each named by ``names`` or else by
+    itself (no codes: the empty table). A repeated or empty name raises ValueError."""
+    codes = set(codes)
+    if not codes:
+        return CodingTable(name)
+    lo, hi = min(codes), max(codes)
+    return CodingTable(name, tuple(names.get(c, str(c)) for c in range(lo, hi + 1)), lo)
 
 
 def encode(

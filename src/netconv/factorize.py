@@ -13,15 +13,15 @@ from dataclasses import replace
 
 from .coding import CodingTable, LevelPolicy, build_coding_table
 from .errors import CodingError, StructuralError
-from .model import Network, recode
+from .model import Network, recode, sorted_relations
 
 
 def factorize_network(network: Network, base: int = 1) -> Network:
     """Replace text identifiers with integer codes.
 
-    Node ids are coded in file order, relation names in sorted order, both
-    with the given base; info.org is set to the base. The input must be in
-    labeled form, where node ids and relations are all text.
+    Node ids are coded in file order (the one node table built from ids),
+    relation names by :func:`sorted_relations`, both with the given base;
+    info.org is set to the base. The input must be in labeled form.
     """
     if base not in (0, 1):
         raise ValueError(f"base must be 0 or 1, got {base}")
@@ -33,8 +33,7 @@ def factorize_network(network: Network, base: int = 1) -> Network:
     if len(node_coding) != len(ids):
         raise StructuralError("duplicate node identifiers prevent factorization")
     # Keep declared-but-unused relation levels so inversion restores them.
-    rel_names = [*network.relations.levels, *(l.rel for l in network.links)]
-    relations = build_coding_table("relation", rel_names, LevelPolicy.SORTED, base)
+    relations = sorted_relations(network.relations.levels, network.links, base)
     # Property codings follow the network-wide base convention.
     property_codings = {
         name: CodingTable(table.name, table.levels, base)
@@ -49,10 +48,11 @@ def defactorize_network(network: Network) -> Network:
     """Restore text identifiers from the coding tables carried by the network.
 
     Inverse of :func:`factorize_network`; info.org is left as the base the
-    tables use. Fails when the tables were dropped.
+    tables use, and the node table is emptied. Fails when the tables were dropped.
     """
     if not network.is_factorized:
         return network
     if len(network.node_coding) == 0:
         raise CodingError("cannot invert: network carries no node coding table")
-    return recode(network, network.node_coding.value_of, network.relations.value_of)
+    return recode(network, network.node_coding.value_of, network.relations.value_of,
+                  node_coding=CodingTable("node", base=network.node_coding.base))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
-from .coding import CodingTable, LevelPolicy, build_coding_table
+from .coding import CodingTable, LevelPolicy, build_coding_table, code_range_table
 from .errors import StructuralError
 
 # Tagged union of supported property values. Absent is represented by None
@@ -149,7 +149,8 @@ class LinkRecord:
 
 @dataclass(frozen=True)
 class Network:
-    """The complete model: info block, records, and coding tables."""
+    """The complete model: info block, records, and coding tables (a node
+    table only when factorized)."""
 
     info: InfoBlock = field(default_factory=InfoBlock)
     nodes: tuple[NodeRecord, ...] = ()
@@ -212,6 +213,12 @@ def _parallel_links_exist(links: Sequence[LinkRecord]) -> bool:
     return False
 
 
+def sorted_relations(declared: Sequence[str], links: Sequence[LinkRecord], base: int) -> CodingTable:
+    """A labeled network's relation table: the ``declared`` levels and the
+    relations ``links`` use, sorted, based at ``base``."""
+    return build_coding_table("relation", [*declared, *(l.rel for l in links)], LevelPolicy.SORTED, base)
+
+
 def make_network(
     nodes: Sequence[NodeRecord],
     links: Sequence[LinkRecord],
@@ -223,17 +230,17 @@ def make_network(
     node_coding: Optional[CodingTable] = None,
     property_codings: Optional[dict[str, CodingTable]] = None,
 ) -> Network:
-    """Assemble a network and derive the coding tables it was not given.
+    """Assemble a network and derive the relation table it was not given.
 
     A network holds one identifier form: every node id and link relation
     is text when the first node id is (labeled), and an ``int``, not a
     ``bool``, when it is a code (factorized); any other id or relation
     raises :class:`StructuralError`.
     A given ``info`` is kept as it is; otherwise the simple/multirel/mode
-    flags are computed from content. Missing coding tables are derived at
-    the base ``org`` (1 unless 0 or 1): labeled, relations sorted and node
-    ids in file order; factorized, every relation code from the smallest
-    to the largest as its own name, based at the smallest, and no node ids.
+    flags are computed from content. A missing relation table is derived:
+    labeled, by :func:`sorted_relations` at the base ``org`` (1 unless 0 or
+    1); factorized, by :func:`~netconv.coding.code_range_table`. A given node
+    table is kept only when the ids are codes; otherwise it is empty, at that base.
     """
     nodes = tuple(nodes)
     links = tuple(links)
@@ -253,13 +260,11 @@ def make_network(
     base = info.org if info is not None else org
     base = base if base in (0, 1) else 1
     if relations is None and factorized and rels:
-        lo, hi = min(rels), max(rels)
-        relations = CodingTable("relation", tuple(str(c) for c in range(lo, hi + 1)), lo)
+        relations = code_range_table("relation", rels)
     elif relations is None:
-        relations = build_coding_table("relation", rels, LevelPolicy.SORTED, base)
-    if node_coding is None:
-        names = [] if factorized else [str(i) for i in ids]
-        node_coding = build_coding_table("node", names, LevelPolicy.FILE_ORDER, base)
+        relations = sorted_relations((), links, base)
+    if node_coding is None or not factorized:
+        node_coding = CodingTable("node", base=base)
 
     net = Network(
         info=info if info is not None else InfoBlock(org=org, directed=directed),

@@ -14,10 +14,10 @@ Concrete schema points this implementation fixes:
 * ``Tlabs`` keys must be integer time points (as JSON object keys they are
   strings and are parsed as integers);
 * coding tables travel inside ``info`` under ``relations``, ``nodeCoding``
-  and ``propertyCodings`` (level arrays based at ``org``); ``nodeCoding``
-  is written only when it is not derivable from the node list -- carrying
-  the tables is what keeps the coded form invertible instead of dropping
-  them as lost metadata;
+  and ``propertyCodings`` (level arrays based at ``org``), each written when
+  non-empty; only a factorized network has a node table -- carrying the
+  tables is what keeps the coded form invertible instead of dropping them
+  as lost metadata;
 * the top-level ``data`` member is preserved verbatim but never
   interpreted; the name is reserved and may not appear inside ``info``.
 
@@ -36,8 +36,8 @@ first finding of a rule in :data:`PARSE_FATAL` (``json-malformed``,
 ``member-*``, ``version-unsupported``, ``tlab-key-invalid``, ``id-*``,
 ``endpoint-unresolved``, ``link-type-invalid``, ``tq-malformed``); the
 other rules are semantic, and the parser returns the network despite them.
-The walk passes on the coding tables a document carries;
-:func:`~netconv.model.make_network` derives the ones it omits.
+The walk type-checks the coding tables a document carries and passes them on;
+:func:`~netconv.model.make_network` keeps ``nodeCoding`` only when ids are codes.
 
 Serialization is a normal form: member order is fixed, user keys are
 sorted, and writing the parse of a written document reproduces it byte for
@@ -135,9 +135,9 @@ def parse_netsjson(source: IO[str]) -> Network:
     """Parse a NetsJSON basic document into a network.
 
     Node identifiers may be text (labeled form) or integers at or above
-    info.org (factorized form) but not mixed. Coding tables the document
-    does not carry are derived by :func:`~netconv.model.make_network`. The
-    first parse-fatal finding is raised as
+    info.org (factorized form) but not mixed. The coding tables are read as
+    :func:`~netconv.model.make_network` keeps and derives them. The first
+    parse-fatal finding is raised as
     ``[rule] locator: message``; :func:`validate_netsjson_document` reports
     every finding.
     """
@@ -224,12 +224,7 @@ def write_netsjson(network: Network, pretty: bool = False) -> str:
         raw_info["modified"] = info.modified
     if len(network.relations):
         raw_info["relations"] = list(network.relations.levels)
-    derivable_coding = (
-        not network.is_factorized
-        and network.node_coding.base == info.org
-        and network.node_coding.levels == tuple(str(n.id) for n in network.nodes)
-    )
-    if len(network.node_coding) and not derivable_coding:
+    if len(network.node_coding):
         raw_info["nodeCoding"] = list(network.node_coding.levels)
     if network.property_codings:
         raw_info["propertyCodings"] = {

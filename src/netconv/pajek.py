@@ -19,9 +19,9 @@ import re
 from dataclasses import dataclass, field
 from typing import IO
 
-from .coding import CodingTable, LevelPolicy, build_coding_table, encode
+from .coding import CodingTable, LevelPolicy, build_coding_table, code_range_table, encode
 from .errors import CodingError, ExportError, ParseError
-from .model import LinkKind, LinkRecord, Network, NodeRecord, make_network
+from .model import LinkKind, LinkRecord, Network, NodeRecord, make_network, sorted_relations
 
 
 def _quote(text: str) -> str:
@@ -86,9 +86,7 @@ def write_pajek_net(network: Network, base: int = 1, *, coordinates: bool = Fals
         rel_code, rel_name = (lambda rel: rel - relations.base + 1), relations.value_of
     else:
         number = {node.id: i for i, node in enumerate(nodes, start=1)}
-        # Keep declared-but-unused relation levels, as factorize_network does.
-        rel_names = [*network.relations.levels, *(l.rel for l in network.links)]
-        relations = build_coding_table("relation", rel_names, LevelPolicy.SORTED, 1)
+        relations = sorted_relations(network.relations.levels, network.links, 1)
         default_label, rel_code, rel_name = str, relations.code_of, str
 
     lines = [f"*vertices {len(nodes)}"]
@@ -194,7 +192,7 @@ def read_pajek_net(source: IO[str]) -> Network:
                     coords[vnum] = (float(toks[2]), float(toks[3]))
                 except ValueError:
                     pass  # shape parameters, not coordinates
-        elif isinstance(section, LinkKind):
+        else:  # *vertices opened a section, so this is a link section
             rel, n1, n2, weight, name = _parse_link_tokens(toks, lineno)
             for v in (n1, n2):
                 if not 1 <= v <= n_declared:
@@ -210,8 +208,6 @@ def read_pajek_net(source: IO[str]) -> Network:
                     )
                 declarations.setdefault(rel, name)
             raw_links.append((rel, n1, n2, weight, section))
-        else:
-            raise ParseError("link data before a section header", line=lineno)
 
     if n_declared is None:
         raise ParseError("missing *vertices header")
@@ -231,14 +227,10 @@ def read_pajek_net(source: IO[str]) -> Network:
     codes = set(declarations) | {rel for rel, *_ in raw_links}
     if codes and min(codes) < 1:
         raise ParseError(f"relation code {min(codes)} is below 1")
-    relations = None  # without *relation lines make_network names each code by itself
-    if declarations:
-        lo, hi = min(codes), max(codes)
-        levels = tuple(declarations.get(c, str(c)) for c in range(lo, hi + 1))
-        try:
-            relations = CodingTable("relation", levels, base=lo)
-        except ValueError as exc:
-            raise ParseError(f"relation names are not distinct: {exc}") from None
+    try:
+        relations = code_range_table("relation", codes, declarations)
+    except ValueError as exc:
+        raise ParseError(f"relation names are not distinct: {exc}") from None
 
     links = tuple(
         LinkRecord(kind=kind, n1=n1, n2=n2, rel=rel, weight=weight)
@@ -386,11 +378,7 @@ def read_pajek_clu(source: IO[str]) -> Partition:
     if len(values) != n_declared:
         raise ParseError(f"expected {n_declared} values, found {len(values)}")
     if coding is None:
-        live = sorted(set(values) - {0})
-        if live:
-            coding = CodingTable("", tuple(str(c) for c in range(live[0], live[-1] + 1)), live[0])
-        else:
-            coding = CodingTable("")
+        coding = code_range_table("", set(values) - {0})
     for i, v in enumerate(values):
         if v != 0 and not coding.in_range(v):
             raise ParseError(f"value {v} at position {i} outside the coded range")

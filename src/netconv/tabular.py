@@ -50,14 +50,11 @@ _NA_STRINGS = frozenset({"", "NA", "NaN"})  # cells read as missing
 @dataclass(frozen=True)
 class TableOptions:
     delimiter: str = ";"
-    decimal_separator: str = "."
 
     def __post_init__(self):
         if len(self.delimiter) != 1 or self.delimiter == '"':
             message = f"delimiter must be one character other than '\"', got {self.delimiter!r}"
             raise ValueError(message)
-        if len(self.decimal_separator) != 1:
-            raise ValueError(f"decimal must be one character, got {self.decimal_separator!r}")
 
 
 @dataclass(frozen=True)

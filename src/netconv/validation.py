@@ -388,7 +388,7 @@ def check_temporal(network: Network, level: Level = Level.LENIENT) -> Validation
 
 
 def check_all(network: Network, level: Level = Level.LENIENT) -> ValidationReport:
-    """Structural and temporal checks combined, as run by the CLI pipeline."""
+    """Every rule about the network itself: structural and temporal checks combined."""
     merged = check_network(network, level).findings + check_temporal(network, level).findings
     return ValidationReport(merged, level)
 

@@ -187,7 +187,8 @@ def factorize_network(network, base=1):
 
 
 def defactorize_network(network):
-    """Integer-coded network -> labeled network, record by record."""
+    """Integer-coded network -> labeled network, record by record; the node
+    table is emptied, as on every labeled network."""
     if not network.is_factorized:
         return network
     if len(network.node_coding) == 0:
@@ -202,7 +203,8 @@ def defactorize_network(network):
         )
         for l in network.links
     )
-    net = replace(network, nodes=nodes, links=links)
+    empty = CodingTable("node", (), network.node_coding.base)
+    net = replace(network, nodes=nodes, links=links, node_coding=empty)
     network_stats(net)
     return net
 

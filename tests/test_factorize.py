@@ -18,10 +18,12 @@ from netconv import (
     canonical_order,
     defactorize_network,
     factorize_network,
+    parse_netsjson,
     read_pajek_net,
+    write_netsjson,
     write_pajek_net,
 )
-from netgen import random_labeled_network, random_pajek_network
+from netgen import random_json_network, random_labeled_network, random_pajek_network
 
 SEEDS = st.integers(0, 2**32 - 1)
 UNUSED_RELATIONS = st.sets(st.text(min_size=1, max_size=3), max_size=3)
@@ -75,6 +77,11 @@ class TestDefactorize:
     def test_empty_network(self):
         assert defactorize_network(Network()) == Network()
 
+    @pytest.mark.parametrize("base", [0, 1])
+    def test_node_table_emptied(self, bib_canonical, base):
+        labeled = defactorize_network(factorize_network(bib_canonical, base))
+        assert labeled.node_coding == CodingTable("node", (), base)
+
     def test_missing_coding_table_rejected(self):
         net = Network(nodes=(NodeRecord(id=1, lab="a"),))
         with pytest.raises(CodingError, match="cannot invert"):
@@ -127,3 +134,22 @@ class TestMatchesRecordCopies:
         coded = replace(coded, relations=CodingTable("relation", tuple(levels), coded.relations.base))
         assert canonical_order(coded) == oracles.canonical_order(coded)
         assert defactorize_network(coded) == oracles.defactorize_network(coded)
+
+
+class TestNodeTableOnlyWhenFactorized:
+    """Only a network whose node ids are codes carries a node table; every
+    labeled network a reader or defactorize_network returns carries the
+    empty one, based at org."""
+
+    @given(seed=SEEDS)
+    @settings(max_examples=100, deadline=None)
+    def test_labeled_networks(self, seed):
+        net = random_json_network(random.Random(seed), max_nodes=30, max_links=30)
+        assert (len(net.node_coding) > 0) == net.is_factorized
+        labeled = defactorize_network(net)
+        empty = CodingTable("node", (), labeled.info.org)
+        assert labeled.node_coding == empty
+        assert parse_netsjson(io.StringIO(write_netsjson(labeled))).node_coding == empty
+
+    def test_tables(self, bib_network):
+        assert bib_network.node_coding == CodingTable("node", (), 1)

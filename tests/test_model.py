@@ -152,6 +152,14 @@ class TestCanonicalOrder:
 
 
 class TestMakeNetwork:
+    def test_node_table_kept_only_on_coded_ids(self):
+        table = CodingTable("node", ("x", "y"), 0)
+        labeled = make_network([NodeRecord("x"), NodeRecord("y")], [], org=0, node_coding=table)
+        coded = make_network([NodeRecord(0), NodeRecord(1)], [], org=0, node_coding=table)
+        assert labeled.node_coding == make_network([], [], org=0).node_coding
+        assert labeled.node_coding == CodingTable("node", (), 0)
+        assert coded.node_coding == table
+
     def test_duplicate_node_ids_rejected(self):
         nodes = [NodeRecord(id="a", lab="a"), NodeRecord(id="a", lab="a2")]
         with pytest.raises(StructuralError, match="duplicate"):

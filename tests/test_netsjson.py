@@ -4,13 +4,17 @@ import io
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
 import oracles
+from conftest import DATA
 from netconv import (
+    CodingTable,
     Interval,
     LinkKind,
+    NetconvError,
     Network,
     SchemaError,
     TemporalError,
@@ -33,6 +37,28 @@ MINIMAL = json.dumps(
         "links": [{"type": "arc", "n1": 1, "n2": 2, "rel": 1}],
     }
 )
+
+
+LABELED = json.dumps(
+    {
+        "netsJSON": "basic",
+        "info": {"org": 1, "directed": True},
+        "nodes": [{"id": "a"}, {"id": "b"}],
+        "links": [{"n1": "a", "n2": "b", "rel": "r"}],
+    }
+)
+
+
+def _parsable(path: Path) -> bool:
+    try:
+        parse_netsjson(io.StringIO(path.read_text(encoding="utf-8")))
+    except NetconvError:
+        return False
+    return True
+
+
+# Every JSON document under tests/data that parse_netsjson accepts.
+PARSABLE_DOCUMENTS = [str(p.relative_to(DATA)) for p in sorted(DATA.rglob("*.json")) if _parsable(p)]
 
 
 def parse(text: str) -> Network:
@@ -205,12 +231,24 @@ class TestWrite:
         assert '"type": "arc"' in pretty and '"weight": 1.0' in pretty
         assert parse(compact) == parse(pretty) == net
 
-    def test_normal_form_on_temporal_document(self, data_dir):
-        raw = (data_dir / "temporal_full.json").read_text(encoding="utf-8")
-        for pretty in (False, True):
-            once = write_netsjson(parse(raw), pretty=pretty)
-            twice = write_netsjson(parse(once), pretty=pretty)
-            assert twice == once
+    @pytest.mark.parametrize("name", PARSABLE_DOCUMENTS)
+    @pytest.mark.parametrize("pretty", [False, True])
+    def test_normal_form_on_every_parsable_document(self, name, pretty):
+        once = write_netsjson(parse((DATA / name).read_text(encoding="utf-8")), pretty=pretty)
+        assert write_netsjson(parse(once), pretty=pretty) == once
+
+    def test_labeled_node_coding_not_carried(self):
+        doc = json.loads(LABELED)
+        doc["info"]["nodeCoding"] = ["b", "a"]
+        net = parse(json.dumps(doc))
+        assert net.node_coding == CodingTable("node", (), 1)
+        assert write_netsjson(net) == write_netsjson(parse(LABELED))  # no nodeCoding
+
+    def test_labeled_node_coding_still_type_checked(self):
+        doc = json.loads(LABELED)
+        doc["info"]["nodeCoding"] = ["a", "a"]
+        report = validate_netsjson_document(io.StringIO(json.dumps(doc)))
+        assert [(f.rule, f.location) for f in report.findings] == [("member-type", "$.info.nodeCoding")]
 
     def test_user_object_keys_sorted(self):
         doc = json.dumps(

@@ -244,6 +244,44 @@ class TestReadNet:
         net = read_pajek_net(io.StringIO("*vertices 2\n*arcs\n3: 1 2\n"))
         assert net.relations.value_of(3) == "3"
 
+    @pytest.mark.parametrize("text, message", [
+        ("*vertices\n", "line 1: *vertices requires a count"),
+        ("*vertices two\n", "line 1: invalid vertex count 'two'"),
+        ("*vertices 1\n*arcs :x\n", "line 2: invalid relation code ':x'"),
+        ('*vertices 2\n*arcs :1 "a"\n*arcs\n1: 1 2 1 l "b"\n',
+         "line 4: relation code 1 used as 'b' (declared 'a')"),
+        ('*vertices 2\n1 "a"\n2 "a"\n', "duplicate vertex labels prevent building the node coding"),
+        ('*vertices 1\n*arcs :0 "z"\n', "relation code 0 is below 1"),
+        ("*vertices 1\n*edges\n-1: 1 1\n", "relation code -1 is below 1"),
+        ('*vertices 1\n*arcs :1 "a"\n*arcs :3 "a"\n',
+         "relation names are not distinct: duplicate coding table level: 'a'"),
+        ('*vertices 1\n*arcs :2 ""\n',
+         "relation names are not distinct: coding table level must be non-empty text"),
+        ('*vertices 1\n*arcs :1 "2"\n*arcs\n2: 1 1\n',
+         "relation names are not distinct: duplicate coding table level: '2'"),
+        ("*vertices 1\n1 1\n*arcs\nx: 1 1\n", "line 4: invalid relation prefix 'x:'"),
+        ("*vertices 1\n*arcs\n1\n", "line 3: link line needs two vertex numbers"),
+        ("*vertices 1\n*edges\n1 one\n", "line 3: link endpoints must be vertex numbers"),
+        ("*vertices 1\n*arcs\n1 1 heavy\n", "line 3: invalid link weight 'heavy'"),
+        ("*vertices 1\n*arcs\n1 1 2 x\n", 'line 3: expected relation suffix of the form: l "name"'),
+        ("*vertices 1\n*arcs\n1 1 l\n", 'line 3: expected relation suffix of the form: l "name"'),
+        ("1 1\n", "line 1: data before *vertices header"),
+        ("% only a comment\n", "missing *vertices header"),
+    ])  # fmt: skip
+    def test_rejection(self, text, message):
+        with pytest.raises(ParseError) as excinfo:
+            read_pajek_net(io.StringIO(text))
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("text, levels, base", [
+        ("*vertices 1\n", (), 1),
+        ("*vertices 1\n*arcs\n3: 1 1\n5: 1 1\n", ("3", "4", "5"), 3),
+        ('*vertices 1\n*arcs :4 "d"\n*arcs\n2: 1 1\n', ("2", "3", "d"), 2),
+        ('*vertices 1\n*arcs :2 "b"\n*arcs :3 "c"\n', ("b", "c"), 2),
+    ])  # fmt: skip
+    def test_relations_named_by_their_codes(self, text, levels, base):
+        assert read_pajek_net(io.StringIO(text)).relations == CodingTable("relation", levels, base)
+
     def test_empty_input(self):
         with pytest.raises(ParseError, match="vertices"):
             read_pajek_net(io.StringIO(""))
@@ -374,6 +412,29 @@ class TestCluFiles:
     def test_vertex_count_not_a_number_reports_line(self):
         with pytest.raises(ParseError, match=r"line 2: invalid vertex count 'x'"):
             read_pajek_clu(io.StringIO("% 1 a\n*vertices x\n1\n"))
+
+    @pytest.mark.parametrize("text, message", [
+        ("*vertices\n", "line 1: unexpected header '*vertices'"),
+        ("*vertices 1\n*partition sex\n1\n", "line 2: unexpected header '*partition sex'"),
+        ("1\n*vertices 1\n", "line 1: values before *vertices header"),
+        ("*vertices 1\nred\n", "line 2: invalid partition value 'red'"),
+        ("*vertices 2\n1\n", "expected 2 values, found 1"),
+        ("% 1 a 2 b\n*vertices 2\n1\n3\n", "value 3 at position 1 outside the coded range"),
+        ("% 1 a 2 b\n*vertices 1\n-1\n", "value -1 at position 0 outside the coded range"),
+    ])  # fmt: skip
+    def test_rejection(self, text, message):
+        with pytest.raises(ParseError) as excinfo:
+            read_pajek_clu(io.StringIO(text))
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("values, levels, base", [
+        ("0\n0\n", (), 1),
+        ("4\n0\n2\n", ("2", "3", "4"), 2),
+        ("-2\n-1\n", ("-2", "-1"), -2),
+    ])  # fmt: skip
+    def test_bare_values_coded_by_their_range(self, values, levels, base):
+        text = f"*vertices {values.count(chr(10))}\n{values}"
+        assert read_pajek_clu(io.StringIO(text)).coding == CodingTable("", levels, base)
 
     def test_legend_with_spaces_quoted(self):
         coding = CodingTable("kind", ("two words", "one"), 1)

@@ -149,6 +149,33 @@ class TestTablesToNetwork:
         assert network_stats(net).n_edges == 19
 
 
+class TestRejections:
+    """Each rejection of the table readers, from the tables' text to the
+    exception and its message."""
+
+    @pytest.mark.parametrize("nodes, links, error, message", [
+        ("name;x\n;1\n", "from;relation;to\n", SchemaError, "node table contains a missing name"),
+        ("name;x\na;1\na;2\n", "from;relation;to\n", SchemaError, "duplicate node name: 'a'"),
+        ("x\n1\n", "from;relation;to\n", SchemaError, "node table is missing the 'name' column"),
+        ("name\na\n", "from;to\na;a\n", SchemaError, "link table is missing column(s): relation"),
+        ("name\na\n", "from;relation;to\na;;a\n", SchemaError,
+         "link table contains a missing 'relation' value"),
+        ("name;x\na;inf\n", "from;relation;to\n", ParseError, "node row 1: x 'inf' is not numeric"),
+        ("name\na\n", "from;relation;to;weight\na;r;a;1\na;r;a;-nan\n", ParseError,
+         "link row 2: weight '-nan' is not numeric"),
+        ("name\na\n", "from;relation;to;kind\na;r;a;arc\na;r;a;loop\n", ParseError,
+         "link row 2: kind must be 'arc' or 'edge'"),
+        ("name\na\n", "from;relation;to\na;r;b\n", StructuralError,
+         "link row 1 references unknown node 'b'"),
+        ("name\na\n", "from;relation;to\na;r\n", ParseError, "line 2: expected 3 cells, found 2"),
+    ])  # fmt: skip
+    def test_message(self, nodes, links, error, message):
+        with pytest.raises(error) as excinfo:
+            node_table = read_node_table(io.StringIO(nodes))
+            tables_to_network(node_table, read_link_table(io.StringIO(links)))
+        assert str(excinfo.value) == message
+
+
 class TestNetworkToTables:
     def test_bibliographic_round_trip(self, bib_network):
         assert roundtrip_tables(bib_network) == bib_network
@@ -206,7 +233,7 @@ class TestQuotingAndRoundTrips:
 
     def test_custom_delimiter_and_decimal(self):
         text = "name,x,y\na,\"1,5\",\"2,25\"\n"
-        opts = TableOptions(delimiter=",", decimal_separator=",")
+        opts = TableOptions(delimiter=",")
         table = read_node_table(io.StringIO(text), opts)
         net = tables_to_network(
             table, Table(("from", "relation", "to")), decimal_separator=","
@@ -227,11 +254,10 @@ class TestQuotingAndRoundTrips:
             TableOptions(delimiter=delimiter)
         assert str(excinfo.value) == message
 
-    @pytest.mark.parametrize("decimal", ["", ",,"])
-    def test_decimal_separator_must_be_one_character(self, decimal):
-        with pytest.raises(ValueError) as excinfo:
-            TableOptions(decimal_separator=decimal)
-        assert str(excinfo.value) == f"decimal must be one character, got {decimal!r}"
+    def test_decimal_separator_is_not_an_option(self):
+        # tables_to_network and merge_node_properties take it; the reader never reads numbers
+        with pytest.raises(TypeError):
+            TableOptions(decimal_separator=",")
 
     def test_na_strings_are_not_an_option(self):
         with pytest.raises(TypeError):
@@ -304,7 +330,7 @@ class TestMergeNodeProperties:
         assert merge_node_properties(self.BASE, rows) == self.BASE
 
     def test_decimal_separator(self):
-        rows = read_node_table(io.StringIO("name;x\nb;0,5\n"), TableOptions(decimal_separator=","))
+        rows = read_node_table(io.StringIO("name;x\nb;0,5\n"))
         merged = merge_node_properties(self.BASE, rows, decimal_separator=",")
         assert merged.nodes[1].x == 0.5
 
