@@ -22,7 +22,7 @@ class LevelPolicy(Enum):
     SORTED = "sorted"  # Unicode code point order, locale independent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CodingTable:
     """Ordered list of distinct categorical values with their code base.
 

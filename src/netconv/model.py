@@ -27,7 +27,7 @@ from .errors import StructuralError
 PropertyValue = Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """Closed numeric interval [lo, hi]."""
 
@@ -35,7 +35,7 @@ class Interval:
     hi: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TemporalQuantity:
     """A value defined piecewise over half-open integer time intervals.
 
@@ -70,7 +70,7 @@ class LinkKind(str, Enum):
     EDGE = "edge"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeWindow:
     """Lifetime [t_min, t_max] of a temporal network with optional point labels."""
 
@@ -79,7 +79,7 @@ class TimeWindow:
     t_labs: dict[int, str] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventRecord:
     """One entry of the dataset's life log (creation, release, publication, ...)."""
 
@@ -93,7 +93,7 @@ class EventRecord:
     extra: dict[str, PropertyValue] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InfoBlock:
     """Network-level metadata: flags and provenance.
 
@@ -116,7 +116,7 @@ class InfoBlock:
     extra: dict[str, PropertyValue] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeRecord:
     """A node: identity, labels, coordinates, and a free property map.
 
@@ -133,7 +133,7 @@ class NodeRecord:
     props: dict[str, PropertyValue] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkRecord:
     """A link between two nodes; an arc is directed n1 -> n2, an edge is not."""
 
@@ -147,7 +147,7 @@ class LinkRecord:
     props: dict[str, PropertyValue] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Network:
     """The complete model: info block, records, and coding tables (a node
     table only when factorized)."""

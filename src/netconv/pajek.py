@@ -145,12 +145,7 @@ def read_pajek_net(source: IO[str]) -> Network:
         if toks[0].startswith("*"):
             keyword = toks[0].lower()
             if keyword == "*vertices":
-                if len(toks) < 2:
-                    raise ParseError("*vertices requires a count", line=lineno)
-                try:
-                    n_declared = int(toks[1])
-                except ValueError:
-                    raise ParseError(f"invalid vertex count {toks[1]!r}", line=lineno) from None
+                n_declared = _vertex_count(toks, lineno)
                 section = "vertices"
             elif keyword in ("*arcs", "*edges"):
                 if len(toks) >= 2 and toks[1].startswith(":"):
@@ -159,6 +154,8 @@ def read_pajek_net(source: IO[str]) -> Network:
                     except ValueError:
                         raise ParseError(f"invalid relation code {toks[1]!r}", line=lineno) from None
                     name = toks[2] if len(toks) > 2 else str(code)
+                    if not name:
+                        raise ParseError("empty relation name", line=lineno)
                     if declarations.get(code, name) != name:
                         raise ParseError(
                             f"relation code {code} redeclared as {name!r}"
@@ -271,7 +268,19 @@ def _parse_link_tokens(toks: list[str], lineno: int):
         if toks[i] != "l" or len(toks) < i + 2:
             raise ParseError("expected relation suffix of the form: l \"name\"", line=lineno)
         name = toks[i + 1]
+        if not name:
+            raise ParseError("empty relation name", line=lineno)
     return rel, n1, n2, weight, name
+
+
+def _vertex_count(toks: list[str], lineno: int) -> int:
+    """The count a ``*vertices`` header line declares."""
+    if len(toks) < 2:
+        raise ParseError("*vertices requires a count", line=lineno)
+    try:
+        return int(toks[1])
+    except ValueError:
+        raise ParseError(f"invalid vertex count {toks[1]!r}", line=lineno) from None
 
 
 @dataclass(frozen=True)
@@ -359,12 +368,9 @@ def read_pajek_clu(source: IO[str]) -> Partition:
             continue
         toks = _tokens(line, lineno)
         if toks[0].startswith("*"):
-            if toks[0].lower() != "*vertices" or len(toks) < 2:
+            if toks[0].lower() != "*vertices":
                 raise ParseError(f"unexpected header {line!r}", line=lineno)
-            try:
-                n_declared = int(toks[1])
-            except ValueError:
-                raise ParseError(f"invalid vertex count {toks[1]!r}", line=lineno) from None
+            n_declared = _vertex_count(toks, lineno)
             continue
         if n_declared is None:
             raise ParseError("values before *vertices header", line=lineno)

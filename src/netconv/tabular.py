@@ -1,8 +1,9 @@
 """Two-table network description: a node table plus a link table.
 
 The tables are delimited text (semicolon by default) with RFC-4180 quoting
-adapted to the configured delimiter. Reserved columns fill record fields;
-every other column is a property:
+adapted to the configured delimiter, held in memory column by column; rows
+become records with no row of their own. Reserved columns fill record
+fields; every other column is a property:
 
 - node table: ``name`` (required, unique), ``mode``, ``slab``, ``x``, ``y``;
 - link table: ``from``, ``relation``, ``to`` (required), ``kind`` (``arc``
@@ -20,20 +21,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from itertools import repeat
 from operator import attrgetter
 from typing import IO, Optional
 
 from .errors import ExportError, ParseError, SchemaError, StructuralError
-from .model import (
-    Interval,
-    LinkKind,
-    LinkRecord,
-    Network,
-    NodeRecord,
-    TemporalQuantity,
-    make_network,
-)
+from .model import (Interval, LinkKind, LinkRecord, Network, NodeRecord, TemporalQuantity,
+                    make_network)
 
 NODE_NAME_COLUMN = "name"
 LINK_REQUIRED_COLUMNS = ("from", "relation", "to")
@@ -59,14 +54,22 @@ class TableOptions:
 
 @dataclass(frozen=True)
 class Table:
-    """Header plus rows of optional text cells; missing cells are None."""
+    """A header and one tuple of optional text cells per header column;
+    missing cells are None. ``rows`` is derived from the columns."""
 
     header: tuple[str, ...]
-    rows: tuple[tuple[Optional[str], ...], ...] = ()
+    columns: tuple[tuple[Optional[str], ...], ...]
 
-    def column(self, name: str) -> list[Optional[str]]:
-        i = self.header.index(name)
-        return [row[i] for row in self.rows]
+    def __post_init__(self):
+        if len(self.columns) != len(self.header) or len(set(map(len, self.columns))) > 1:
+            raise ValueError("a table needs one column per header name, all of one length")
+
+    @property
+    def rows(self) -> tuple[tuple[Optional[str], ...], ...]:
+        return tuple(zip(*self.columns))
+
+    def column(self, name: str) -> tuple[Optional[str], ...]:
+        return self.columns[self.header.index(name)]
 
 
 def _read_table(source: IO[str], opts: TableOptions) -> Table:
@@ -81,12 +84,14 @@ def _read_table(source: IO[str], opts: TableOptions) -> Table:
                 raise ParseError(
                     f"expected {len(header)} cells, found {len(row)}", line=reader.line_num
                 )
-            rows.append(tuple(None if cell in _NA_STRINGS else cell for cell in row))
+            rows.append(row)
     except UnicodeDecodeError as exc:
         raise ParseError.undecodable(exc, reader.line_num) from None
     except csv.Error as exc:  # a field over csv.field_size_limit; a NUL byte before 3.11
         raise ParseError(str(exc), line=reader.line_num) from None
-    return Table(header=tuple(header), rows=tuple(rows))
+    columns = zip(*rows) if rows else [()] * len(header)
+    return Table(tuple(header), tuple(tuple([None if c in _NA_STRINGS else c for c in cells])
+                                      for cells in columns))
 
 
 def read_node_table(source: IO[str], opts: TableOptions = TableOptions()) -> Table:
@@ -95,7 +100,7 @@ def read_node_table(source: IO[str], opts: TableOptions = TableOptions()) -> Tab
     if NODE_NAME_COLUMN not in table.header:
         raise SchemaError(f"node table is missing the {NODE_NAME_COLUMN!r} column")
     names = table.column(NODE_NAME_COLUMN)
-    if any(n is None for n in names):
+    if None in names:
         raise SchemaError("node table contains a missing name")
     seen = set()
     for n in names:
@@ -112,58 +117,54 @@ def read_link_table(source: IO[str], opts: TableOptions = TableOptions()) -> Tab
     if missing:
         raise SchemaError(f"link table is missing column(s): {', '.join(missing)}")
     for col in LINK_REQUIRED_COLUMNS:
-        if any(v is None for v in table.column(col)):
+        if None in table.column(col):
             raise SchemaError(f"link table contains a missing {col!r} value")
     return table
 
 
-def _parse_number(cell: str, decimal_separator: str) -> float:
-    if decimal_separator != ".":
-        cell = cell.replace(decimal_separator, ".")
-    value = float(cell)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {cell!r}")
-    return value
-
-
-def _numbers(cells: list[Optional[str]], what: str, name: str, decimal_separator: str) -> list:
-    """A column's cells as numbers; the first cell that is not one raises ParseError."""
+def _numbers(cells: tuple, what: str, name: str, decimal_separator: str) -> list:
+    """A column's cells as numbers; the first cell that is not a finite one raises ParseError."""
     values = []
     for i, cell in enumerate(cells, start=1):
         try:
-            values.append(None if cell is None else _parse_number(cell, decimal_separator))
+            value = None if cell is None else float(cell.replace(decimal_separator, "."))
+            if value is not None and not math.isfinite(value):
+                raise ValueError
         except ValueError:
             raise ParseError(f"{what} row {i}: {name} {cell!r} is not numeric") from None
+        values.append(value)
     return values
 
 
-def _decode(table: Table, declared: dict, what: str, decimal_separator: str):
-    """Each row's record-field keywords and property map, built column by column.
-
-    A declared column fills its field (None when the cell is missing) and is
-    parsed as numbers when it holds them. Any other column is a property,
-    typed numeric when every present cell parses as a number; missing cells
-    are left out of the property map.
+def _decode(table: Table, declared: dict, what: str, decimal_separator: str) -> dict:
+    """The table as record-field columns: a declared column is its field's,
+    parsed as numbers when it holds them (None cells when the table lacks
+    it). Every other column is a property, typed numeric when every present
+    cell parses as a number; ``props`` holds each row's property map,
+    without the missing cells.
     """
-    fields = [{} for _ in table.rows]
-    props = [{} for _ in table.rows]
-    for j, name in enumerate(table.header):
-        values = [row[j] for row in table.rows]
+    n = len(table.columns[0]) if table.columns else 0
+    columns = dict.fromkeys((field for field, _ in declared.values()), (None,) * n)
+    props = columns["props"] = [{} for _ in range(n)]
+    for name, cells in zip(table.header, table.columns):
         if name in declared:
             field, number = declared[name]
-            if number:
-                values = _numbers(values, what, name, decimal_separator)
-            for row, value in zip(fields, values):
-                row[field] = value
+            columns[field] = _numbers(cells, what, name, decimal_separator) if number else cells
         else:
             try:
-                values = _numbers(values, what, name, decimal_separator)
+                cells = _numbers(cells, what, name, decimal_separator)
             except ParseError:
                 pass  # a text column
-            for row, value in zip(props, values):
+            for row, value in zip(props, cells):
                 if value is not None:
                     row[name] = value
-    return zip(fields, props)
+    return columns
+
+
+def _records(cls, columns: dict) -> list:
+    """One ``cls`` record per row, built positionally from ``columns``
+    (record field -> cells); a field without a column takes its default."""
+    return list(map(cls, *(columns.get(f.name, repeat(f.default)) for f in fields(cls))))
 
 
 def tables_to_network(
@@ -180,26 +181,20 @@ def tables_to_network(
     become arcs when ``directed`` (overridable per row by a ``kind`` column);
     weight defaults to 1.
     """
-    node_records = [
-        NodeRecord(lab=fields["id"], **fields, props=props)
-        for fields, props in _decode(nodes, _NODE_COLUMNS, "node", decimal_separator)
-    ]
-    names = {n.id for n in node_records}
-    default_kind = LinkKind.ARC if directed else LinkKind.EDGE
-    link_records = []
-    rows = _decode(links, _LINK_COLUMNS, "link", decimal_separator)
-    for i, (fields, props) in enumerate(rows, start=1):
-        for endpoint in (fields["n1"], fields["n2"]):
+    cols = _decode(nodes, _NODE_COLUMNS, "node", decimal_separator)
+    node_records = _records(NodeRecord, {**cols, "lab": cols["id"]})
+    names = set(cols["id"])
+    kinds = {None: LinkKind.ARC if directed else LinkKind.EDGE, **{k.value: k for k in LinkKind}}
+    cols = _decode(links, _LINK_COLUMNS, "link", decimal_separator)
+    for i, (n1, n2, kind) in enumerate(zip(cols["n1"], cols["n2"], cols["kind"]), start=1):
+        for endpoint in (n1, n2):
             if endpoint not in names:
                 raise StructuralError(f"link row {i} references unknown node {endpoint!r}")
-        kind = fields.get("kind")
-        try:
-            fields["kind"] = default_kind if kind is None else LinkKind(kind)
-        except ValueError:
-            raise ParseError(f"link row {i}: kind must be 'arc' or 'edge'") from None
-        if fields.get("weight") is None:
-            fields["weight"] = 1.0
-        link_records.append(LinkRecord(**fields, props=props))
+        if kind not in kinds:
+            raise ParseError(f"link row {i}: kind must be 'arc' or 'edge'")
+    cols["kind"] = [kinds[kind] for kind in cols["kind"]]
+    cols["weight"] = [1.0 if w is None else w for w in cols["weight"]]
+    link_records = _records(LinkRecord, cols)
     return make_network(node_records, link_records, org=base, directed=directed)
 
 
@@ -225,13 +220,13 @@ def _encode(records, header: list[str], declared: dict) -> Table:
         for name in header
     ]
     try:
-        columns = [[_cell(get(record)) for record in records] for get in getters]
+        columns = tuple(tuple([_cell(get(record)) for record in records]) for get in getters)
     except ExportError:  # name the first structured value in row order
         for record in records:
             for get in getters:
                 _cell(get(record))
         raise
-    return Table(header=tuple(header), rows=tuple(zip(*columns)))
+    return Table(tuple(header), columns)
 
 
 def network_to_tables(network: Network) -> tuple[Table, Table]:
@@ -267,8 +262,7 @@ def write_table(table: Table, sink: IO[str], opts: TableOptions = TableOptions()
     """Write a table with minimal quoting; missing cells become empty."""
     writer = csv.writer(sink, delimiter=opts.delimiter, lineterminator="\n")  # quotes doubled
     writer.writerow(table.header)
-    for row in table.rows:
-        writer.writerow(["" if cell is None else cell for cell in row])
+    writer.writerows(zip(*table.columns))  # csv writes None as an empty cell
 
 
 def merge_node_properties(
@@ -281,15 +275,14 @@ def merge_node_properties(
     as it was. Used to re-attach properties a format such as Pajek NET
     cannot carry.
     """
-    rows = {}
-    for fields, props in _decode(node_table, _NODE_COLUMNS, "node", decimal_separator):
-        name = fields.pop("id")
-        rows[name] = ({k: v for k, v in fields.items() if v is not None}, props)
+    cols = _decode(node_table, _NODE_COLUMNS, "node", decimal_separator)
+    row_of = {name: i for i, name in enumerate(cols.pop("id"))}
+    props = cols.pop("props")
     nodes = []
     for n in network.nodes:
-        row = rows.get(n.lab or (n.id if isinstance(n.id, str) else None))
-        if row is not None:
-            fields, props = row
-            n = replace(n, **fields, props={**n.props, **props})
+        i = row_of.get(n.lab or (n.id if isinstance(n.id, str) else None))
+        if i is not None:
+            changes = {field: cells[i] for field, cells in cols.items() if cells[i] is not None}
+            n = replace(n, **changes, props={**n.props, **props[i]})
         nodes.append(n)
     return replace(network, nodes=tuple(nodes))

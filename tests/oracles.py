@@ -7,17 +7,25 @@ cannot hide behind an identically-buggy expectation.
 
 from __future__ import annotations
 
-from dataclasses import replace
+import csv
+import math
+from dataclasses import dataclass, replace
+from typing import Optional
 
 from netconv import (
     CodingError,
     CodingTable,
     LevelPolicy,
+    LinkKind,
+    LinkRecord,
+    NodeRecord,
     ParseError,
     StructuralError,
     build_coding_table,
+    make_network,
     network_stats,
 )
+from netconv.tabular import _LINK_COLUMNS, _NA_STRINGS, _NODE_COLUMNS
 
 
 def sorted_levels(values):
@@ -220,3 +228,122 @@ def canonical_order(network):
             for l in links
         )
     return replace(network, relations=new_rel, links=links)
+
+
+# The CSV table path as written when a table held rows: one NA-mapped tuple
+# per row, transposed back per column to decode, one field dict per row.
+
+
+@dataclass(frozen=True)
+class RowTable:
+    """Header plus rows of optional text cells; missing cells are None."""
+
+    header: tuple[str, ...]
+    rows: tuple[tuple[Optional[str], ...], ...] = ()
+
+    def column(self, name: str) -> list[Optional[str]]:
+        i = self.header.index(name)
+        return [row[i] for row in self.rows]
+
+
+def read_table(source, opts) -> RowTable:
+    reader = csv.reader(source, delimiter=opts.delimiter, quotechar='"', doublequote=True)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty input: missing header row")
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ParseError(
+                    f"expected {len(header)} cells, found {len(row)}", line=reader.line_num
+                )
+            rows.append(tuple(None if cell in _NA_STRINGS else cell for cell in row))
+    except UnicodeDecodeError as exc:
+        raise ParseError.undecodable(exc, reader.line_num) from None
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
+    return RowTable(header=tuple(header), rows=tuple(rows))
+
+
+def _parse_number(cell: str, decimal_separator: str) -> float:
+    if decimal_separator != ".":
+        cell = cell.replace(decimal_separator, ".")
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {cell!r}")
+    return value
+
+
+def _numbers(cells, what: str, name: str, decimal_separator: str) -> list:
+    values = []
+    for i, cell in enumerate(cells, start=1):
+        try:
+            values.append(None if cell is None else _parse_number(cell, decimal_separator))
+        except ValueError:
+            raise ParseError(f"{what} row {i}: {name} {cell!r} is not numeric") from None
+    return values
+
+
+def _decode(table: RowTable, declared: dict, what: str, decimal_separator: str):
+    """Each row's record-field keywords and property map, built column by column."""
+    fields = [{} for _ in table.rows]
+    props = [{} for _ in table.rows]
+    for j, name in enumerate(table.header):
+        values = [row[j] for row in table.rows]
+        if name in declared:
+            field, number = declared[name]
+            if number:
+                values = _numbers(values, what, name, decimal_separator)
+            for row, value in zip(fields, values):
+                row[field] = value
+        else:
+            try:
+                values = _numbers(values, what, name, decimal_separator)
+            except ParseError:
+                pass  # a text column
+            for row, value in zip(props, values):
+                if value is not None:
+                    row[name] = value
+    return zip(fields, props)
+
+
+def tables_to_network(nodes, links, directed=True, base=1, *, decimal_separator="."):
+    """A labeled network from two row tables, one record per row dict."""
+    node_records = [
+        NodeRecord(lab=fields["id"], **fields, props=props)
+        for fields, props in _decode(nodes, _NODE_COLUMNS, "node", decimal_separator)
+    ]
+    names = {n.id for n in node_records}
+    default_kind = LinkKind.ARC if directed else LinkKind.EDGE
+    link_records = []
+    rows = _decode(links, _LINK_COLUMNS, "link", decimal_separator)
+    for i, (fields, props) in enumerate(rows, start=1):
+        for endpoint in (fields["n1"], fields["n2"]):
+            if endpoint not in names:
+                raise StructuralError(f"link row {i} references unknown node {endpoint!r}")
+        kind = fields.get("kind")
+        try:
+            fields["kind"] = default_kind if kind is None else LinkKind(kind)
+        except ValueError:
+            raise ParseError(f"link row {i}: kind must be 'arc' or 'edge'") from None
+        if fields.get("weight") is None:
+            fields["weight"] = 1.0
+        link_records.append(LinkRecord(**fields, props=props))
+    return make_network(node_records, link_records, org=base, directed=directed)
+
+
+def merge_node_properties(network, node_table: RowTable, *, decimal_separator="."):
+    """Node-table cells overlaid on the matching nodes, one row dict per row."""
+    rows = {}
+    for fields, props in _decode(node_table, _NODE_COLUMNS, "node", decimal_separator):
+        name = fields.pop("id")
+        rows[name] = ({k: v for k, v in fields.items() if v is not None}, props)
+    nodes = []
+    for n in network.nodes:
+        row = rows.get(n.lab or (n.id if isinstance(n.id, str) else None))
+        if row is not None:
+            fields, props = row
+            n = replace(n, **fields, props={**n.props, **props})
+        nodes.append(n)
+    return replace(network, nodes=tuple(nodes))

@@ -110,6 +110,12 @@ class TestConvert:
             assert capsys.readouterr().err == "error: Pajek NET output requires --base 1\n"
         assert not (tmp_path / "x.net").exists()
 
+    def test_csv_to_csv_rejected(self, bib_paths, tmp_path, capsys):
+        nodes, links = bib_paths
+        argv = ["convert", "--from", "csv", "--to", "csv", "--nodes", str(nodes), "--links", str(links)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: csv-to-csv conversion is not supported\n"
+
     def test_parse_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.net"
         bad.write_text("*vertices 1\n2 \"out of range\"\n", encoding="utf-8")

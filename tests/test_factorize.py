@@ -66,6 +66,13 @@ class TestFactorize:
         with pytest.raises(ValueError):
             factorize_network(bib_canonical, base=2)
 
+    def test_duplicate_ids_rejected(self):
+        # make_network rejects the duplicate; a network built directly reaches factorize
+        net = Network(nodes=(NodeRecord("a"), NodeRecord("b"), NodeRecord("a")))
+        with pytest.raises(StructuralError) as excinfo:
+            factorize_network(net)
+        assert str(excinfo.value) == "duplicate node identifiers prevent factorization"
+
 
 class TestDefactorize:
     def test_restores_labels(self, bib_canonical):

@@ -12,10 +12,14 @@ import oracles
 from conftest import DATA
 from netconv import (
     CodingTable,
+    ExportError,
+    InfoBlock,
     Interval,
     LinkKind,
+    LinkRecord,
     NetconvError,
     Network,
+    NodeRecord,
     SchemaError,
     TemporalError,
     TemporalQuantity,
@@ -270,6 +274,29 @@ class TestWrite:
                 doc = write_netsjson(net, pretty=pretty)
                 assert parse(doc) == net
                 assert write_netsjson(parse(doc), pretty=pretty) == doc
+
+
+class TestWriteRejections:
+    """Each rejection of the NetsJSON writer, from the network to the message."""
+
+    @pytest.mark.parametrize("network, message", [
+        (Network(info=InfoBlock(extra={"title": "t"})),
+         "info extra entry 'title' collides with a schema member"),
+        (Network(nodes=(NodeRecord("a", props={"lab": "b"}),)),
+         "node property 'lab' collides with a schema member"),
+        (Network(nodes=(NodeRecord("a"),),
+                 links=(LinkRecord(LinkKind.ARC, "a", "a", "r", props={"rel": "s"}),)),
+         "link property 'rel' collides with a schema member"),
+    ])  # fmt: skip
+    def test_message(self, network, message):
+        with pytest.raises(ExportError) as excinfo:
+            write_netsjson(network)
+        assert str(excinfo.value) == message
+
+    def test_non_finite_number(self):
+        # the message ends with json's own wording, which differs across Python versions
+        with pytest.raises(ExportError, match=r"^network holds a non-finite number: "):
+            write_netsjson(Network(nodes=(NodeRecord("a", x=float("inf")),)))
 
 
 class TestValidateDocument:

@@ -100,6 +100,12 @@ class TestWriteNet:
         with pytest.raises(ExportError, match="contiguous"):
             write_pajek_net(net)
 
+    def test_non_finite_weight_rejected(self):
+        link = LinkRecord(LinkKind.ARC, "a", "a", "r", weight=float("nan"))
+        net = make_network([NodeRecord(id="a", lab="a")], [link])
+        with pytest.raises(ExportError) as excinfo:
+            write_pajek_net(net)
+        assert str(excinfo.value) == "non-finite link weight nan"
 
     def test_unresolved_endpoint_rejected(self):
         for ids, link in (
@@ -255,8 +261,8 @@ class TestReadNet:
         ("*vertices 1\n*edges\n-1: 1 1\n", "relation code -1 is below 1"),
         ('*vertices 1\n*arcs :1 "a"\n*arcs :3 "a"\n',
          "relation names are not distinct: duplicate coding table level: 'a'"),
-        ('*vertices 1\n*arcs :2 ""\n',
-         "relation names are not distinct: coding table level must be non-empty text"),
+        ('*vertices 1\n*arcs :2 ""\n', "line 2: empty relation name"),
+        ('*vertices 1\n*arcs\n1: 1 1 1 l ""\n', "line 3: empty relation name"),
         ('*vertices 1\n*arcs :1 "2"\n*arcs\n2: 1 1\n',
          "relation names are not distinct: duplicate coding table level: '2'"),
         ("*vertices 1\n1 1\n*arcs\nx: 1 1\n", "line 4: invalid relation prefix 'x:'"),
@@ -376,6 +382,17 @@ class TestPartition:
         with pytest.raises(CodingError, match="unknown property"):
             partition_from_property(bib_network, "shoe_size")
 
+    def test_structured_property_rejected(self):
+        net = make_network([NodeRecord(id="a", lab="a", props={"p": [1]})], [])
+        with pytest.raises(CodingError) as excinfo:
+            partition_from_property(net, "p")
+        assert str(excinfo.value) == "property 'p' holds structured values; not categorical"
+
+    def test_base_other_than_one_rejected(self, bib_network):
+        with pytest.raises(ValueError) as excinfo:
+            partition_from_property(bib_network, "mode", base=0)
+        assert str(excinfo.value) == "partitions are 1-based; base must be 1"
+
 
 class TestCluFiles:
     def test_write_sex_partition(self, bib_network):
@@ -414,7 +431,7 @@ class TestCluFiles:
             read_pajek_clu(io.StringIO("% 1 a\n*vertices x\n1\n"))
 
     @pytest.mark.parametrize("text, message", [
-        ("*vertices\n", "line 1: unexpected header '*vertices'"),
+        ("*vertices\n", "line 1: *vertices requires a count"),
         ("*vertices 1\n*partition sex\n1\n", "line 2: unexpected header '*partition sex'"),
         ("1\n*vertices 1\n", "line 1: values before *vertices header"),
         ("*vertices 1\nred\n", "line 2: invalid partition value 'red'"),

@@ -5,7 +5,9 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from netconv import (
     ExportError,
     LinkKind,
@@ -25,7 +27,10 @@ from netconv import (
     tables_to_network,
     write_table,
 )
+from netconv.tabular import _read_table
 from netgen import random_csv_network
+
+NO_LINKS = Table(("from", "relation", "to"), ((), (), ()))
 
 
 def roundtrip_tables(network):
@@ -38,6 +43,23 @@ def roundtrip_tables(network):
     return tables_to_network(
         nodes, links, directed=network.info.directed, base=network.info.org
     )
+
+
+class TestTable:
+    @pytest.mark.parametrize("header, columns", [
+        (("name",), ()),
+        (("name",), (("a",), ("b",))),
+        (("name", "x"), (("a", "b"), ("1",))),
+    ])  # fmt: skip
+    def test_columns_must_match_header(self, header, columns):
+        with pytest.raises(ValueError) as excinfo:
+            Table(header, columns)
+        assert str(excinfo.value) == "a table needs one column per header name, all of one length"
+
+    def test_rows_and_column_derive_from_columns(self):
+        table = Table(("name", "x"), (("a", "b"), ("1", None)))
+        assert table.rows == (("a", "1"), ("b", None))
+        assert table.column("x") == ("1", None)
 
 
 class TestReadNodeTable:
@@ -133,14 +155,12 @@ class TestTablesToNetwork:
         assert paper.props["fPage"] == 413.0
 
     def test_empty_tables(self):
-        net = tables_to_network(
-            Table(("name",)), Table(("from", "relation", "to")), directed=True
-        )
+        net = tables_to_network(Table(("name",), ((),)), NO_LINKS, directed=True)
         assert net == make_network([], [], org=1, directed=True)
 
     def test_unknown_endpoint_names_row(self):
         nodes = Table(("name",), (("a",),))
-        links = Table(("from", "relation", "to"), (("a", "r", "Unknown Person"),))
+        links = Table(("from", "relation", "to"), (("a",), ("r",), ("Unknown Person",)))
         with pytest.raises(StructuralError, match="row 1"):
             tables_to_network(nodes, links)
 
@@ -201,6 +221,21 @@ class TestNetworkToTables:
         with pytest.raises(ExportError, match=r"^structured value \[1\] cannot"):
             network_to_tables(net)
 
+    def test_column_order_error_kept_when_row_order_pass_finds_none(self):
+        # the row-order pass reads each value again; when it finds no structured value,
+        # the error the column pass raised is the one that propagates
+        class Changing(dict):
+            reads = 0
+
+            def get(self, key, default=None):
+                self.reads += 1
+                return [1] if self.reads == 1 else "x"
+
+        net = make_network([NodeRecord(id="a", lab="a", props=Changing(p="x"))], [])
+        with pytest.raises(ExportError) as excinfo:
+            network_to_tables(net)
+        assert str(excinfo.value) == "structured value [1] cannot be written to a table cell"
+
     def test_factorized_rejected(self, bib_canonical):
         from netconv import ExportError, factorize_network
 
@@ -211,7 +246,7 @@ class TestNetworkToTables:
 class TestQuotingAndRoundTrips:
     def test_quoting_survives_delimiter_quote_newline(self):
         hairy = ['semi;colon', 'quo"te', "new\nline", "plain"]
-        table = Table(("name",), tuple((v,) for v in hairy))
+        table = Table(("name",), (tuple(hairy),))
         sink = io.StringIO()
         write_table(table, sink)
         back = read_node_table(io.StringIO(sink.getvalue()))
@@ -235,15 +270,13 @@ class TestQuotingAndRoundTrips:
         text = "name,x,y\na,\"1,5\",\"2,25\"\n"
         opts = TableOptions(delimiter=",")
         table = read_node_table(io.StringIO(text), opts)
-        net = tables_to_network(
-            table, Table(("from", "relation", "to")), decimal_separator=","
-        )
+        net = tables_to_network(table, NO_LINKS, decimal_separator=",")
         assert net.nodes[0].x == 1.5 and net.nodes[0].y == 2.25
 
     def test_missing_relation_rejected(self):
         # read_link_table rejects the empty cell; a table built in code reaches the model
-        nodes = Table(("name",), (("a",), ("b",)))
-        links = Table(("from", "relation", "to"), (("a", None, "b"),))
+        nodes = Table(("name",), (("a", "b"),))
+        links = Table(("from", "relation", "to"), (("a",), (None,), ("b",)))
         with pytest.raises(StructuralError, match="all names or all integer codes"):
             tables_to_network(nodes, links)
 
@@ -263,13 +296,13 @@ class TestQuotingAndRoundTrips:
         with pytest.raises(TypeError):
             TableOptions(na_strings=frozenset())
         table = read_node_table(io.StringIO("name;note\na;NA\nb;NaN\nc;\nd;na\n"))
-        assert table.column("note") == [None, None, None, "na"]
+        assert table.column("note") == (None, None, None, "na")
 
     def test_weight_and_kind_columns(self):
-        nodes = Table(("name",), (("a",), ("b",)))
+        nodes = Table(("name",), (("a", "b"),))
         links = Table(
             ("from", "relation", "to", "kind", "weight"),
-            (("a", "r", "b", "edge", "2.5"), ("b", "r", "a", "arc", None)),
+            (("a", "b"), ("r", "r"), ("b", "a"), ("edge", "arc"), ("2.5", None)),
         )
         net = tables_to_network(nodes, links, directed=True)
         assert net.links[0].kind is LinkKind.EDGE and net.links[0].weight == 2.5
@@ -287,20 +320,20 @@ class TestNumberColumns:
     def test_text_in_x(self):
         nodes = table("name;x;y\na;left;1\nb;2;2\n")
         with pytest.raises(ParseError) as excinfo:
-            tables_to_network(nodes, Table(("from", "relation", "to")))
+            tables_to_network(nodes, NO_LINKS)
         assert str(excinfo.value) == "node row 1: x 'left' is not numeric"
 
     def test_text_weight_names_its_row(self):
-        nodes = Table(("name",), (("a",), ("b",)))
+        nodes = Table(("name",), (("a", "b"),))
         links = Table(
-            ("from", "relation", "to", "weight"), (("a", "r", "b", "2"), ("b", "r", "a", "heavy"))
+            ("from", "relation", "to", "weight"), (("a", "b"), ("r", "r"), ("b", "a"), ("2", "heavy"))
         )
         with pytest.raises(ParseError) as excinfo:
             tables_to_network(nodes, links)
         assert str(excinfo.value) == "link row 2: weight 'heavy' is not numeric"
 
     def test_text_property_column_stays_text(self):
-        net = tables_to_network(table("name;size\na;1\nb;big\n"), Table(("from", "relation", "to")))
+        net = tables_to_network(table("name;size\na;1\nb;big\n"), NO_LINKS)
         assert [n.props["size"] for n in net.nodes] == ["1", "big"]
 
 
@@ -338,3 +371,107 @@ class TestMergeNodeProperties:
         with pytest.raises(ParseError, match="^node row 2: x 'left' is not numeric$"):
             merge_node_properties(self.BASE, table("name;x\nb;1\na;left\n"))
 
+
+
+# Cells the generated tables draw from: quoted cells (the delimiter, a quote,
+# a line break), the NA strings, numbers in both decimal forms, cells that
+# are no number, and link kinds good and bad.
+NAMES = ["a", "b", "c;d", 'q"u', "n\nl", "e f"]
+TEXT = ["", "NA", "NaN", "red", "c;d", 'q"u', "n\nl", "na", "1"]
+NUMBER = ["", "NA", "1", "2.5", "-3", "1e3", "1,5", " 4 "]
+NOT_A_NUMBER = ["left", "inf", "-nan", "1.2.3"]
+CELLS = {
+    "mode": TEXT, "slab": TEXT, "x": NUMBER, "y": NUMBER, "relation": ["r", "s"],
+    "kind": ["arc", "edge", "", "NA", "loop"], "weight": NUMBER, "label": TEXT,
+    "count": NUMBER, "note": TEXT,
+}  # fmt: skip
+NODE_COLUMNS = ["mode", "slab", "x", "y", "count", "note"]
+LINK_COLUMNS = ["kind", "weight", "label", "count", "note"]
+NOW_AND_THEN = st.sampled_from([False] * 7 + [True])
+
+
+@st.composite
+def table_text(draw, columns: dict, optional: list) -> str:
+    """A table's text: ``columns`` (name -> cells) plus some ``optional``
+    ones, in any order, with now and then a non-number in a numeric column
+    and a ragged row."""
+    n = len(next(iter(columns.values())))
+    for name in draw(st.lists(st.sampled_from(optional), unique=True)):
+        cells = columns[name] = draw(st.lists(st.sampled_from(CELLS[name]), min_size=n, max_size=n))
+        if n and CELLS[name] is NUMBER and draw(NOW_AND_THEN):
+            cells[draw(st.integers(0, n - 1))] = draw(st.sampled_from(NOT_A_NUMBER))
+    header = draw(st.permutations(list(columns)))
+    rows = [list(row) for row in zip(*(columns[name] for name in header))]
+    if draw(NOW_AND_THEN):
+        rows.insert(draw(st.integers(0, n)), ["a"] * (len(header) + draw(st.sampled_from([-1, 1]))))
+    sink = io.StringIO()
+    writer = csv.writer(sink, delimiter=";", lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerows([header, *rows])
+    return sink.getvalue()
+
+
+@st.composite
+def table_pair(draw) -> tuple[str, str]:
+    """A node table and a link table whose endpoints are mostly its names;
+    now and then a name is missing or repeated, an endpoint unknown and a
+    relation missing."""
+    names = draw(st.lists(st.sampled_from(NAMES), unique=True, max_size=5))
+    if names and draw(NOW_AND_THEN):
+        names[draw(st.integers(0, len(names) - 1))] = draw(st.sampled_from(["", "NA", names[0]]))
+    ends = [[draw(st.sampled_from(names)) for _ in range(draw(st.integers(0, 6 if names else 0)))]]
+    ends.append([draw(st.sampled_from(names)) for _ in ends[0]])
+    relation = [draw(st.sampled_from(CELLS["relation"])) for _ in ends[0]]
+    for cells, odd in ((ends[0], "zz"), (ends[1], "zz"), (relation, "NA")):
+        if cells and draw(NOW_AND_THEN):
+            cells[draw(st.integers(0, len(cells) - 1))] = odd
+    links = {"from": ends[0], "relation": relation, "to": ends[1]}
+    return draw(table_text({"name": names}, NODE_COLUMNS)), draw(table_text(links, LINK_COLUMNS))
+
+
+def outcome(call, *args, **kwargs):
+    """The call's result, or the class and message of what it raised."""
+    try:
+        return call(*args, **kwargs)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+MERGE_BASE = make_network(
+    [NodeRecord(id=name, lab=name, mode="m", slab="s", x=1.0, props={"note": "old", "size": 3.0})
+     if i % 2 else NodeRecord(id=name, lab=name) for i, name in enumerate(NAMES)],
+    [],
+)
+
+
+class TestColumnsMatchRowOracle:
+    """The column-held table path against the row-wise one it replaced
+    (``oracles``): the same tables, network or merge, or the same error.
+    Results are compared by ``repr`` too, so an int where a float was shows."""
+
+    @given(
+        texts=table_pair(),
+        directed=st.booleans(),
+        base=st.sampled_from([0, 1]),
+        decimal=st.sampled_from([".", ","]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_same_network_or_error(self, texts, directed, base, decimal):
+        opts = TableOptions()
+        tables = [outcome(_read_table, io.StringIO(text), opts) for text in texts]
+        expected = [outcome(oracles.read_table, io.StringIO(text), opts) for text in texts]
+        for table, oracle in zip(tables, expected):
+            if isinstance(oracle, tuple):
+                assert table == oracle
+                return
+            assert table.header == oracle.header and table.rows == oracle.rows
+            assert [table.column(c) for c in table.header] == [
+                tuple(oracle.column(c)) for c in oracle.header
+            ]
+        kwargs = dict(directed=directed, base=base, decimal_separator=decimal)
+        network = outcome(tables_to_network, *tables, **kwargs)
+        oracle = outcome(oracles.tables_to_network, *expected, **kwargs)
+        assert network == oracle and repr(network) == repr(oracle)
+        merged = outcome(merge_node_properties, MERGE_BASE, tables[0], decimal_separator=decimal)
+        oracle = outcome(oracles.merge_node_properties, MERGE_BASE, expected[0],
+                         decimal_separator=decimal)
+        assert merged == oracle and repr(merged) == repr(oracle)
