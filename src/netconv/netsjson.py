@@ -48,6 +48,7 @@ are suppressed.
 from __future__ import annotations
 
 import json
+import math
 from typing import IO, Any, Optional
 
 from .coding import CodingTable
@@ -89,6 +90,13 @@ PARSE_FATAL: dict[str, type] = {
 
 def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name} is not valid JSON")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"number {text} is beyond float range")
+    return value
 
 
 def _is_int(v: Any) -> bool:
@@ -171,7 +179,7 @@ def check_netsjson(
     """
     level = Level.STRICT if strict else Level.LENIENT
     try:
-        doc = json.loads(source.read(), parse_constant=_reject_constant)
+        doc = json.loads(source.read(), parse_constant=_reject_constant, parse_float=_finite_float)
     except UnicodeDecodeError as exc:
         message = str(ParseError.undecodable(exc))
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError

@@ -128,164 +128,134 @@ def read_pajek_net(source: IO[str]) -> Network:
     The node coding is taken from the vertex labels (which must therefore be
     distinct); relation declarations become the relation coding table, with
     names synthesized from bare codes when a referenced relation was never
-    declared.
+    declared. A repeated vertex line replaces only the label and coordinates
+    it gives.
     """
-    n_declared = None
-    labels: dict[int, str] = {}
-    coords: dict[int, tuple[float, float]] = {}
-    declarations: dict[int, str] = {}
-    raw_links: list[tuple[int, int, int, float, LinkKind]] = []  # rel, n1, n2, w, kind
-    section = None  # "vertices" | LinkKind
+    n = None  # the count of the last *vertices header
+    vertices: dict[int, NodeRecord] = {}  # vertex number -> record, as last described
+    links: list[LinkRecord] = []
+    names: dict[int, str] = {}  # relation code -> its declared or first used name
+    kind = None  # the kind of the open link section; None in *vertices
 
-    for lineno, raw in _numbered_lines(source):
-        line = raw.rstrip("\r\n")
-        if not line.strip() or line.lstrip().startswith("%"):
+    def check(ends, code=0, name=None, conflict=""):
+        """Raise unless each vertex of ``ends`` lies in [1, n] and ``name``,
+        when given, is non-empty and the one name of relation ``code``
+        (``conflict`` words the clash)."""
+        if name == "":
+            raise ParseError("empty relation name", line=lineno)
+        for v in ends:
+            if not 1 <= v <= n:
+                raise ParseError(f"vertex number {v} outside [1, {n}]", line=lineno)
+        if name is not None and names.setdefault(code, name) != name:
+            raise ParseError(f"relation code {code} {conflict.format(name, names[code])}", line=lineno)
+
+    for lineno, line in _numbered_lines(source):
+        line = line.lstrip()
+        if not line or line[0] == "%":
             continue
         toks = _tokens(line, lineno)
         if toks[0].startswith("*"):
             keyword = toks[0].lower()
             if keyword == "*vertices":
-                n_declared = _vertex_count(toks, lineno)
-                section = "vertices"
-            elif keyword in ("*arcs", "*edges"):
-                if len(toks) >= 2 and toks[1].startswith(":"):
-                    try:
-                        code = int(toks[1][1:])
-                    except ValueError:
-                        raise ParseError(f"invalid relation code {toks[1]!r}", line=lineno) from None
-                    name = toks[2] if len(toks) > 2 else str(code)
-                    if not name:
-                        raise ParseError("empty relation name", line=lineno)
-                    if declarations.get(code, name) != name:
-                        raise ParseError(
-                            f"relation code {code} redeclared as {name!r}"
-                            f" (was {declarations[code]!r})",
-                            line=lineno,
-                        )
-                    declarations[code] = name
-                else:
-                    section = LinkKind.ARC if keyword == "*arcs" else LinkKind.EDGE
-            else:
+                n, kind = _vertex_count(toks, lineno), None
+            elif keyword not in ("*arcs", "*edges"):
                 raise ParseError(f"unknown section keyword {toks[0]!r}", line=lineno)
-            continue
-
-        if n_declared is None:
+            elif len(toks) > 1 and toks[1].startswith(":"):
+                code = _int(toks[1][1:], lineno, "invalid relation code {!r}", toks[1])
+                name = toks[2] if len(toks) > 2 else str(code)
+                check((), code, name, "redeclared as {!r} (was {!r})")
+            else:
+                kind = LinkKind.ARC if keyword == "*arcs" else LinkKind.EDGE
+        elif n is None:
             raise ParseError("data before *vertices header", line=lineno)
-        if section == "vertices":
-            try:
-                vnum = int(toks[0])
-            except ValueError:
-                raise ParseError(f"invalid vertex number {toks[0]!r}", line=lineno) from None
-            if not 1 <= vnum <= n_declared:
-                raise ParseError(
-                    f"vertex number {vnum} outside [1, {n_declared}]", line=lineno
-                )
-            if len(toks) > 1:
-                if not toks[1]:
-                    raise ParseError("empty vertex label", line=lineno)
-                labels[vnum] = toks[1]
+        elif kind is None:
+            v = _int(toks[0], lineno, "invalid vertex number {!r}")
+            check((v,))
+            node = vertices.get(v)
+            lab = toks[1] if len(toks) > 1 else node.lab if node else str(v)
+            if not lab:
+                raise ParseError("empty vertex label", line=lineno)
+            x, y = (node.x, node.y) if node else (None, None)
             if len(toks) > 3:
-                try:
-                    coords[vnum] = (float(toks[2]), float(toks[3]))
-                except ValueError:
-                    pass  # shape parameters, not coordinates
-        else:  # *vertices opened a section, so this is a link section
-            rel, n1, n2, weight, name = _parse_link_tokens(toks, lineno)
-            for v in (n1, n2):
-                if not 1 <= v <= n_declared:
-                    raise ParseError(
-                        f"vertex number {v} outside [1, {n_declared}]", line=lineno
-                    )
-            if name is not None:
-                if declarations.get(rel, name) != name:
-                    raise ParseError(
-                        f"relation code {rel} used as {name!r}"
-                        f" (declared {declarations[rel]!r})",
-                        line=lineno,
-                    )
-                declarations.setdefault(rel, name)
-            raw_links.append((rel, n1, n2, weight, section))
+                cx, cy = _number(toks[2]), _number(toks[3])
+                if cx is not None and cy is not None:  # else shape parameters
+                    x, y = cx, cy
+            vertices[v] = NodeRecord(v, lab, x=x, y=y)
+        else:
+            rel, i = 1, 0
+            if toks[0].endswith(":"):
+                rel, i = _int(toks[0][:-1], lineno, "invalid relation prefix {!r}", toks[0]), 1
+            if len(toks) < i + 2:
+                raise ParseError("link line needs two vertex numbers", line=lineno)
+            n1 = _int(toks[i], lineno, "link endpoints must be vertex numbers")
+            n2 = _int(toks[i + 1], lineno, "link endpoints must be vertex numbers")
+            i += 2
+            weight = 1.0
+            if i < len(toks) and toks[i] != "l":
+                weight = _number(toks[i])
+                if weight is None:
+                    raise ParseError(f"invalid link weight {toks[i]!r}", line=lineno)
+                i += 1
+            name = None
+            if i < len(toks):
+                if toks[i] != "l" or len(toks) < i + 2:
+                    raise ParseError("expected relation suffix of the form: l \"name\"", line=lineno)
+                name = toks[i + 1]
+            check((n1, n2), rel, name, "used as {!r} (declared {!r})")
+            links.append(LinkRecord(kind, n1, n2, rel, weight))
 
-    if n_declared is None:
+    if n is None:
         raise ParseError("missing *vertices header")
-
-    nodes = []
-    for i in range(1, n_declared + 1):
-        lab = labels.get(i, str(i))
-        xy = coords.get(i)
-        nodes.append(
-            NodeRecord(id=i, lab=lab, x=xy[0] if xy else None, y=xy[1] if xy else None)
-        )
-    node_levels = tuple(n.lab for n in nodes)
-    if len(set(node_levels)) != len(node_levels):
-        raise ParseError("duplicate vertex labels prevent building the node coding")
-    node_coding = CodingTable("node", node_levels, base=1)
-
-    codes = set(declarations) | {rel for rel, *_ in raw_links}
+    nodes = [vertices.get(v) or NodeRecord(v, str(v)) for v in range(1, n + 1)]
+    try:
+        node_coding = CodingTable("node", tuple(node.lab for node in nodes))
+    except ValueError:
+        raise ParseError("duplicate vertex labels prevent building the node coding") from None
+    codes = {link.rel for link in links}.union(names)
     if codes and min(codes) < 1:
         raise ParseError(f"relation code {min(codes)} is below 1")
     try:
-        relations = code_range_table("relation", codes, declarations)
+        relations = code_range_table("relation", codes, names)
     except ValueError as exc:
         raise ParseError(f"relation names are not distinct: {exc}") from None
-
-    links = tuple(
-        LinkRecord(kind=kind, n1=n1, n2=n2, rel=rel, weight=weight)
-        for rel, n1, n2, weight, kind in raw_links
-    )
     directed = any(l.kind is LinkKind.ARC for l in links) or not links
     return make_network(
         nodes, links, org=1, directed=directed, relations=relations, node_coding=node_coding
     )
 
 
-def _parse_link_tokens(toks: list[str], lineno: int):
-    rel = 1
-    i = 0
-    if toks[0].endswith(":"):
-        try:
-            rel = int(toks[0][:-1])
-        except ValueError:
-            raise ParseError(f"invalid relation prefix {toks[0]!r}", line=lineno) from None
-        i = 1
-    if len(toks) < i + 2:
-        raise ParseError("link line needs two vertex numbers", line=lineno)
+def _int(text: str, lineno: int, message: str, token: str | None = None) -> int:
+    """``int(text)``, else ParseError(message) with ``token`` (default
+    ``text``) in its ``{!r}``."""
     try:
-        n1 = int(toks[i])
-        n2 = int(toks[i + 1])
+        return int(text)
     except ValueError:
-        raise ParseError("link endpoints must be vertex numbers", line=lineno) from None
-    i += 2
-    weight = 1.0
-    if i < len(toks) and toks[i] != "l":
-        try:
-            weight = float(toks[i])
-        except ValueError:
-            raise ParseError(f"invalid link weight {toks[i]!r}", line=lineno) from None
-        i += 1
-    name = None
-    if i < len(toks):
-        if toks[i] != "l" or len(toks) < i + 2:
-            raise ParseError("expected relation suffix of the form: l \"name\"", line=lineno)
-        name = toks[i + 1]
-        if not name:
-            raise ParseError("empty relation name", line=lineno)
-    return rel, n1, n2, weight, name
+        raise ParseError(message.format(text if token is None else token), line=lineno) from None
+
+
+def _number(token: str) -> float | None:
+    """The finite number a token spells, else None."""
+    try:
+        value = float(token)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
 
 
 def _vertex_count(toks: list[str], lineno: int) -> int:
     """The count a ``*vertices`` header line declares."""
     if len(toks) < 2:
         raise ParseError("*vertices requires a count", line=lineno)
-    try:
-        return int(toks[1])
-    except ValueError:
-        raise ParseError(f"invalid vertex count {toks[1]!r}", line=lineno) from None
+    count = _int(toks[1], lineno, "invalid vertex count {!r}")
+    if count < 0:
+        raise ParseError(f"invalid vertex count {toks[1]!r}", line=lineno)
+    return count
 
 
 @dataclass(frozen=True)
 class Partition:
-    """One integer class code per node, aligned with node order.
+    """One integer class code per node, aligned with node order; 0 is the
+    missing code, as in CLU files.
 
     ``name`` is descriptive metadata (the property partitioned on) and is
     excluded from equality; CLU files do not carry it.
@@ -294,19 +264,14 @@ class Partition:
     name: str = field(compare=False)
     values: tuple[int, ...] = ()
     coding: CodingTable = field(default_factory=lambda: CodingTable(""))
-    missing_code: int = 0
 
 
-def partition_from_property(
-    network: Network, property: str, base: int = 1, missing_code: int = 0
-) -> Partition:
+def partition_from_property(network: Network, property: str) -> Partition:
     """Build a partition from a categorical node property.
 
-    Levels are sorted; nodes without the property get ``missing_code``.
+    Levels are sorted and coded from 1; nodes without the property get 0.
     The property must be present on at least one node.
     """
-    if base != 1:
-        raise ValueError("partitions are 1-based; base must be 1")
     values = []
     for node in network.nodes:
         v = node.mode if property == "mode" else node.props.get(property)
@@ -320,13 +285,8 @@ def partition_from_property(
             raise CodingError(f"property {property!r} holds structured values; not categorical")
     if all(v is None for v in values):
         raise CodingError(f"unknown property {property!r}: absent on every node")
-    coding = build_coding_table(property, values, LevelPolicy.SORTED, base)
-    return Partition(
-        name=property,
-        values=tuple(encode(values, coding, missing_code)),
-        coding=coding,
-        missing_code=missing_code,
-    )
+    coding = build_coding_table(property, values, LevelPolicy.SORTED)
+    return Partition(name=property, values=tuple(encode(values, coding)), coding=coding)
 
 
 def _legend_token(level: str) -> str:
@@ -337,9 +297,10 @@ def _legend_token(level: str) -> str:
 
 def write_pajek_clu(partition: Partition) -> str:
     """Serialize a partition as CLU text: legend comment, header, one value
-    per line."""
-    if len(partition.coding) and partition.coding.base != 1:
-        raise ExportError("CLU files are 1-based; re-code the partition with base 1")
+    per line. The coding may have any base whose range leaves out 0, the
+    missing code."""
+    if partition.coding.in_range(0):
+        raise ExportError("code 0 is the CLU missing code; re-code the partition without it")
     lines = []
     if len(partition.coding):
         pairs = " ".join(
@@ -374,10 +335,7 @@ def read_pajek_clu(source: IO[str]) -> Partition:
             continue
         if n_declared is None:
             raise ParseError("values before *vertices header", line=lineno)
-        try:
-            values.append(int(toks[0]))
-        except ValueError:
-            raise ParseError(f"invalid partition value {toks[0]!r}", line=lineno) from None
+        values.append(_int(toks[0], lineno, "invalid partition value {!r}"))
 
     if n_declared is None:
         raise ParseError("missing *vertices header")
@@ -385,10 +343,13 @@ def read_pajek_clu(source: IO[str]) -> Partition:
         raise ParseError(f"expected {n_declared} values, found {len(values)}")
     if coding is None:
         coding = code_range_table("", set(values) - {0})
+    if coding.in_range(0):
+        raise ParseError(f"the coded range [{coding.base}, {coding.base + len(coding) - 1}]"
+                         " holds 0, the missing code")
     for i, v in enumerate(values):
         if v != 0 and not coding.in_range(v):
             raise ParseError(f"value {v} at position {i} outside the coded range")
-    return Partition(name="", values=tuple(values), coding=coding, missing_code=0)
+    return Partition(name="", values=tuple(values), coding=coding)
 
 
 def _parse_legend(body: str, lineno: int) -> CodingTable | None:

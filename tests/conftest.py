@@ -25,6 +25,14 @@ def normalize_layout(text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def outcome(call, *args, **kwargs):
+    """The call's result, or the class and message of what it raised."""
+    try:
+        return call(*args, **kwargs)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
 @pytest.fixture(scope="session")
 def data_dir() -> Path:
     return DATA

@@ -25,6 +25,8 @@ from netconv import (
     make_network,
     network_stats,
 )
+from netconv.coding import code_range_table
+from netconv.pajek import _numbered_lines, _tokens
 from netconv.tabular import _LINK_COLUMNS, _NA_STRINGS, _NODE_COLUMNS
 
 
@@ -347,3 +349,168 @@ def merge_node_properties(network, node_table: RowTable, *, decimal_separator=".
             n = replace(n, **fields, props={**n.props, **props})
         nodes.append(n)
     return replace(network, nodes=tuple(nodes))
+
+
+# The NET reader as written when it staged every line in dicts and tuples
+# and built the records in a second loop.
+
+
+def read_pajek_net(source: IO[str]) -> Network:
+    """Parse Pajek NET text into a factorized network.
+
+    The node coding is taken from the vertex labels (which must therefore be
+    distinct); relation declarations become the relation coding table, with
+    names synthesized from bare codes when a referenced relation was never
+    declared.
+    """
+    n_declared = None
+    labels: dict[int, str] = {}
+    coords: dict[int, tuple[float, float]] = {}
+    declarations: dict[int, str] = {}
+    raw_links: list[tuple[int, int, int, float, LinkKind]] = []  # rel, n1, n2, w, kind
+    section = None  # "vertices" | LinkKind
+
+    for lineno, raw in _numbered_lines(source):
+        line = raw.rstrip("\r\n")
+        if not line.strip() or line.lstrip().startswith("%"):
+            continue
+        toks = _tokens(line, lineno)
+        if toks[0].startswith("*"):
+            keyword = toks[0].lower()
+            if keyword == "*vertices":
+                n_declared = _vertex_count(toks, lineno)
+                section = "vertices"
+            elif keyword in ("*arcs", "*edges"):
+                if len(toks) >= 2 and toks[1].startswith(":"):
+                    try:
+                        code = int(toks[1][1:])
+                    except ValueError:
+                        raise ParseError(f"invalid relation code {toks[1]!r}", line=lineno) from None
+                    name = toks[2] if len(toks) > 2 else str(code)
+                    if not name:
+                        raise ParseError("empty relation name", line=lineno)
+                    if declarations.get(code, name) != name:
+                        raise ParseError(
+                            f"relation code {code} redeclared as {name!r}"
+                            f" (was {declarations[code]!r})",
+                            line=lineno,
+                        )
+                    declarations[code] = name
+                else:
+                    section = LinkKind.ARC if keyword == "*arcs" else LinkKind.EDGE
+            else:
+                raise ParseError(f"unknown section keyword {toks[0]!r}", line=lineno)
+            continue
+
+        if n_declared is None:
+            raise ParseError("data before *vertices header", line=lineno)
+        if section == "vertices":
+            try:
+                vnum = int(toks[0])
+            except ValueError:
+                raise ParseError(f"invalid vertex number {toks[0]!r}", line=lineno) from None
+            if not 1 <= vnum <= n_declared:
+                raise ParseError(
+                    f"vertex number {vnum} outside [1, {n_declared}]", line=lineno
+                )
+            if len(toks) > 1:
+                if not toks[1]:
+                    raise ParseError("empty vertex label", line=lineno)
+                labels[vnum] = toks[1]
+            if len(toks) > 3:
+                try:
+                    coords[vnum] = (float(toks[2]), float(toks[3]))
+                except ValueError:
+                    pass  # shape parameters, not coordinates
+        else:  # *vertices opened a section, so this is a link section
+            rel, n1, n2, weight, name = _parse_link_tokens(toks, lineno)
+            for v in (n1, n2):
+                if not 1 <= v <= n_declared:
+                    raise ParseError(
+                        f"vertex number {v} outside [1, {n_declared}]", line=lineno
+                    )
+            if name is not None:
+                if declarations.get(rel, name) != name:
+                    raise ParseError(
+                        f"relation code {rel} used as {name!r}"
+                        f" (declared {declarations[rel]!r})",
+                        line=lineno,
+                    )
+                declarations.setdefault(rel, name)
+            raw_links.append((rel, n1, n2, weight, section))
+
+    if n_declared is None:
+        raise ParseError("missing *vertices header")
+
+    nodes = []
+    for i in range(1, n_declared + 1):
+        lab = labels.get(i, str(i))
+        xy = coords.get(i)
+        nodes.append(
+            NodeRecord(id=i, lab=lab, x=xy[0] if xy else None, y=xy[1] if xy else None)
+        )
+    node_levels = tuple(n.lab for n in nodes)
+    if len(set(node_levels)) != len(node_levels):
+        raise ParseError("duplicate vertex labels prevent building the node coding")
+    node_coding = CodingTable("node", node_levels, base=1)
+
+    codes = set(declarations) | {rel for rel, *_ in raw_links}
+    if codes and min(codes) < 1:
+        raise ParseError(f"relation code {min(codes)} is below 1")
+    try:
+        relations = code_range_table("relation", codes, declarations)
+    except ValueError as exc:
+        raise ParseError(f"relation names are not distinct: {exc}") from None
+
+    links = tuple(
+        LinkRecord(kind=kind, n1=n1, n2=n2, rel=rel, weight=weight)
+        for rel, n1, n2, weight, kind in raw_links
+    )
+    directed = any(l.kind is LinkKind.ARC for l in links) or not links
+    return make_network(
+        nodes, links, org=1, directed=directed, relations=relations, node_coding=node_coding
+    )
+
+
+def _parse_link_tokens(toks: list[str], lineno: int):
+    rel = 1
+    i = 0
+    if toks[0].endswith(":"):
+        try:
+            rel = int(toks[0][:-1])
+        except ValueError:
+            raise ParseError(f"invalid relation prefix {toks[0]!r}", line=lineno) from None
+        i = 1
+    if len(toks) < i + 2:
+        raise ParseError("link line needs two vertex numbers", line=lineno)
+    try:
+        n1 = int(toks[i])
+        n2 = int(toks[i + 1])
+    except ValueError:
+        raise ParseError("link endpoints must be vertex numbers", line=lineno) from None
+    i += 2
+    weight = 1.0
+    if i < len(toks) and toks[i] != "l":
+        try:
+            weight = float(toks[i])
+        except ValueError:
+            raise ParseError(f"invalid link weight {toks[i]!r}", line=lineno) from None
+        i += 1
+    name = None
+    if i < len(toks):
+        if toks[i] != "l" or len(toks) < i + 2:
+            raise ParseError("expected relation suffix of the form: l \"name\"", line=lineno)
+        name = toks[i + 1]
+        if not name:
+            raise ParseError("empty relation name", line=lineno)
+    return rel, n1, n2, weight, name
+
+
+def _vertex_count(toks: list[str], lineno: int) -> int:
+    """The count a ``*vertices`` header line declares."""
+    if len(toks) < 2:
+        raise ParseError("*vertices requires a count", line=lineno)
+    try:
+        return int(toks[1])
+    except ValueError:
+        raise ParseError(f"invalid vertex count {toks[1]!r}", line=lineno) from None

@@ -113,7 +113,7 @@ def test_criterion_3_partition_goldens(bib_network, bib_node_table):
         column = bib_node_table.column(prop)
         levels = oracles.sorted_levels(column)
         expected = tuple(oracles.positional_encode(column, levels, 1, missing))
-        part = partition_from_property(bib_network, prop, base=1, missing_code=missing)
+        part = partition_from_property(bib_network, prop)
         assert part.values == expected
         assert list(part.coding.levels) == levels
     sex = partition_from_property(bib_network, "sex")

@@ -30,6 +30,7 @@ from netconv import (
     validate_netsjson_document,
     write_netsjson,
 )
+from netconv.cli import main
 from netconv.netsjson import PARSE_FATAL
 from netgen import random_json_network
 
@@ -201,6 +202,23 @@ class TestParse:
         bad = MINIMAL.replace('"rel": 1', '"rel": 1, "weight": NaN')
         with pytest.raises(SchemaError):
             parse(bad)
+
+    @pytest.mark.parametrize("anchor, member", [
+        ('"lab": "a"', '"x": 1e999'),
+        ('"rel": 1', '"weight": -1e999'),
+        ('"lab": "a"', '"size": 1e999'),
+        ('"rel": 1', '"tq": [[1, 2, -1e999]]'),
+        ('"lab": "b"', '"span": {"lo": 0.5, "hi": 1e999}'),
+    ])  # fmt: skip
+    def test_number_beyond_float_range_rejected(self, anchor, member, tmp_path):
+        bad = MINIMAL.replace(anchor, f"{anchor}, {member}")
+        number = member.split()[-1].strip("]}")
+        message = f"[json-malformed] $: number {number} is beyond float range"
+        with pytest.raises(SchemaError) as excinfo:
+            parse(bad)
+        assert str(excinfo.value) == message
+        (tmp_path / "doc.json").write_text(bad, encoding="utf-8")
+        assert main(["validate", str(tmp_path / "doc.json")]) == 1
 
     def test_undecodable_bytes_rejected_with_line(self):
         data = MINIMAL.replace('"lab": "b"', '\n"lab": "b\u00e9"').encode("latin-1")

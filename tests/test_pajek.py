@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from conftest import normalize_layout
+from conftest import normalize_layout, outcome
 from netconv import (
     CodingError,
     CodingTable,
@@ -253,6 +253,7 @@ class TestReadNet:
     @pytest.mark.parametrize("text, message", [
         ("*vertices\n", "line 1: *vertices requires a count"),
         ("*vertices two\n", "line 1: invalid vertex count 'two'"),
+        ("*vertices -3\n", "line 1: invalid vertex count '-3'"),
         ("*vertices 1\n*arcs :x\n", "line 2: invalid relation code ':x'"),
         ('*vertices 2\n*arcs :1 "a"\n*arcs\n1: 1 2 1 l "b"\n',
          "line 4: relation code 1 used as 'b' (declared 'a')"),
@@ -269,6 +270,10 @@ class TestReadNet:
         ("*vertices 1\n*arcs\n1\n", "line 3: link line needs two vertex numbers"),
         ("*vertices 1\n*edges\n1 one\n", "line 3: link endpoints must be vertex numbers"),
         ("*vertices 1\n*arcs\n1 1 heavy\n", "line 3: invalid link weight 'heavy'"),
+        ("*vertices 2\n*arcs\n1 2 nan\n", "line 3: invalid link weight 'nan'"),
+        ("*vertices 2\n*arcs\n1 2 inf\n", "line 3: invalid link weight 'inf'"),
+        ('*vertices 2\n*edges\n1: 1 2 -Infinity l "a"\n', "line 3: invalid link weight '-Infinity'"),
+        ("*vertices 2\n*arcs\n1 2 1e999\n", "line 3: invalid link weight '1e999'"),
         ("*vertices 1\n*arcs\n1 1 2 x\n", 'line 3: expected relation suffix of the form: l "name"'),
         ("*vertices 1\n*arcs\n1 1 l\n", 'line 3: expected relation suffix of the form: l "name"'),
         ("1 1\n", "line 1: data before *vertices header"),
@@ -288,6 +293,11 @@ class TestReadNet:
     def test_relations_named_by_their_codes(self, text, levels, base):
         assert read_pajek_net(io.StringIO(text)).relations == CodingTable("relation", levels, base)
 
+    @pytest.mark.parametrize("numbers", ["nan 0.5", "0.5 inf", "-Infinity 1", "1 1e999"])
+    def test_non_finite_coordinates_are_shape_parameters(self, numbers):
+        net = read_pajek_net(io.StringIO(f'*vertices 1\n1 "a" 2 3\n1 "a" {numbers}\n'))
+        assert (net.nodes[0].x, net.nodes[0].y) == (2.0, 3.0)
+
     def test_empty_input(self):
         with pytest.raises(ParseError, match="vertices"):
             read_pajek_net(io.StringIO(""))
@@ -301,6 +311,104 @@ class TestReadNet:
             text = write_pajek_net(net, coordinates=with_coords)
             back = defactorize_network(read_pajek_net(io.StringIO(text)))
             assert back == canonical_order(net)
+
+
+# Generated NET texts draw each token from its good tokens or, on a bad
+# line, now and then from the bad tokens TestReadNet.test_rejection covers,
+# so one line can hold two faults. No pool holds a non-finite number or a
+# negative count: the reader rejects those where the oracle read them.
+COUNT = (["0", "1", "2", "3", "4", "-0", "+2", "03"], ["two", "2.5", "-"])
+LABEL = (['"a"', "b", '"two words"', '"say ""hi"""', '"2"'], ['""'])
+COORDINATE = (["0.5", "1", "-2", "1e3", "0", "+.5"], ["box", "ic", "x_fact"])
+CODE = (["1", "2", "3"], ["0", "-1", "x", "", "1.5"])
+NAME = (['"a"', '"b"', "c", '"two words"', '"2"'], ['""'])
+WEIGHT = (["1", "2.5", "-1", "0", "1e3", "1_0"], ["heavy", "x", "1,5"])
+SUFFIX = (["l {}", "l {} extra"], ["l", "x", "{}"])
+VERTICES = ["*vertices", "*Vertices", "*VERTICES", "*vErTiCeS"]
+SECTIONS = ["*arcs", "*edges", "*Arcs", "*EDGES", "*aRcS"]
+OTHER_LINES = ["% a comment", "%", '% an "open quote', "", "  ", "\t", '1 "open', "*matrix",
+               "*network name", "*arcslist", "1 1"]
+
+
+@st.composite
+def net_text(draw) -> str:
+    """A NET text: a *vertices header, vertex lines, relation declarations,
+    then link sections; keywords in any case; optional labels, coordinates,
+    shape parameters, relation prefixes, weights and suffixes; blank lines and
+    CRLF. Then a few lines put anywhere: comments, bad lines, and repeated
+    *vertices headers and vertex lines."""
+    rng = draw(st.randoms(use_true_random=True))
+    bad_lines = rng.choice([0, 0, 0.05, 0.2])  # the share of lines that may hold bad tokens
+    bad = 0.0  # the share of bad tokens on the line being made
+    n = 0 if rng.random() < bad_lines else rng.randint(1, 4)
+    vertex = ([str(v) for v in range(1, n + 1)] or ["1"], ["0", str(n + 1), "x", "+1", "1.0"])
+
+    def pick(tokens: tuple[list[str], list[str]]) -> str:
+        return rng.choice(tokens[rng.random() < bad])
+
+    def optional(text: str) -> str:
+        return rng.choice(["", " " + text])
+
+    def vertices_header() -> str:
+        count = rng.choice([str(n)] * 3 + [pick(COUNT)])
+        return rng.choice(VERTICES) + (optional(count) if rng.random() < bad else " " + count)
+
+    def vertex_line() -> str:
+        v = pick(vertex)
+        coordinates = f" {pick(COORDINATE)} {pick(COORDINATE)}" + optional(pick(COORDINATE))
+        label = pick(LABEL) if rng.random() < 0.2 else f'"v{v}"'
+        return v + optional(label + rng.choice(["", coordinates]))
+
+    def declaration() -> str:
+        return rng.choice(SECTIONS) + f" :{pick(CODE)}" + optional(pick(NAME))
+
+    def link_line() -> str:
+        ends = [pick(vertex) for _ in range(rng.randint(0, 1) if rng.random() < bad / 4 else 2)]
+        if rng.random() < bad / 4:
+            ends[-1:] = ["one"]
+        suffix = pick(SUFFIX).format(pick(NAME))
+        return (optional(pick(CODE) + ":") + " " + " ".join(ends)
+                + optional(pick(WEIGHT)) + optional(suffix))
+
+    def make_line(make) -> str:
+        nonlocal bad
+        bad = 0.5 if rng.random() < bad_lines else 0.0
+        return make()
+
+    lines = [] if rng.random() < bad_lines else [make_line(vertices_header)]
+    lines += [make_line(vertex_line) for _ in range(rng.randint(0, 5))]
+    lines += [make_line(declaration) for _ in range(rng.choice([0, 0, 1, 2, 3]))]
+    for _ in range(rng.choice([0, 1, 1, 2, 3])):
+        lines.append(rng.choice(SECTIONS))
+        lines += [make_line(link_line) for _ in range(rng.randint(0, 4))]
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        extra = rng.choice([vertices_header, vertex_line, declaration, link_line, None])
+        lines.insert(rng.randint(0, len(lines)), make_line(extra) if extra else rng.choice(OTHER_LINES))
+    text = "".join(rng.choice(["", " ", "\t"]) + line + rng.choice(["\n", "\n", "\r\n"])
+                   for line in lines)
+    return text[:-1] if text and rng.random() < 0.5 else text
+
+
+class TestReadNetMatchesOracle:
+    """The one-pass NET reader against the staging reader it replaced
+    (``oracles``): the same network, by ``==`` and by ``repr``, or the same
+    error class and message."""
+
+    @given(text=net_text())
+    @example('*vertices 3\n3 "c"\n*vertices 2\n*vertices 3\n')
+    @example('*vertices 2\n1 "a" 1 2\n1 box 3\n1\n*arcs\n1 2\n*vertices 1\n')
+    @example('*vertices 1\n5 ""\n')  # two faults on a line: the first is reported
+    @example("*vertices 1\n*arcs\n5 x\n")
+    @example("*vertices 1\n*arcs\n1 5 heavy\n")
+    @example('*vertices 1\n*arcs\n1 5 l ""\n')
+    @example('*vertices 1\n*arcs :1 "a"\n*arcs\n1 5 l "b"\n')
+    @example('*vertices 2\n1 "2"\n*arcs :0 "z"\n')  # faults found after the last line
+    @example('*vertices 1\n*arcs :0 "a"\n*arcs :1 "a"\n')
+    @settings(max_examples=1000, deadline=None)
+    def test_same_network_or_error(self, text):
+        ours = outcome(read_pajek_net, io.StringIO(text))
+        oracle = outcome(oracles.read_pajek_net, io.StringIO(text))
+        assert ours == oracle and repr(ours) == repr(oracle)
 
 
 # Pieces of NET lines: quotes, doubled quotes, letters, and ASCII and Unicode
@@ -388,11 +496,6 @@ class TestPartition:
             partition_from_property(net, "p")
         assert str(excinfo.value) == "property 'p' holds structured values; not categorical"
 
-    def test_base_other_than_one_rejected(self, bib_network):
-        with pytest.raises(ValueError) as excinfo:
-            partition_from_property(bib_network, "mode", base=0)
-        assert str(excinfo.value) == "partitions are 1-based; base must be 1"
-
 
 class TestCluFiles:
     def test_write_sex_partition(self, bib_network):
@@ -432,12 +535,15 @@ class TestCluFiles:
 
     @pytest.mark.parametrize("text, message", [
         ("*vertices\n", "line 1: *vertices requires a count"),
+        ("*vertices -3\n", "line 1: invalid vertex count '-3'"),
         ("*vertices 1\n*partition sex\n1\n", "line 2: unexpected header '*partition sex'"),
         ("1\n*vertices 1\n", "line 1: values before *vertices header"),
         ("*vertices 1\nred\n", "line 2: invalid partition value 'red'"),
         ("*vertices 2\n1\n", "expected 2 values, found 1"),
         ("% 1 a 2 b\n*vertices 2\n1\n3\n", "value 3 at position 1 outside the coded range"),
         ("% 1 a 2 b\n*vertices 1\n-1\n", "value -1 at position 0 outside the coded range"),
+        ("% 0 a 1 b\n*vertices 2\n0\n1\n", "the coded range [0, 1] holds 0, the missing code"),
+        ("*vertices 2\n-1\n1\n", "the coded range [-1, 1] holds 0, the missing code"),
     ])  # fmt: skip
     def test_rejection(self, text, message):
         with pytest.raises(ParseError) as excinfo:
@@ -459,6 +565,21 @@ class TestCluFiles:
         text = write_pajek_clu(part)
         assert '"two words"' in text
         assert read_pajek_clu(io.StringIO(text)) == part
+
+    @pytest.mark.parametrize("text", [
+        "*vertices 2\n2\n3\n",
+        "% 2 a 3 b\n*vertices 2\n2\n3\n",
+        "*vertices 2\n-2\n-1\n",
+    ])  # fmt: skip
+    def test_codings_without_zero_round_trip(self, text):
+        part = read_pajek_clu(io.StringIO(text))
+        assert read_pajek_clu(io.StringIO(write_pajek_clu(part))) == part
+
+    def test_coding_holding_zero_rejected(self):
+        coding = CodingTable("p", ("a", "b", "c"), -1)
+        with pytest.raises(ExportError) as excinfo:
+            write_pajek_clu(Partition(name="p", values=(-1, 1), coding=coding))
+        assert str(excinfo.value) == "code 0 is the CLU missing code; re-code the partition without it"
 
     def test_base_zero_coding_rejected(self):
         coding = CodingTable("p", ("a", "b"), 0)

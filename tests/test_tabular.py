@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import outcome
 from netconv import (
     ExportError,
     LinkKind,
@@ -426,14 +427,6 @@ def table_pair(draw) -> tuple[str, str]:
             cells[draw(st.integers(0, len(cells) - 1))] = odd
     links = {"from": ends[0], "relation": relation, "to": ends[1]}
     return draw(table_text({"name": names}, NODE_COLUMNS)), draw(table_text(links, LINK_COLUMNS))
-
-
-def outcome(call, *args, **kwargs):
-    """The call's result, or the class and message of what it raised."""
-    try:
-        return call(*args, **kwargs)
-    except Exception as exc:  # compared, not handled
-        return type(exc), str(exc)
 
 
 MERGE_BASE = make_network(
