@@ -153,8 +153,6 @@ def _read_network(args) -> Network:
 
 def _write_network(args, network: Network) -> None:
     if args.to_format == "csv":
-        if network.is_factorized:
-            network = defactorize_network(network)
         node_table, link_table = tabular.network_to_tables(network)
         rendered = []
         for path, table in ((args.nodes, node_table), (args.links, link_table)):

@@ -104,19 +104,12 @@ def code_range_table(name: str, codes: Iterable[int], names: Mapping[int, str] =
     return CodingTable(name, tuple(names.get(c, str(c)) for c in range(lo, hi + 1)), lo)
 
 
-def encode(
-    values: Iterable[Optional[str]], table: CodingTable, missing_code: int = 0
-) -> list[int]:
-    """Replace each value with its code; missing values map to ``missing_code``.
-
-    When the table's base is 0, code 0 is live and collides with the default
-    ``missing_code``; callers wanting missing values at base 0 must pick a
-    code outside the table range.
-    """
+def encode(values: Iterable[Optional[str]], table: CodingTable) -> list[int]:
+    """Replace each value with its code; missing values map to 0."""
     out = []
     for pos, v in enumerate(values):
         if v is None:
-            out.append(missing_code)
+            out.append(0)
         else:
             try:
                 out.append(table.code_of(v))
@@ -127,13 +120,11 @@ def encode(
     return out
 
 
-def decode(
-    codes: Iterable[int], table: CodingTable, missing_code: int = 0
-) -> list[Optional[str]]:
-    """Exact inverse of :func:`encode` on its range; ``missing_code`` -> None."""
+def decode(codes: Iterable[int], table: CodingTable) -> list[Optional[str]]:
+    """Exact inverse of :func:`encode` on its range; 0 -> None."""
     out = []
     for pos, c in enumerate(codes):
-        if c == missing_code:
+        if c == 0:
             out.append(None)
         elif table.in_range(c):
             out.append(table.value_of(c))

@@ -44,6 +44,13 @@ def factorize_network(network: Network, base: int = 1) -> Network:
                   node_coding=node_coding, property_codings=property_codings)
 
 
+def label_lookups(network: Network) -> tuple:
+    """A factorized network's label of a node code, and of a relation code."""
+    if len(network.node_coding) == 0:
+        raise CodingError("cannot invert: network carries no node coding table")
+    return network.node_coding.value_of, network.relations.value_of
+
+
 def defactorize_network(network: Network) -> Network:
     """Restore text identifiers from the coding tables carried by the network.
 
@@ -52,7 +59,5 @@ def defactorize_network(network: Network) -> Network:
     """
     if not network.is_factorized:
         return network
-    if len(network.node_coding) == 0:
-        raise CodingError("cannot invert: network carries no node coding table")
-    return recode(network, network.node_coding.value_of, network.relations.value_of,
-                  node_coding=CodingTable("node", base=network.node_coding.base))
+    node, rel = label_lookups(network)
+    return recode(network, node, rel, node_coding=CodingTable("node", base=network.node_coding.base))

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from typing import IO, Any, Optional
 
 from .coding import CodingTable
@@ -72,9 +73,10 @@ _INFO_MEMBERS = {
     "org", "nNodes", "nArcs", "nEdges", "simple", "directed", "multirel", "mode", "network",
     "title", "time", "meta", "created", "modified", "relations", "nodeCoding", "propertyCodings",
 }  # fmt: skip
-_NODE_MEMBERS = {"id", "lab", "slab", "x", "y", "mode", "tq"}
-_LINK_MEMBERS = {"type", "n1", "n2", "rel", "weight", "label", "tq"}
-_EVENT_MEMBERS = ("date", "title", "author", "desc", "url", "cite", "copy")
+_NODE_MEMBERS, _LINK_MEMBERS, _EVENT_MEMBERS = (  # fields but the last (props); kind as "type"
+    {"type" if f.name == "kind" else f.name for f in fields(cls)[:-1]}
+    for cls in (NodeRecord, LinkRecord, EventRecord))
+_EVENT_TEXT = tuple(f.name for f in fields(EventRecord) if f.default is None)  # author, ..., copy
 _LINK_KINDS = {kind.value: kind for kind in LinkKind}
 _NESTED = (dict, list)  # the JSON values _value_from_json rebuilds
 
@@ -239,14 +241,9 @@ def write_netsjson(network: Network, pretty: bool = False) -> str:
             name: list(network.property_codings[name].levels)
             for name in sorted(network.property_codings)
         }
-    data = None
-    for key in sorted(info.extra):
-        if key == "data":
-            data = info.extra[key]
-        elif key in _INFO_MEMBERS:
-            raise ExportError(f"info extra entry {key!r} collides with a schema member")
-        else:
-            raw_info[key] = _value_to_json(info.extra[key])
+    extra = dict(info.extra)
+    data = extra.pop("data", None)
+    _put_extra(raw_info, extra, _INFO_MEMBERS, "info extra entry")
 
     doc: dict[str, Any] = {
         "netsJSON": "basic",
@@ -265,17 +262,21 @@ def write_netsjson(network: Network, pretty: bool = False) -> str:
         raise ExportError(f"network holds a non-finite number: {exc}") from None
 
 
-def _event_to_json(event: EventRecord) -> dict:
-    out: dict[str, Any] = {}
-    for name in _EVENT_MEMBERS:
-        value = getattr(event, name)
-        if name in ("date", "title"):
-            out[name] = value
-        elif value is not None:
-            out[name] = value
-    for key in sorted(event.extra):
-        out[key] = _value_to_json(event.extra[key])
+def _put_extra(out: dict, extra: dict, reserved, what: str) -> dict:
+    """``out`` with ``extra``'s entries added in key order; one in ``reserved`` raises."""
+    for key in sorted(extra):
+        if key in reserved:
+            raise ExportError(f"{what} {key!r} collides with a schema member")
+        out[key] = _value_to_json(extra[key])
     return out
+
+
+def _event_to_json(event: EventRecord) -> dict:
+    out: dict[str, Any] = {"date": event.date, "title": event.title}
+    for name in _EVENT_TEXT:
+        if getattr(event, name) is not None:
+            out[name] = getattr(event, name)
+    return _put_extra(out, event.extra, _EVENT_MEMBERS, "event extra entry")
 
 
 def _node_to_json(node: NodeRecord) -> dict:
@@ -292,11 +293,7 @@ def _node_to_json(node: NodeRecord) -> dict:
         out["mode"] = node.mode
     if node.tq is not None:
         out["tq"] = _value_to_json(node.tq)
-    for key in sorted(node.props):
-        if key in _NODE_MEMBERS:
-            raise ExportError(f"node property {key!r} collides with a schema member")
-        out[key] = _value_to_json(node.props[key])
-    return out
+    return _put_extra(out, node.props, _NODE_MEMBERS, "node property")
 
 
 def _link_to_json(link: LinkRecord, keep_defaults: bool) -> dict:
@@ -312,11 +309,7 @@ def _link_to_json(link: LinkRecord, keep_defaults: bool) -> dict:
         out["label"] = link.label
     if link.tq is not None:
         out["tq"] = _value_to_json(link.tq)
-    for key in sorted(link.props):
-        if key in _LINK_MEMBERS:
-            raise ExportError(f"link property {key!r} collides with a schema member")
-        out[key] = _value_to_json(link.props[key])
-    return out
+    return _put_extra(out, link.props, _LINK_MEMBERS, "link property")
 
 
 class _Walk:
@@ -494,10 +487,10 @@ class _Walk:
                 self.err("member-type", where, "event must be an object")
                 continue
             date, title = (self.typed(event, m, _is_text, "text", where, "") for m in ("date", "title"))
-            fields = {name: self.typed(event, name, _is_text, "text", where) for name in _EVENT_MEMBERS[2:]}
+            text = {name: self.typed(event, name, _is_text, "text", where) for name in _EVENT_TEXT}
             extra = {k: self.value(v, where, k) for k, v in event.items()
                      if k not in _EVENT_MEMBERS and v is not None}  # fmt: skip
-            events.append(EventRecord(date, title, **fields, extra=extra))
+            events.append(EventRecord(date, title, **text, extra=extra))
             self.check.info_event(events[-1], where)
         return tuple(events)
 

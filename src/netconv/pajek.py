@@ -35,12 +35,10 @@ _TOKEN = re.compile(r'\s*(?:"((?:[^"]|"")*)"|([^\s"]\S*)|(\S))')  # quoted | bar
 
 def _tokens(line: str, lineno: int) -> list[str]:
     """Whitespace-separated tokens of a line; in a quoted token "" stands for a quote."""
-    out = []
-    for quoted, bare, stray in _TOKEN.findall(line):
-        if stray:
-            raise ParseError("unterminated quoted token", line=lineno)
-        out.append(bare or quoted.replace('""', '"'))
-    return out
+    found = _TOKEN.findall(line)
+    if ("", "", '"') in found:
+        raise ParseError("unterminated quoted token", line=lineno)
+    return [bare or quoted.replace('""', '"') for quoted, bare, _ in found]
 
 
 def _numbered_lines(source: IO[str]):

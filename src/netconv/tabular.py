@@ -27,6 +27,7 @@ from operator import attrgetter
 from typing import IO, Optional
 
 from .errors import ExportError, ParseError, SchemaError, StructuralError
+from .factorize import label_lookups
 from .model import (Interval, LinkKind, LinkRecord, Network, NodeRecord, TemporalQuantity,
                     make_network)
 
@@ -78,6 +79,9 @@ def _read_table(source: IO[str], opts: TableOptions) -> Table:
         header = next(reader, None)
         if header is None:
             raise ParseError("empty input: missing header row")
+        if len(set(header)) < len(header):
+            name = next(name for i, name in enumerate(header) if name in header[:i])
+            raise ParseError(f"column {name!r} appears twice in the header", line=1)
         rows = []
         for row in reader:
             if len(row) != len(header):
@@ -212,13 +216,17 @@ def _cell(value) -> Optional[str]:
     return str(value)
 
 
-def _encode(records, header: list[str], declared: dict) -> Table:
+def _encode(records, header: list[str], declared: dict, labels: dict) -> Table:
     """Records as a table, built column by column: a declared column's cells
-    come from its record field, any other column's from the property map."""
-    getters = [
-        attrgetter(declared[name][0]) if name in declared else (lambda r, n=name: r.props.get(n))
-        for name in header
-    ]
+    come from its record field, through ``labels[field]`` when there is one;
+    any other column's from the property map."""
+    def getter(name):
+        if name not in declared:
+            return lambda r: r.props.get(name)
+        get, label = attrgetter(declared[name][0]), labels.get(declared[name][0])
+        return get if label is None else lambda r: label(get(r))
+
+    getters = list(map(getter, header))
     try:
         columns = tuple(tuple([_cell(get(record)) for record in records]) for get in getters)
     except ExportError:  # name the first structured value in row order
@@ -230,32 +238,39 @@ def _encode(records, header: list[str], declared: dict) -> Table:
 
 
 def network_to_tables(network: Network) -> tuple[Table, Table]:
-    """Project a labeled network onto a node table and a link table.
+    """Project a network, labeled or factorized, onto a node table and a link table.
 
-    Scalar properties only; re-parsing the tables reproduces the network up
-    to property column order. The node table always has ``x`` and ``y``;
-    ``mode``, ``slab`` and ``label`` appear when some record has one, ``kind``
-    when arcs and edges mix, ``weight`` when some weight differs from 1.
+    Codes are written as the labels the network's coding tables give them.
+    Scalar properties only, none named as a reserved column of its table;
+    re-parsing the tables reproduces the labeled network up to property
+    column order. The node table always has ``x`` and ``y``; ``mode``,
+    ``slab`` and ``label`` appear when some record has one, ``kind`` when
+    arcs and edges mix, ``weight`` when some weight differs from 1.
     """
-    if network.is_factorized:
-        raise ExportError("cannot export a factorized network to tables; defactorize first")
+    node, rel = label_lookups(network) if network.is_factorized else (None, None)
     nodes, links = network.nodes, network.links
-    node_header = [NODE_NAME_COLUMN, *_used(nodes, "mode", "slab"), *_prop_names(nodes), "x", "y"]
+    node_props = _prop_names(nodes, _NODE_COLUMNS, "node")
+    node_header = [NODE_NAME_COLUMN, *_used(nodes, "mode", "slab"), *node_props, "x", "y"]
     link_header = list(LINK_REQUIRED_COLUMNS)
     if len({l.kind for l in links}) > 1:
         link_header.append("kind")
     if any(l.weight != 1.0 for l in links):
         link_header.append("weight")
-    link_header += _used(links, "label") + _prop_names(links)
-    return _encode(nodes, node_header, _NODE_COLUMNS), _encode(links, link_header, _LINK_COLUMNS)
+    link_header += _used(links, "label") + _prop_names(links, _LINK_COLUMNS, "link")
+    return (_encode(nodes, node_header, _NODE_COLUMNS, {"id": node}),
+            _encode(links, link_header, _LINK_COLUMNS, {"n1": node, "n2": node, "rel": rel}))
 
 
 def _used(records, *names: str) -> list[str]:
     return [name for name in names if any(getattr(r, name) is not None for r in records)]
 
 
-def _prop_names(records) -> list[str]:
-    return sorted({p for r in records for p in r.props})
+def _prop_names(records, declared: dict, what: str) -> list[str]:
+    names = sorted({p for r in records for p in r.props})
+    for name in names:
+        if name in declared:
+            raise ExportError(f"{what} property {name!r} collides with a reserved column")
+    return names
 
 
 def write_table(table: Table, sink: IO[str], opts: TableOptions = TableOptions()) -> None:

@@ -683,6 +683,7 @@ MIXED_KINDS = "warning: [directed-kind-mismatch] $.links: directed network conta
 UNDIRECTED_ARCS = "warning: [directed-kind-mismatch] $.links: undirected network contains arcs\n"
 LONG_SLAB = "error: [slab-longer-than-label] $.nodes[0].slab: short label longer than label\n"
 TEXT_X = "error: node row 1: x 'left' is not numeric\n"
+TWICE = "error: line 1: column 'to' appears twice in the header\n"
 
 # (argv, exit status, standard error) for each subcommand and way of failing;
 # run in a directory holding the files written by `failure_files`.
@@ -777,6 +778,17 @@ CLI_FAILURES = {
         ("convert --nodes n.csv --links l.csv -o o.net --decimal=,,", 2,
          "error: --decimal must be one character, got ',,'\n"),
     ],
+    "reserved-column-property": [
+        # a NetsJSON node property named like a reserved csv column would lose its values
+        ("convert -i named.json --to csv --nodes cn.csv --links cl.csv", 2,
+         "error: node property 'name' collides with a reserved column\n"),
+        ("convert -i named.json -o o.net", 0, ""),
+    ],
+    "repeated-column": [
+        ("convert --nodes n.csv --links twice.csv -o o.net", 2, TWICE),
+        ("validate n.csv --links twice.csv", 1, TWICE),
+        ("info n.csv --links twice.csv", 2, TWICE),
+    ],
     "unknown-property": [
         ("partition -i bib.net --property nope -o x.clu", 1,
          "error: unknown property 'nope': absent on every node\n"),
@@ -805,6 +817,9 @@ def failure_files(tmp_path, monkeypatch):
         ("kinds.csv", "from;relation;to;kind\na;r;a;arc\na;s;a;edge\na;r;a;NA\n"),
         ("textx.csv", "name;x;y\na;left;1\nb;2;2\n"),
         ("x.txt", "hi\n"),
+        ("named.json", '{"netsJSON": "basic", "info": {}, "nodes": [{"id": "a", "name": "b"}], '
+                       '"links": []}'),
+        ("twice.csv", 'from;relation;to;to\n"Batagelj, Vladimir";r;zz;"Mrvar, Andrej"\n'),
     ):
         (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)

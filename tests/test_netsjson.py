@@ -12,6 +12,7 @@ import oracles
 from conftest import DATA
 from netconv import (
     CodingTable,
+    EventRecord,
     ExportError,
     InfoBlock,
     Interval,
@@ -305,6 +306,10 @@ class TestWriteRejections:
         (Network(nodes=(NodeRecord("a"),),
                  links=(LinkRecord(LinkKind.ARC, "a", "a", "r", props={"rel": "s"}),)),
          "link property 'rel' collides with a schema member"),
+        (Network(info=InfoBlock(meta=(EventRecord("2020-01-02", "t", extra={"date": "x"}),))),
+         "event extra entry 'date' collides with a schema member"),
+        (Network(info=InfoBlock(meta=(EventRecord("2020-01-02", "t", extra={"url": "u"}),))),
+         "event extra entry 'url' collides with a schema member"),
     ])  # fmt: skip
     def test_message(self, network, message):
         with pytest.raises(ExportError) as excinfo:

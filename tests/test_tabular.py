@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +11,11 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import outcome
 from netconv import (
+    CodingError,
+    CodingTable,
     ExportError,
     LinkKind,
+    LinkRecord,
     Network,
     NodeRecord,
     ParseError,
@@ -19,6 +23,8 @@ from netconv import (
     StructuralError,
     Table,
     TableOptions,
+    canonical_order,
+    factorize_network,
     make_network,
     merge_node_properties,
     network_stats,
@@ -29,7 +35,7 @@ from netconv import (
     write_table,
 )
 from netconv.tabular import _read_table
-from netgen import random_csv_network
+from netgen import random_csv_network, random_labeled_network
 
 NO_LINKS = Table(("from", "relation", "to"), ((), (), ()))
 
@@ -189,6 +195,10 @@ class TestRejections:
         ("name\na\n", "from;relation;to\na;r;b\n", StructuralError,
          "link row 1 references unknown node 'b'"),
         ("name\na\n", "from;relation;to\na;r\n", ParseError, "line 2: expected 3 cells, found 2"),
+        ("name;p;p;x;x\na;1;2;3;4\n", "from;relation;to\n", ParseError,
+         "line 1: column 'p' appears twice in the header"),
+        ("name\na\n", "from;relation;to;to\na;r;zz;a\n", ParseError,
+         "line 1: column 'to' appears twice in the header"),
     ])  # fmt: skip
     def test_message(self, nodes, links, error, message):
         with pytest.raises(error) as excinfo:
@@ -237,11 +247,42 @@ class TestNetworkToTables:
             network_to_tables(net)
         assert str(excinfo.value) == "structured value [1] cannot be written to a table cell"
 
-    def test_factorized_rejected(self, bib_canonical):
-        from netconv import ExportError, factorize_network
+    @pytest.mark.parametrize("what, props, message", [
+        ("node", {"name": "b"}, "node property 'name' collides with a reserved column"),
+        ("node", {"x": 1.0}, "node property 'x' collides with a reserved column"),
+        ("link", {"from": "b"}, "link property 'from' collides with a reserved column"),
+        ("link", {"kind": "edge"}, "link property 'kind' collides with a reserved column"),
+    ])  # fmt: skip
+    def test_reserved_column_property_rejected(self, what, props, message):
+        node_props, link_props = (props, {}) if what == "node" else ({}, props)
+        net = make_network([NodeRecord(id="a", lab="a", props=node_props)],
+                           [LinkRecord(LinkKind.ARC, "a", "a", "r", props=link_props)])
+        with pytest.raises(ExportError) as excinfo:
+            network_to_tables(net)
+        assert str(excinfo.value) == message
 
-        with pytest.raises(ExportError):
-            network_to_tables(factorize_network(bib_canonical, 1))
+
+class TestFactorizedToTables:
+    """A factorized network writes the tables of its labeled form, without a copy."""
+
+    @given(seed=st.integers(0, 2**32 - 1), base=st.sampled_from([0, 1]))
+    @settings(max_examples=150, deadline=None)
+    def test_same_tables_as_labeled(self, seed, base):
+        rng = random.Random(seed)
+        for net in (random_csv_network(rng, 30, 60), random_labeled_network(rng, 30, 60)):
+            coded = factorize_network(net, base)
+            assert outcome(network_to_tables, coded) == outcome(network_to_tables, net)
+
+    def test_bibliographic_tables(self, bib_canonical):
+        for base in (0, 1):
+            coded = canonical_order(factorize_network(bib_canonical, base))
+            assert network_to_tables(coded) == network_to_tables(bib_canonical)
+
+    def test_without_node_table_rejected(self, bib_canonical):
+        coded = replace(factorize_network(bib_canonical, 1), node_coding=CodingTable("node"))
+        with pytest.raises(CodingError) as excinfo:
+            network_to_tables(coded)
+        assert str(excinfo.value) == "cannot invert: network carries no node coding table"
 
 
 class TestQuotingAndRoundTrips:
