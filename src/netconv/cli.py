@@ -15,26 +15,25 @@ pair).
 
 :func:`main` settles formats and paths and raises every usage error before
 a subcommand runs, and it is the one place that turns a failure into one
-``error:`` line and an exit code.
+``error:`` line and an exit code. Each subcommand imports only the
+modules it runs: a CSV run loads no NetsJSON or JSON code, and a NetsJSON
+``validate`` no table, Pajek or factorization code.
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime
 import gc
 import io
 import os
 import sys
-import tempfile
 
-from . import netsjson, pajek, tabular
 from .errors import CodingError, NetconvError
-from .factorize import defactorize_network, factorize_network
 from .model import Network, canonical_order, network_stats
 from .validation import Checker, Level, ValidationReport, parse_iso_date
 
 FORMATS = ("csv", "net", "netsjson")
+_DELIMITER = ";"  # the default --delimiter
 _EXTENSIONS = {".csv": "csv", ".net": "net", ".json": "netsjson"}
 
 EXIT_OK = 0
@@ -63,6 +62,7 @@ def _write_outputs(*outputs: tuple[str, str], encoding: str = "utf-8") -> None:
     and renamed only once every one is staged; a failure removes the
     temporaries and leaves the targets as they were.
     """
+    import tempfile
     mask = os.umask(0)
     os.umask(mask)
     staged = []  # (temporary, target) pairs
@@ -95,15 +95,22 @@ def _emit_report(report: ValidationReport, fmt: str) -> None:
     print(text, file=sys.stderr)
 
 
+def _table_options(args):
+    """The table options ``args`` give; a bad ``--delimiter`` raises NetconvError."""
+    from . import tabular
+    try:
+        return tabular.TableOptions(delimiter=args.delimiter)
+    except ValueError as exc:  # the message names the option the flag sets
+        raise NetconvError(f"--{exc}") from None
+
+
 def _resolve(args) -> None:
     """Settle the input format and paths in ``args``; raise every usage error.
 
     A csv input's node table is ``--nodes``, else the input path.
     """
-    try:
-        args.opts = tabular.TableOptions(delimiter=args.delimiter)
-    except ValueError as exc:  # the message names the option the flag sets
-        raise NetconvError(f"--{exc}") from None
+    if args.delimiter != _DELIMITER:  # the default is valid; checking another loads tabular
+        _table_options(args)
     if len(args.decimal) != 1:
         raise NetconvError(f"--decimal must be one character, got {args.decimal!r}")
     args.from_format = args.from_format or _infer_format(args.input) or (
@@ -134,10 +141,12 @@ def _resolve(args) -> None:
 
 def _read_network(args) -> Network:
     if args.from_format == "csv":
+        from . import tabular
+        opts = _table_options(args)
         with _open_text(args.nodes) as stream:
-            node_table = tabular.read_node_table(stream, args.opts)
+            node_table = tabular.read_node_table(stream, opts)
         with _open_text(args.links) as stream:
-            link_table = tabular.read_link_table(stream, args.opts)
+            link_table = tabular.read_link_table(stream, opts)
         return tabular.tables_to_network(
             node_table,
             link_table,
@@ -147,24 +156,29 @@ def _read_network(args) -> Network:
         )
     with _open_text(args.input) as stream:
         if args.from_format == "net":
-            return pajek.read_pajek_net(stream)
-        return netsjson.parse_netsjson(stream)
+            from .pajek import read_pajek_net
+            return read_pajek_net(stream)
+        from .netsjson import parse_netsjson
+        return parse_netsjson(stream)
 
 
 def _write_network(args, network: Network) -> None:
     if args.to_format == "csv":
-        node_table, link_table = tabular.network_to_tables(network)
+        from . import tabular
+        opts = _table_options(args)
         rendered = []
-        for path, table in ((args.nodes, node_table), (args.links, link_table)):
+        for path, table in zip((args.nodes, args.links), tabular.network_to_tables(network)):
             sink = io.StringIO()
-            tabular.write_table(table, sink, args.opts)
+            tabular.write_table(table, sink, opts)
             rendered.append((path, sink.getvalue()))
         _write_outputs(*rendered)
         return
     if args.to_format == "net":
-        text = pajek.write_pajek_net(network, base=1, coordinates=args.coords)
+        from .pajek import write_pajek_net
+        text = write_pajek_net(network, base=1, coordinates=args.coords)
     else:
-        text = netsjson.write_netsjson(network, pretty=args.pretty)
+        from .netsjson import write_netsjson
+        text = write_netsjson(network, pretty=args.pretty)
     _write_outputs((args.output, text))
 
 
@@ -187,8 +201,9 @@ def _read_checked(args, build: bool = True) -> tuple[ValidationReport, Network |
     """
     level = Level(args.level)
     if args.from_format == "netsjson":
+        from .netsjson import check_netsjson
         with _open_text(args.input) as stream:
-            return netsjson.check_netsjson(stream, level is Level.STRICT, build)
+            return check_netsjson(stream, level is Level.STRICT, build)
     network = _read_network(args)
     check = Checker(level)
     check.flags = network.info
@@ -202,16 +217,16 @@ def _read_checked(args, build: bool = True) -> tuple[ValidationReport, Network |
 def cmd_convert(args) -> int:
     report, network = _read_checked(args)
     _emit_report(report, args.report)
-    if any(f.rule in netsjson.PARSE_FATAL for f in report.errors):
-        return EXIT_FAILURE  # an input convert cannot read, as for NET and CSV
+    if network is None:  # a parse-fatal finding: an input convert cannot read, as for NET and CSV
+        return EXIT_FAILURE
     if report.has_errors:
         return EXIT_INVALID
-    if args.factorize:
+    if args.factorize or args.defactorize:
+        from .factorize import defactorize_network, factorize_network
         if network.is_factorized:
-            network = defactorize_network(network)  # rebase via labeled form
-        network = factorize_network(network, args.base)
-    elif args.defactorize:
-        network = defactorize_network(network)
+            network = defactorize_network(network)  # --factorize rebases via the labeled form
+        if args.factorize:
+            network = factorize_network(network, args.base)
     _write_network(args, canonical_order(network))
     return EXIT_OK
 
@@ -226,20 +241,13 @@ def cmd_info(args) -> int:
     network = _read_network(args)
     stats = network_stats(network)
     info = network.info
-    print(f"nodes: {stats.n_nodes}")
-    print(f"arcs: {stats.n_arcs}")
-    print(f"edges: {stats.n_edges}")
-    print(f"relations: {stats.n_relations}")
-    print(f"modes: {stats.n_modes}")
-    if info.title:
-        print(f"title: {info.title}")
-    if info.network:
-        print(f"network: {info.network}")
-    if info.created:
-        print(f"created: {info.created}")
-    if info.modified:
-        print(f"modified: {info.modified}")
+    for field, count in stats._asdict().items():
+        print(f"{field[2:]}: {count}")  # n_nodes as nodes, ...
+    for member in ("title", "network", "created", "modified"):
+        if getattr(info, member):
+            print(f"{member}: {getattr(info, member)}")
     if info.meta:
+        import datetime
         print("events:")
         # ISO-dated events in date order, then the others in file order
         dated = [(parse_iso_date(event.date), event) for event in info.meta]
@@ -250,10 +258,12 @@ def cmd_info(args) -> int:
 
 
 def cmd_partition(args) -> int:
+    from . import pajek
     network = _read_network(args)
     if args.via_csv:
+        from . import tabular
         with _open_text(args.via_csv) as stream:
-            node_table = tabular.read_node_table(stream, args.opts)
+            node_table = tabular.read_node_table(stream, _table_options(args))
         network = tabular.merge_node_properties(network, node_table, decimal_separator=args.decimal)
     partition = pajek.partition_from_property(network, args.property)
     _write_outputs((args.output, pajek.write_pajek_clu(partition)))
@@ -268,7 +278,7 @@ def _add_directed_flags(parser) -> None:
 
 
 def _add_table_flags(parser) -> None:
-    parser.add_argument("--delimiter", default=";", help="table delimiter (default ';')")
+    parser.add_argument("--delimiter", default=_DELIMITER, help="table delimiter (default ';')")
     parser.add_argument("--decimal", default=".", help="decimal separator (default '.')")
 
 

@@ -8,7 +8,6 @@ coded (factorized) representation is always invertible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Optional
 
@@ -22,28 +21,47 @@ class LevelPolicy(Enum):
     SORTED = "sorted"  # Unicode code point order, locale independent
 
 
-@dataclass(frozen=True, slots=True)
 class CodingTable:
     """Ordered list of distinct categorical values with their code base.
 
     ``name`` records what is coded ("relation", "node", a property name); it is
     metadata the serialized formats do not carry, so equality ignores it. A
     private value -> position index, also ignored, makes ``code_of``/``in`` O(1).
+    Immutable: ``_replace`` returns a copy with some fields changed.
     """
 
-    name: str = field(compare=False)
-    levels: tuple[str, ...] = ()
-    base: int = 1
-    _index: dict[str, int] = field(init=False, compare=False, repr=False)
+    __slots__ = ("name", "levels", "base", "_index")
 
-    def __post_init__(self):
+    def __init__(self, name: str, levels: tuple[str, ...] = (), base: int = 1):
         index = {}
-        for i, lv in enumerate(self.levels):
+        for i, lv in enumerate(levels):
             if not lv:
                 raise ValueError("coding table level must be non-empty text")
             if index.setdefault(lv, i) != i:
                 raise ValueError(f"duplicate coding table level: {lv!r}")
-        object.__setattr__(self, "_index", index)
+        for slot, value in zip(self.__slots__, (name, levels, base, index)):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"field {name!r} of a coding table cannot change")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        same = type(other) is CodingTable
+        return (self.levels, self.base) == (other.levels, other.base) if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.levels, self.base))
+
+    def __repr__(self) -> str:
+        return f"CodingTable(name={self.name!r}, levels={self.levels!r}, base={self.base!r})"
+
+    def __reduce__(self):  # copy and pickle call the constructor, as no slot can be set
+        return CodingTable, (self.name, self.levels, self.base)
+
+    def _replace(self, **changes) -> CodingTable:
+        return CodingTable(**{"name": self.name, "levels": self.levels, "base": self.base, **changes})
 
     def __len__(self) -> int:
         return len(self.levels)

@@ -9,8 +9,6 @@ Both directions rewrite identifiers only through those tables, with
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .coding import CodingTable, LevelPolicy, build_coding_table
 from .errors import CodingError, StructuralError
 from .model import Network, recode, sorted_relations
@@ -39,7 +37,7 @@ def factorize_network(network: Network, base: int = 1) -> Network:
         name: CodingTable(table.name, table.levels, base)
         for name, table in network.property_codings.items()
     }
-    info = replace(network.info, org=base)
+    info = network.info._replace(org=base)
     return recode(network, node_coding.code_of, relations.code_of, info=info, relations=relations,
                   node_coding=node_coding, property_codings=property_codings)
 

@@ -4,18 +4,19 @@ A network N = (V, L, P, W) is a list of node records with properties, a list
 of link records with weights, an info block of metadata, and the coding
 tables that make the integer-coded (factorized) representation invertible.
 
-Networks are immutable after construction; transformations return new
-instances. Property values are plain Python values: None stands for a
-missing (absent) value, bool/int/float/str for scalars, lists for subsets
-and series, dicts for opaque structured values, plus the two dedicated
-types :class:`Interval` and :class:`TemporalQuantity`.
+Networks are immutable after construction: every record is a named tuple,
+and transformations return new instances (``record._replace(field=value)``
+copies one with some fields changed). Property values are plain Python
+values: None stands for a missing (absent) value, bool/int/float/str for
+scalars, lists for subsets and series, dicts for opaque structured values,
+plus the two dedicated types :class:`Interval` and :class:`TemporalQuantity`.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
@@ -27,30 +28,50 @@ from .errors import StructuralError
 PropertyValue = Any
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
+def _fresh(**factories: Callable):
+    """Class decorator for a named tuple: a record built without one of the
+    fields named in ``factories`` gets a new value from its factory there,
+    not the one default object every such record would share."""
+    def decorate(cls):
+        make, at = cls.__new__, {name: cls._fields.index(name) for name in factories}
+
+        @functools.wraps(make)
+        def __new__(cls, *args, **kwargs):
+            for name, i in at.items():
+                if i >= len(args) and name not in kwargs:
+                    kwargs[name] = factories[name]()
+            return make(cls, *args, **kwargs)
+
+        cls.__new__ = __new__
+        return cls
+    return decorate
+
+
+class Interval(NamedTuple):
     """Closed numeric interval [lo, hi]."""
 
     lo: float
     hi: float
 
 
-@dataclass(frozen=True, slots=True)
-class TemporalQuantity:
-    """A value defined piecewise over half-open integer time intervals.
+class TemporalQuantity(tuple):
+    """A value defined piecewise over half-open integer time intervals: the
+    tuple of its ``(s, f, v)`` triples.
 
     Each triple (s, f, v) means the value v holds on [s, f). Well-formed
     quantities have s < f, triples sorted by s, and no overlaps; violations
     are representable so validators can report them.
     """
 
-    triples: tuple[tuple[int, int, PropertyValue], ...] = ()
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.triples)
+    def __new__(cls, triples: tuple[tuple[int, int, PropertyValue], ...] = ()):
+        return tuple.__new__(cls, triples)
 
-    def __iter__(self):
-        return iter(self.triples)
+    triples = property(tuple, doc="The triples as a plain tuple.")
+
+    def __repr__(self) -> str:
+        return f"TemporalQuantity(triples={tuple(self)!r})"
 
 
 def tq_value_at(tq: TemporalQuantity, t: int) -> PropertyValue:
@@ -59,9 +80,9 @@ def tq_value_at(tq: TemporalQuantity, t: int) -> PropertyValue:
     Assumes the quantity is well-formed (sorted, disjoint) and binary-searches
     the interval starts.
     """
-    i = bisect.bisect_right(tq.triples, t, key=lambda triple: triple[0]) - 1
-    if i >= 0 and t < tq.triples[i][1]:  # bisect_right leaves start <= t
-        return tq.triples[i][2]
+    i = bisect.bisect_right(tq, t, key=lambda triple: triple[0]) - 1
+    if i >= 0 and t < tq[i][1]:  # bisect_right leaves start <= t
+        return tq[i][2]
     return None
 
 
@@ -70,17 +91,17 @@ class LinkKind(str, Enum):
     EDGE = "edge"
 
 
-@dataclass(frozen=True, slots=True)
-class TimeWindow:
+@_fresh(t_labs=dict)
+class TimeWindow(NamedTuple):
     """Lifetime [t_min, t_max] of a temporal network with optional point labels."""
 
     t_min: int
     t_max: int
-    t_labs: dict[int, str] = field(default_factory=dict)
+    t_labs: dict[int, str] = {}
 
 
-@dataclass(frozen=True, slots=True)
-class EventRecord:
+@_fresh(extra=dict)
+class EventRecord(NamedTuple):
     """One entry of the dataset's life log (creation, release, publication, ...)."""
 
     date: str
@@ -90,11 +111,11 @@ class EventRecord:
     url: Optional[str] = None
     cite: Optional[str] = None
     copy: Optional[str] = None
-    extra: dict[str, PropertyValue] = field(default_factory=dict)
+    extra: dict[str, PropertyValue] = {}
 
 
-@dataclass(frozen=True, slots=True)
-class InfoBlock:
+@_fresh(extra=dict)
+class InfoBlock(NamedTuple):
     """Network-level metadata: flags and provenance.
 
     ``org`` is the smallest index used by coded identifiers (0 or 1).
@@ -113,11 +134,11 @@ class InfoBlock:
     meta: tuple[EventRecord, ...] = ()
     created: Optional[str] = None
     modified: Optional[str] = None
-    extra: dict[str, PropertyValue] = field(default_factory=dict)
+    extra: dict[str, PropertyValue] = {}
 
 
-@dataclass(frozen=True, slots=True)
-class NodeRecord:
+@_fresh(props=dict)
+class NodeRecord(NamedTuple):
     """A node: identity, labels, coordinates, and a free property map.
 
     ``id`` is text in labeled form or an integer code in factorized form.
@@ -130,11 +151,11 @@ class NodeRecord:
     y: Optional[float] = None
     mode: Optional[str] = None
     tq: Optional[TemporalQuantity] = None
-    props: dict[str, PropertyValue] = field(default_factory=dict)
+    props: dict[str, PropertyValue] = {}
 
 
-@dataclass(frozen=True, slots=True)
-class LinkRecord:
+@_fresh(props=dict)
+class LinkRecord(NamedTuple):
     """A link between two nodes; an arc is directed n1 -> n2, an edge is not."""
 
     kind: LinkKind
@@ -144,20 +165,20 @@ class LinkRecord:
     weight: float = 1.0
     label: Optional[str] = None
     tq: Optional[TemporalQuantity] = None
-    props: dict[str, PropertyValue] = field(default_factory=dict)
+    props: dict[str, PropertyValue] = {}
 
 
-@dataclass(frozen=True, slots=True)
-class Network:
+@_fresh(info=InfoBlock, property_codings=dict)
+class Network(NamedTuple):
     """The complete model: info block, records, and coding tables (a node
     table only when factorized)."""
 
-    info: InfoBlock = field(default_factory=InfoBlock)
+    info: InfoBlock = InfoBlock()
     nodes: tuple[NodeRecord, ...] = ()
     links: tuple[LinkRecord, ...] = ()
-    relations: CodingTable = field(default_factory=lambda: CodingTable("relation"))
-    node_coding: CodingTable = field(default_factory=lambda: CodingTable("node"))
-    property_codings: dict[str, CodingTable] = field(default_factory=dict)
+    relations: CodingTable = CodingTable("relation")
+    node_coding: CodingTable = CodingTable("node")
+    property_codings: dict[str, CodingTable] = {}
 
     @property
     def is_factorized(self) -> bool:
@@ -277,8 +298,8 @@ def make_network(
     stats = network_stats(net)  # raises on an endpoint that names no node
     if info is None:
         simple, multirel = not _parallel_links_exist(links), stats.n_relations > 1
-        info = replace(net.info, simple=simple, multirel=multirel, mode=stats.n_modes)
-        net = replace(net, info=info)
+        info = net.info._replace(simple=simple, multirel=multirel, mode=stats.n_modes)
+        net = net._replace(info=info)
     return net
 
 
@@ -286,11 +307,10 @@ def recode(network: Network, node: Callable, rel: Callable, **changes) -> Networ
     """Rebuild every record of ``network`` with each node id and link
     endpoint mapped through ``node`` and each link relation through
     ``rel``; ``changes`` replace other :class:`Network` fields."""
-    nodes = tuple(NodeRecord(node(n.id), n.lab, n.slab, n.x, n.y, n.mode, n.tq, n.props)
-                  for n in network.nodes)
-    links = tuple(LinkRecord(l.kind, node(l.n1), node(l.n2), rel(l.rel), l.weight, l.label, l.tq,
-                             l.props) for l in network.links)
-    return replace(network, nodes=nodes, links=links, **changes)
+    nodes = tuple(NodeRecord._make((node(n.id), *n[1:])) for n in network.nodes)
+    links = tuple(LinkRecord._make((l.kind, node(l.n1), node(l.n2), rel(l.rel), *l[4:]))
+                  for l in network.links)
+    return network._replace(nodes=nodes, links=links, **changes)
 
 
 def canonical_order(network: Network) -> Network:
@@ -303,6 +323,6 @@ def canonical_order(network: Network) -> Network:
     old = network.relations
     new = CodingTable(old.name, tuple(sorted(old.levels)), old.base)
     if new.levels == old.levels or not network.is_factorized:
-        return replace(network, relations=new)
+        return network._replace(relations=new)
     return recode(network, lambda code: code, lambda code: new.code_of(old.value_of(code)),
                   relations=new)

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import fields
 from typing import IO, Any, Optional
 
 from .coding import CodingTable
@@ -74,9 +73,9 @@ _INFO_MEMBERS = {
     "title", "time", "meta", "created", "modified", "relations", "nodeCoding", "propertyCodings",
 }  # fmt: skip
 _NODE_MEMBERS, _LINK_MEMBERS, _EVENT_MEMBERS = (  # fields but the last (props); kind as "type"
-    {"type" if f.name == "kind" else f.name for f in fields(cls)[:-1]}
+    {"type" if name == "kind" else name for name in cls._fields[:-1]}
     for cls in (NodeRecord, LinkRecord, EventRecord))
-_EVENT_TEXT = tuple(f.name for f in fields(EventRecord) if f.default is None)  # author, ..., copy
+_EVENT_TEXT = tuple(k for k, v in EventRecord._field_defaults.items() if v is None)  # author, ..., copy
 _LINK_KINDS = {kind.value: kind for kind in LinkKind}
 _NESTED = (dict, list)  # the JSON values _value_from_json rebuilds
 
@@ -130,7 +129,7 @@ def _value_to_json(v: Any) -> Any:
     if isinstance(v, Interval):
         return {"lo": v.lo, "hi": v.hi}
     if isinstance(v, TemporalQuantity):
-        return [[s, f, _value_to_json(x)] for s, f, x in v.triples]
+        return [[s, f, _value_to_json(x)] for s, f, x in v]
     if isinstance(v, dict):
         return {k: _value_to_json(v[k]) for k in sorted(v)}
     if isinstance(v, list):
@@ -399,7 +398,7 @@ class _Walk:
             return None
 
         return dict(nodes=nodes, links=links, info=info, relations=check.relations,
-                    node_coding=self.node_coding, property_codings=self.property_codings)  # fmt: skip
+                    node_coding=check.node_coding, property_codings=self.property_codings)  # fmt: skip
 
     # -- info ------------------------------------------------------------------
 
@@ -420,7 +419,7 @@ class _Walk:
         created, modified = self.dates(raw)
 
         check.relations = self.coding(raw, "relations", "relation", "$.info")
-        self.node_coding = self.coding(raw, "nodeCoding", "node", "$.info")
+        check.node_coding = self.coding(raw, "nodeCoding", "node", "$.info")
         codings = typed(raw, "propertyCodings", lambda v: isinstance(v, dict), "an object", "$.info")
         self.property_codings = {
             name: self.coding(codings, name, name, "$.info.propertyCodings") for name in codings or ()

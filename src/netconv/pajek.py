@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from typing import IO
+from typing import IO, NamedTuple
 
 from .coding import CodingTable, LevelPolicy, build_coding_table, code_range_table, encode
 from .errors import CodingError, ExportError, ParseError
@@ -250,18 +249,26 @@ def _vertex_count(toks: list[str], lineno: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """One integer class code per node, aligned with node order; 0 is the
     missing code, as in CLU files.
 
     ``name`` is descriptive metadata (the property partitioned on) and is
-    excluded from equality; CLU files do not carry it.
+    excluded from equality and hash; CLU files do not carry it.
     """
 
-    name: str = field(compare=False)
+    name: str
     values: tuple[int, ...] = ()
-    coding: CodingTable = field(default_factory=lambda: CodingTable(""))
+    coding: CodingTable = CodingTable("")
+
+    def __eq__(self, other: object) -> bool:
+        return self[1:] == other[1:] if type(other) is Partition else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        return self[1:] != other[1:] if type(other) is Partition else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self[1:])
 
 
 def partition_from_property(network: Network, property: str) -> Partition:

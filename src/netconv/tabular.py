@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields, replace
+from collections import namedtuple
 from itertools import repeat
 from operator import attrgetter
 from typing import IO, Optional
@@ -43,27 +43,25 @@ _LINK_COLUMNS = {"from": ("n1", False), "relation": ("rel", False), "to": ("n2",
 _NA_STRINGS = frozenset({"", "NA", "NaN"})  # cells read as missing
 
 
-@dataclass(frozen=True)
-class TableOptions:
-    delimiter: str = ";"
+class TableOptions(namedtuple("TableOptions", "delimiter")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.delimiter) != 1 or self.delimiter == '"':
-            message = f"delimiter must be one character other than '\"', got {self.delimiter!r}"
-            raise ValueError(message)
+    def __new__(cls, delimiter: str = ";"):
+        if len(delimiter) != 1 or delimiter == '"':
+            raise ValueError(f"delimiter must be one character other than '\"', got {delimiter!r}")
+        return tuple.__new__(cls, (delimiter,))
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(namedtuple("Table", "header columns")):
     """A header and one tuple of optional text cells per header column;
     missing cells are None. ``rows`` is derived from the columns."""
 
-    header: tuple[str, ...]
-    columns: tuple[tuple[Optional[str], ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.columns) != len(self.header) or len(set(map(len, self.columns))) > 1:
+    def __new__(cls, header: tuple[str, ...], columns: tuple[tuple[Optional[str], ...], ...]):
+        if len(columns) != len(header) or len(set(map(len, columns))) > 1:
             raise ValueError("a table needs one column per header name, all of one length")
+        return tuple.__new__(cls, (header, columns))
 
     @property
     def rows(self) -> tuple[tuple[Optional[str], ...], ...]:
@@ -168,7 +166,8 @@ def _decode(table: Table, declared: dict, what: str, decimal_separator: str) -> 
 def _records(cls, columns: dict) -> list:
     """One ``cls`` record per row, built positionally from ``columns``
     (record field -> cells); a field without a column takes its default."""
-    return list(map(cls, *(columns.get(f.name, repeat(f.default)) for f in fields(cls))))
+    defaults = cls._field_defaults
+    return list(map(cls._make, zip(*(columns.get(f, repeat(defaults.get(f))) for f in cls._fields))))
 
 
 def tables_to_network(
@@ -298,6 +297,6 @@ def merge_node_properties(
         i = row_of.get(n.lab or (n.id if isinstance(n.id, str) else None))
         if i is not None:
             changes = {field: cells[i] for field, cells in cols.items() if cells[i] is not None}
-            n = replace(n, **changes, props={**n.props, **props[i]})
+            n = n._replace(**changes, props={**n.props, **props[i]})
         nodes.append(n)
-    return replace(network, nodes=tuple(nodes))
+    return network._replace(nodes=tuple(nodes))

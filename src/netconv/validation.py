@@ -18,11 +18,10 @@ the network's NetsJSON form.
 
 from __future__ import annotations
 
-import datetime
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .coding import CodingTable
 from .model import (
@@ -62,6 +61,7 @@ RULES: dict[str, str] = {
     "id-duplicate": "a node identifier occurs more than once",
     "slab-longer-than-label": "a short label is longer than the label",
     "interval-invalid": "an interval has its bounds reversed",
+    "node-unlisted": "a node code is missing from the node coding",
     "endpoint-unresolved": "a link endpoint names no known node",
     "link-type-invalid": "a link type is neither 'arc' nor 'edge'",
     "relation-unlisted": "a link relation is missing from the relation coding",
@@ -88,20 +88,18 @@ class Level(str, Enum):
     STRICT = "strict"
 
 
-@dataclass(frozen=True)
-class Finding:
-    severity: Severity
-    rule: str
-    location: str
-    message: str
+class Finding(namedtuple("Finding", "severity rule location message")):
+    """One problem: its severity, a registered rule, a ``$.`` locator and a message."""
 
-    def __post_init__(self):
-        if self.rule not in RULES:
-            raise ValueError(f"unregistered rule id: {self.rule!r}")
+    __slots__ = ()
+
+    def __new__(cls, severity: Severity, rule: str, location: str, message: str):
+        if rule not in RULES:
+            raise ValueError(f"unregistered rule id: {rule!r}")
+        return tuple.__new__(cls, (severity, rule, location, message))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     findings: tuple[Finding, ...]
     level: Level
 
@@ -119,23 +117,15 @@ class ValidationReport:
         )
 
     def to_json_lines(self) -> str:
+        """One JSON object per finding, its members the finding's fields
+        (``severity`` as its value)."""
         import json
 
-        return "\n".join(
-            json.dumps(
-                {
-                    "severity": f.severity.value,
-                    "rule": f.rule,
-                    "location": f.location,
-                    "message": f.message,
-                },
-                ensure_ascii=False,
-            )
-            for f in self.findings
-        )
+        return "\n".join(json.dumps(f._asdict(), ensure_ascii=False) for f in self.findings)
 
 
 def parse_iso_date(text: str) -> Optional[datetime.date]:
+    import datetime  # on first use: NET and CSV input carry no dates
     try:
         return datetime.date.fromisoformat(text)
     except ValueError:
@@ -202,8 +192,9 @@ class Checker:
 
     What a NetsJSON document may lack is None: ``flags`` (the info block
     whose flags are checked), ``relations`` (the table links must be
-    covered by) and ``ids`` (the node ids endpoints resolve against). No
-    rule runs on a record field that is None.
+    covered by), ``node_coding`` (the table node codes must be covered by)
+    and ``ids`` (the node ids endpoints resolve against). No rule runs on a
+    record field that is None.
     """
 
     def __init__(self, level: Level):
@@ -211,6 +202,7 @@ class Checker:
         self.org, self.window, self.need_tq = 1, None, False
         self.flags: Optional[InfoBlock] = None
         self.relations: Optional[CodingTable] = None
+        self.node_coding: Optional[CodingTable] = None
         self.ids: Optional[set] = set()
         self.id_kind, self.mixed = None, False  # the type of the last id; whether it changed
         self.rels, self.link_kinds, self.link_keys = set(), set(), set()
@@ -258,6 +250,8 @@ class Checker:
                     err("id-invalid", f"{where}.id", "empty node identifier")
             elif node_id < self.org:
                 err("id-invalid", f"{where}.id", f"code {node_id} below smallest index {self.org}")
+            elif self.node_coding is not None and not self.node_coding.in_range(node_id):
+                err("node-unlisted", f"{where}.id", f"code {node_id} not covered by info.nodeCoding")
             if node_id in self.ids:
                 err("id-duplicate", f"{where}.id", f"identifier {node_id!r} already used")
             self.ids.add(node_id)
@@ -355,6 +349,7 @@ def check_network(network: Network, level: Level = Level.LENIENT) -> ValidationR
     info = network.info
     check = Checker(level)
     check.flags, check.relations = info, network.relations
+    check.node_coding = network.node_coding or None  # no node table: the empty one
     check.info_org(info.org)
     check.info_mode(info.mode)
     for i, event in enumerate(info.meta):
@@ -382,7 +377,7 @@ def check_temporal(network: Network, level: Level = Level.LENIENT) -> Validation
         check.tlab(t, f"$.info.time.Tlabs.{t}")
     for what, records in (("node", network.nodes), ("link", network.links)):
         for i, record in enumerate(records):
-            check.tq(None if record.tq is None else record.tq.triples, what, f"$.{what}s[{i}]")
+            check.tq(record.tq, what, f"$.{what}s[{i}]")
     check.tq_end()
     return ValidationReport(tuple(check.out), level)
 

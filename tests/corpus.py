@@ -35,6 +35,7 @@ CORPUS: dict[str, tuple[int, int]] = {
     "id-duplicate": (1, 1),
     "slab-longer-than-label": (1, 1),
     "interval-invalid": (1, 1),
+    "node-unlisted": (1, 1),
     "endpoint-unresolved": (1, 1),
     "link-type-invalid": (1, 1),
     "relation-unlisted": (1, 1),

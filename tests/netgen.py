@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 import string
-from dataclasses import replace
 
 from netconv import (
     EventRecord,
@@ -250,7 +249,7 @@ def random_json_network(rng: random.Random, max_nodes: int = 200, max_links: int
         extra={_prop_key(rng, set()): _json_value(rng) for _ in range(rng.randint(0, 2))},
     )
     if info.modified and not info.created:
-        info = replace(info, created="2010-01-01")
+        info = info._replace(created="2010-01-01")
     if rng.random() < 0.3:
         info.extra["data"] = {"labels": {"en": "network"}, "scale": [1, 2, 3]}
 

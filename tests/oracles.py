@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from netconv import (
@@ -153,7 +153,7 @@ def pajek_tokens(line: str, lineno: int) -> list[str]:
 
 
 # The identifier rewrites as written before they shared one positional
-# record rebuild: every record is copied with ``dataclasses.replace``, so a
+# record rebuild: every record is copied with ``_replace``, so a
 # field the rebuild drops or swaps shows up as a difference.
 
 
@@ -171,10 +171,9 @@ def factorize_network(network, base=1):
         l.rel for l in network.links if isinstance(l.rel, str)
     ]
     relations = build_coding_table("relation", rel_names, LevelPolicy.SORTED, base)
-    nodes = tuple(replace(n, id=node_coding.code_of(str(n.id))) for n in network.nodes)
+    nodes = tuple(n._replace(id=node_coding.code_of(str(n.id))) for n in network.nodes)
     links = tuple(
-        replace(
-            l,
+        l._replace(
             n1=node_coding.code_of(str(l.n1)),
             n2=node_coding.code_of(str(l.n2)),
             rel=relations.code_of(str(l.rel)),
@@ -185,9 +184,8 @@ def factorize_network(network, base=1):
         name: CodingTable(table.name, table.levels, base)
         for name, table in network.property_codings.items()
     }
-    return replace(
-        network,
-        info=replace(network.info, org=base),
+    return network._replace(
+        info=network.info._replace(org=base),
         nodes=nodes,
         links=links,
         relations=relations,
@@ -203,10 +201,9 @@ def defactorize_network(network):
         return network
     if len(network.node_coding) == 0:
         raise CodingError("cannot invert: network carries no node coding table")
-    nodes = tuple(replace(n, id=network.node_coding.value_of(n.id)) for n in network.nodes)
+    nodes = tuple(n._replace(id=network.node_coding.value_of(n.id)) for n in network.nodes)
     links = tuple(
-        replace(
-            l,
+        l._replace(
             n1=network.node_coding.value_of(l.n1),
             n2=network.node_coding.value_of(l.n2),
             rel=network.relations.value_of(l.rel) if isinstance(l.rel, int) else l.rel,
@@ -214,7 +211,7 @@ def defactorize_network(network):
         for l in network.links
     )
     empty = CodingTable("node", (), network.node_coding.base)
-    net = replace(network, nodes=nodes, links=links, node_coding=empty)
+    net = network._replace(nodes=nodes, links=links, node_coding=empty)
     network_stats(net)
     return net
 
@@ -226,10 +223,10 @@ def canonical_order(network):
     links = network.links
     if new_rel.levels != old.levels and any(isinstance(l.rel, int) for l in links):
         links = tuple(
-            replace(l, rel=new_rel.code_of(old.value_of(l.rel))) if isinstance(l.rel, int) else l
+            l._replace(rel=new_rel.code_of(old.value_of(l.rel))) if isinstance(l.rel, int) else l
             for l in links
         )
-    return replace(network, relations=new_rel, links=links)
+    return network._replace(relations=new_rel, links=links)
 
 
 # The CSV table path as written when a table held rows: one NA-mapped tuple
@@ -346,9 +343,9 @@ def merge_node_properties(network, node_table: RowTable, *, decimal_separator=".
         row = rows.get(n.lab or (n.id if isinstance(n.id, str) else None))
         if row is not None:
             fields, props = row
-            n = replace(n, **fields, props={**n.props, **props})
+            n = n._replace(**fields, props={**n.props, **props})
         nodes.append(n)
-    return replace(network, nodes=tuple(nodes))
+    return network._replace(nodes=tuple(nodes))
 
 
 # The NET reader as written when it staged every line in dicts and tuples

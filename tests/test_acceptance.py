@@ -177,15 +177,13 @@ def test_criterion_4_round_trip_suite():
 def test_criterion_5_temporal_suite():
     """check_temporal enforces the tq invariants; tq_value_at agrees with a
     linear-scan oracle on >= 10^4 random probes."""
-    from dataclasses import replace
-
     from netconv import NodeRecord, TimeWindow, make_network
 
     def with_window(triples, window=(1, 10)):
         net = make_network(
             [NodeRecord(id="a", lab="a", tq=TemporalQuantity(tuple(triples)))], []
         )
-        return replace(net, info=replace(net.info, time=TimeWindow(*window)))
+        return net._replace(info=net.info._replace(time=TimeWindow(*window)))
 
     assert check_temporal(with_window([(1, 5, 1)])).findings == ()
     cases = {

@@ -12,7 +12,6 @@ import shutil
 import stat
 import sys
 import tempfile
-from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -37,7 +36,7 @@ from netconv import (
     write_pajek_net,
     write_table,
 )
-from netconv.cli import main
+from netconv.cli import FORMATS, main
 from netconv import netsjson
 from netconv.netsjson import PARSE_FATAL, check_netsjson
 from netgen import random_csv_network, random_pajek_network
@@ -662,7 +661,7 @@ class TestTransformsKeepFindings:
             network = read_pajek_net(io.StringIO(text))
         else:
             network = random_csv_network(rng, 30, 30)
-        network = replace(network, info=replace(network.info, **flags))
+        network = network._replace(info=network.info._replace(**flags))
         for level in Level:
             before = check_all(network, level).findings
             for transform in CONVERT_TRANSFORMS:
@@ -898,6 +897,29 @@ class TestConvertPrintsValidateReport:
         assert capsys.readouterr().err == expected
         assert convert_status == (2 if unreadable else validate_status)
         assert (failure_files / "o.json").exists() == (convert_status == 0)
+
+
+class TestNodeCodesOutsideTheNodeCoding:
+    """A factorized document whose node codes run past its nodeCoding has no
+    label for them: validate and convert reject it (exit 1), convert with
+    every output format, and write nothing."""
+
+    FINDING = "error: [node-unlisted] $.nodes[1].id: code 2 not covered by info.nodeCoding\n"
+
+    @pytest.mark.parametrize("level", ["lenient", "strict"])
+    def test_validate(self, level, capsys):
+        assert main(["validate", str(corpus_path("node-unlisted")), "--level", level]) == 1
+        assert capsys.readouterr().err == self.FINDING
+
+    @pytest.mark.parametrize("flag", ["--defactorize", "--factorize", None])
+    @pytest.mark.parametrize("to", FORMATS)
+    def test_convert(self, to, flag, tmp_path, capsys):
+        argv = ["convert", "-i", str(corpus_path("node-unlisted")), "--to", to, "-o",
+                str(tmp_path / "out"), "--nodes", str(tmp_path / "n.csv"), "--links",
+                str(tmp_path / "l.csv"), *([flag] if flag else [])]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == self.FINDING
+        assert list(tmp_path.iterdir()) == []
 
 
 # Lines and cells the mutations below insert into NET files and tables.

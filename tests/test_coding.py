@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import re
 from itertools import compress
 
@@ -190,8 +189,8 @@ class TestCodingTableProperties:
     @given(level_lists_st, bases_st)
     def test_replace_rebuilds_index(self, levels, base):
         table = CodingTable("p", tuple(levels), base)
-        rebased = dataclasses.replace(table, base=1 - base)
-        reordered = dataclasses.replace(table, levels=tuple(reversed(levels)))
+        rebased = table._replace(base=1 - base)
+        reordered = table._replace(levels=tuple(reversed(levels)))
         assert [rebased.code_of(v) for v in levels] == oracles.positional_encode(
             levels, levels, 1 - base, None
         )

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import io
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,7 +113,7 @@ class TestDefactorize:
 
 class TestMatchesRecordCopies:
     """The transforms give the networks that copying each record with
-    ``dataclasses.replace`` gives (``oracles``), field for field, so a field
+    ``_replace`` gives (``oracles``), field for field, so a field
     dropped or swapped in the shared rebuild shows even where it would be
     swapped back on the way home."""
 
@@ -123,7 +122,7 @@ class TestMatchesRecordCopies:
     def test_labeled_networks(self, seed, unused, base):
         net = random_labeled_network(random.Random(seed), max_nodes=30, max_links=40)
         declared = [*net.relations.levels, *unused]  # levels no link uses
-        net = replace(net, relations=build_coding_table("relation", declared, base=net.info.org))
+        net = net._replace(relations=build_coding_table("relation", declared, base=net.info.org))
         coded = factorize_network(net, base)
         assert coded == oracles.factorize_network(net, base)
         assert defactorize_network(coded) == oracles.defactorize_network(coded)
@@ -138,7 +137,7 @@ class TestMatchesRecordCopies:
         coded = read_pajek_net(io.StringIO(text))
         levels = list(dict.fromkeys([*coded.relations.levels, *sorted(unused)]))
         rng.shuffle(levels)
-        coded = replace(coded, relations=CodingTable("relation", tuple(levels), coded.relations.base))
+        coded = coded._replace(relations=CodingTable("relation", tuple(levels), coded.relations.base))
         assert canonical_order(coded) == oracles.canonical_order(coded)
         assert defactorize_network(coded) == oracles.defactorize_network(coded)
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 import io
 import random
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -180,10 +179,10 @@ class TestLabeledWriteMatchesFactorized:
     def test_random_networks(self, seed, source, coordinates, unlabeled, unused):
         rng = random.Random(seed)
         net = NET_SOURCES[source](rng, 30, 40)
-        nodes = [replace(n, lab="") if rng.random() < unlabeled else n for n in net.nodes]
+        nodes = [n._replace(lab="") if rng.random() < unlabeled else n for n in net.nodes]
         declared = [*unused, *net.relations.levels]  # levels no link uses, out of order
         relations = CodingTable("relation", tuple(dict.fromkeys(declared)), net.relations.base)
-        net = replace(net, nodes=tuple(nodes), relations=relations)
+        net = net._replace(nodes=tuple(nodes), relations=relations)
         assert written(net, coordinates) == written(factorize_network(net, 1), coordinates)
 
 

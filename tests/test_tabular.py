@@ -3,7 +3,6 @@ from __future__ import annotations
 import csv
 import io
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -279,7 +278,7 @@ class TestFactorizedToTables:
             assert network_to_tables(coded) == network_to_tables(bib_canonical)
 
     def test_without_node_table_rejected(self, bib_canonical):
-        coded = replace(factorize_network(bib_canonical, 1), node_coding=CodingTable("node"))
+        coded = factorize_network(bib_canonical, 1)._replace(node_coding=CodingTable("node"))
         with pytest.raises(CodingError) as excinfo:
             network_to_tables(coded)
         assert str(excinfo.value) == "cannot invert: network carries no node coding table"

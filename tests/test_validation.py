@@ -3,7 +3,6 @@ from __future__ import annotations
 import ast
 import io
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -44,7 +43,7 @@ def simple_net(**info_changes):
         [LinkRecord(kind=LinkKind.ARC, n1="a", n2="b", rel="r")],
     )
     if info_changes:
-        net = replace(net, info=replace(net.info, **info_changes))
+        net = net._replace(info=net.info._replace(**info_changes))
     return net
 
 
@@ -64,7 +63,7 @@ class TestCheckNetwork:
                 LinkRecord(kind=LinkKind.ARC, n1="1", n2="2", rel="authorOf"),
             ],
         )
-        net = replace(net, info=replace(net.info, simple=True))
+        net = net._replace(info=net.info._replace(simple=True))
         assert "simple-violated" in rules_of(check_network(net))
 
     def test_parallel_edges_compare_unordered(self):
@@ -76,7 +75,7 @@ class TestCheckNetwork:
             ],
             directed=False,
         )
-        net = replace(net, info=replace(net.info, simple=True))
+        net = net._replace(info=net.info._replace(simple=True))
         assert "simple-violated" in rules_of(check_network(net))
 
     def test_reversed_arcs_and_an_edge_are_not_parallel(self):
@@ -99,7 +98,7 @@ class TestCheckNetwork:
                 LinkRecord(kind=LinkKind.ARC, n1="a", n2="b", rel="s"),
             ],
         )
-        net = replace(net, info=replace(net.info, multirel=False))
+        net = net._replace(info=net.info._replace(multirel=False))
         assert "multirel-violated" in rules_of(check_network(net))
 
     def test_directed_with_edges_warns(self):
@@ -127,7 +126,7 @@ class TestCheckTemporal:
     def window_net(self, tq_triples, window=(1, 10)):
         tq = TemporalQuantity(tuple(tq_triples))
         net = make_network([NodeRecord(id="a", lab="a", tq=tq)], [])
-        return replace(net, info=replace(net.info, time=TimeWindow(*window)))
+        return net._replace(info=net.info._replace(time=TimeWindow(*window)))
 
     def test_contained_tq_clean(self):
         assert check_temporal(self.window_net([(1, 5, 1)])).findings == ()
@@ -158,9 +157,7 @@ class TestCheckTemporal:
 
     def test_strict_requires_tq(self):
         net = self.window_net([(1, 5, 1)])
-        net = replace(
-            net, nodes=net.nodes + (NodeRecord(id="b", lab="b"),)
-        )
+        net = net._replace(nodes=net.nodes + (NodeRecord(id="b", lab="b"),))
         assert "tq-missing" in rules_of(check_temporal(net, Level.STRICT))
         assert "tq-missing" not in rules_of(check_temporal(net, Level.LENIENT))
 
@@ -187,7 +184,7 @@ class TestCheckTemporal:
         net = make_network([NodeRecord(id="a", lab="a", tq=TemporalQuantity(tuple(triples)))], [])
         info = {}
         if window is not None:
-            net = replace(net, info=replace(net.info, time=TimeWindow(*window)))
+            net = net._replace(info=net.info._replace(time=TimeWindow(*window)))
             info["time"] = {"Tmin": window[0], "Tmax": window[1]}
         assert tq_findings(check_temporal(net), "$.nodes[0].tq") == oracles.tq_bounds_findings(
             triples, "$.nodes[0].tq", window
@@ -201,9 +198,7 @@ class TestCheckTemporal:
 
     def test_tlabs_outside_window(self):
         net = make_network([], [])
-        net = replace(
-            net, info=replace(net.info, time=TimeWindow(1, 5, {9: "late"}))
-        )
+        net = net._replace(info=net.info._replace(time=TimeWindow(1, 5, {9: "late"})))
         assert "tlab-outside-window" in rules_of(check_temporal(net))
 
 
@@ -293,9 +288,9 @@ class TestReportProperties:
 NETWORK_RULES = {
     "org-invalid", "mode-invalid", "date-invalid", "dates-order", "event-date-invalid",
     "event-title-empty", "time-window-invalid", "tlab-outside-window", "id-invalid",
-    "id-duplicate", "id-kind-mixed", "slab-longer-than-label", "endpoint-unresolved",
-    "relation-unlisted", "multirel-violated", "simple-violated", "directed-kind-mismatch",
-    "tq-no-window", "tq-missing",
+    "id-duplicate", "id-kind-mixed", "slab-longer-than-label", "node-unlisted",
+    "endpoint-unresolved", "relation-unlisted", "multirel-violated", "simple-violated",
+    "directed-kind-mismatch", "tq-no-window", "tq-missing",
 }  # fmt: skip
 # Rules the NetsJSON walk reports that no network can break on its own.
 DOCUMENT_ONLY_RULES = {"count-nodes-mismatch", "count-links-mismatch", "dates-missing"}
@@ -344,7 +339,7 @@ class TestEachRuleCodedOnce:
                 LinkRecord(kind=LinkKind.EDGE, n1="b", n2="a", rel="r"),
             ],
         )
-        report = check_all(replace(net, info=replace(net.info, created="2020-13-01")))
+        report = check_all(net._replace(info=net.info._replace(created="2020-13-01")))
         assert report.to_text().splitlines() == [
             "error: [date-invalid] $.info.created: '2020-13-01' is not an ISO date",
             "error: [slab-longer-than-label] $.nodes[0].slab: short label longer than label",
