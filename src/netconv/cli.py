@@ -223,8 +223,7 @@ def cmd_convert(args) -> int:
         return EXIT_INVALID
     if args.factorize or args.defactorize:
         from .factorize import defactorize_network, factorize_network
-        if network.is_factorized:
-            network = defactorize_network(network)  # --factorize rebases via the labeled form
+        network = defactorize_network(network)  # --factorize rebases via the labeled form
         if args.factorize:
             network = factorize_network(network, args.base)
     _write_network(args, canonical_order(network))

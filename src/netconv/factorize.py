@@ -10,8 +10,8 @@ Both directions rewrite identifiers only through those tables, with
 from __future__ import annotations
 
 from .coding import CodingTable, LevelPolicy, build_coding_table
-from .errors import CodingError, StructuralError
-from .model import Network, recode, sorted_relations
+from .errors import StructuralError
+from .model import Network, node_names, recode, sorted_relations
 
 
 def factorize_network(network: Network, base: int = 1) -> Network:
@@ -42,20 +42,14 @@ def factorize_network(network: Network, base: int = 1) -> Network:
                   node_coding=node_coding, property_codings=property_codings)
 
 
-def label_lookups(network: Network) -> tuple:
-    """A factorized network's label of a node code, and of a relation code."""
-    if len(network.node_coding) == 0:
-        raise CodingError("cannot invert: network carries no node coding table")
-    return network.node_coding.value_of, network.relations.value_of
-
-
 def defactorize_network(network: Network) -> Network:
     """Restore text identifiers from the coding tables carried by the network.
 
     Inverse of :func:`factorize_network`; info.org is left as the base the
-    tables use, and the node table is emptied. Fails when the tables were dropped.
+    tables use, and the node table is emptied. A code the tables do not
+    cover raises :class:`~netconv.errors.CodingError`.
     """
     if not network.is_factorized:
         return network
-    node, rel = label_lookups(network)
-    return recode(network, node, rel, node_coding=CodingTable("node", base=network.node_coding.base))
+    return recode(network, node_names(network), network.relations.value_of,
+                  node_coding=CodingTable("node", base=network.node_coding.base))

@@ -171,7 +171,7 @@ class LinkRecord(NamedTuple):
 @_fresh(info=InfoBlock, property_codings=dict)
 class Network(NamedTuple):
     """The complete model: info block, records, and coding tables (a node
-    table only when factorized)."""
+    table only when factorized, and then always one)."""
 
     info: InfoBlock = InfoBlock()
     nodes: tuple[NodeRecord, ...] = ()
@@ -261,7 +261,8 @@ def make_network(
     flags are computed from content. A missing relation table is derived:
     labeled, by :func:`sorted_relations` at the base ``org`` (1 unless 0 or
     1); factorized, by :func:`~netconv.coding.code_range_table`. A given node
-    table is kept only when the ids are codes; otherwise it is empty, at that base.
+    table is kept only when the ids are codes; a labeled network's is empty,
+    at that base, and a missing one names each code from that base up by itself.
     """
     nodes = tuple(nodes)
     links = tuple(links)
@@ -284,8 +285,10 @@ def make_network(
         relations = code_range_table("relation", rels)
     elif relations is None:
         relations = sorted_relations((), links, base)
-    if node_coding is None or not factorized:
+    if not factorized:
         node_coding = CodingTable("node", base=base)
+    elif node_coding is None:
+        node_coding = code_range_table("node", [base, *ids])
 
     net = Network(
         info=info if info is not None else InfoBlock(org=org, directed=directed),
@@ -303,6 +306,11 @@ def make_network(
     return net
 
 
+def node_names(network: Network) -> Callable[[str | int], str]:
+    """A node id's name: its code's level in the node table; a labeled id is its own."""
+    return network.node_coding.value_of if network.is_factorized else str
+
+
 def recode(network: Network, node: Callable, rel: Callable, **changes) -> Network:
     """Rebuild every record of ``network`` with each node id and link
     endpoint mapped through ``node`` and each link relation through
@@ -316,13 +324,13 @@ def recode(network: Network, node: Callable, rel: Callable, **changes) -> Networ
 def canonical_order(network: Network) -> Network:
     """Normalize a network for deterministic emission.
 
-    Relation levels are sorted by Unicode code point (coded links are
-    remapped to the new codes); node and link order are preserved.
-    Idempotent.
+    Relation levels are sorted by Unicode code point and based at
+    ``info.org`` (coded links are remapped to the new codes); node and link
+    order are preserved. Idempotent.
     """
     old = network.relations
-    new = CodingTable(old.name, tuple(sorted(old.levels)), old.base)
-    if new.levels == old.levels or not network.is_factorized:
+    new = CodingTable(old.name, tuple(sorted(old.levels)), network.info.org)
+    if new == old or not network.is_factorized:
         return network._replace(relations=new)
     return recode(network, lambda code: code, lambda code: new.code_of(old.value_of(code)),
                   relations=new)

@@ -20,7 +20,8 @@ from typing import IO, NamedTuple
 
 from .coding import CodingTable, LevelPolicy, build_coding_table, code_range_table, encode
 from .errors import CodingError, ExportError, ParseError
-from .model import LinkKind, LinkRecord, Network, NodeRecord, make_network, sorted_relations
+from .model import (LinkKind, LinkRecord, Network, NodeRecord, make_network, node_names,
+                    sorted_relations)
 
 
 def _quote(text: str) -> str:
@@ -67,8 +68,8 @@ def write_pajek_net(network: Network, base: int = 1, *, coordinates: bool = Fals
     1, without building the coded copy: each node by its position in node
     order, each relation by its place in the sorted table of the declared
     levels and the relations in use. A node without a label is labeled by
-    its identifier. Coordinates are emitted only when requested and both
-    x and y are present.
+    its name (:func:`~netconv.model.node_names`). Coordinates are emitted
+    only when requested and both x and y are present.
     """
     if base != 1:
         raise ExportError("Pajek NET files are 1-based; base must be 1")
@@ -78,17 +79,16 @@ def write_pajek_net(network: Network, base: int = 1, *, coordinates: bool = Fals
         number = {node.id: node.id + shift for node in nodes}
         if set(number.values()) != set(range(1, len(nodes) + 1)):
             raise ExportError("node codes do not form a contiguous 1-based range")
-        relations, codes = network.relations, network.node_coding
-        default_label = lambda i: codes.value_of(i) if codes.in_range(i) else str(i + shift)
+        relations = network.relations
         rel_code, rel_name = (lambda rel: rel - relations.base + 1), relations.value_of
     else:
         number = {node.id: i for i, node in enumerate(nodes, start=1)}
         relations = sorted_relations(network.relations.levels, network.links, 1)
-        default_label, rel_code, rel_name = str, relations.code_of, str
+        rel_code, rel_name = relations.code_of, str
 
-    lines = [f"*vertices {len(nodes)}"]
+    lines, name_of = [f"*vertices {len(nodes)}"], node_names(network)
     for node in nodes:
-        line = f"{number[node.id]} {_quote(node.lab or default_label(node.id))}"
+        line = f"{number[node.id]} {_quote(node.lab or name_of(node.id))}"
         if coordinates and node.x is not None and node.y is not None:
             line += f" {node.x} {node.y}"
         lines.append(line)
@@ -251,24 +251,11 @@ def _vertex_count(toks: list[str], lineno: int) -> int:
 
 class Partition(NamedTuple):
     """One integer class code per node, aligned with node order; 0 is the
-    missing code, as in CLU files.
+    missing code, as in CLU files. The coding's name is the property
+    partitioned on."""
 
-    ``name`` is descriptive metadata (the property partitioned on) and is
-    excluded from equality and hash; CLU files do not carry it.
-    """
-
-    name: str
     values: tuple[int, ...] = ()
     coding: CodingTable = CodingTable("")
-
-    def __eq__(self, other: object) -> bool:
-        return self[1:] == other[1:] if type(other) is Partition else NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        return self[1:] != other[1:] if type(other) is Partition else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self[1:])
 
 
 def partition_from_property(network: Network, property: str) -> Partition:
@@ -291,7 +278,7 @@ def partition_from_property(network: Network, property: str) -> Partition:
     if all(v is None for v in values):
         raise CodingError(f"unknown property {property!r}: absent on every node")
     coding = build_coding_table(property, values, LevelPolicy.SORTED)
-    return Partition(name=property, values=tuple(encode(values, coding)), coding=coding)
+    return Partition(tuple(encode(values, coding)), coding)
 
 
 def _legend_token(level: str) -> str:
@@ -354,7 +341,7 @@ def read_pajek_clu(source: IO[str]) -> Partition:
     for i, v in enumerate(values):
         if v != 0 and not coding.in_range(v):
             raise ParseError(f"value {v} at position {i} outside the coded range")
-    return Partition(name="", values=tuple(values), coding=coding)
+    return Partition(tuple(values), coding)
 
 
 def _parse_legend(body: str, lineno: int) -> CodingTable | None:

@@ -27,9 +27,8 @@ from operator import attrgetter
 from typing import IO, Optional
 
 from .errors import ExportError, ParseError, SchemaError, StructuralError
-from .factorize import label_lookups
 from .model import (Interval, LinkKind, LinkRecord, Network, NodeRecord, TemporalQuantity,
-                    make_network)
+                    make_network, node_names)
 
 NODE_NAME_COLUMN = "name"
 LINK_REQUIRED_COLUMNS = ("from", "relation", "to")
@@ -246,7 +245,8 @@ def network_to_tables(network: Network) -> tuple[Table, Table]:
     ``slab`` and ``label`` appear when some record has one, ``kind`` when
     arcs and edges mix, ``weight`` when some weight differs from 1.
     """
-    node, rel = label_lookups(network) if network.is_factorized else (None, None)
+    coded = network.is_factorized
+    node, rel = (node_names(network), network.relations.value_of) if coded else (None, None)
     nodes, links = network.nodes, network.links
     node_props = _prop_names(nodes, _NODE_COLUMNS, "node")
     node_header = [NODE_NAME_COLUMN, *_used(nodes, "mode", "slab"), *node_props, "x", "y"]
@@ -284,17 +284,17 @@ def merge_node_properties(
 ) -> Network:
     """Attach node-table columns to matching nodes of an existing network.
 
-    Rows are matched by name against each node's label (or its text id);
-    unmatched rows are ignored, and a missing cell leaves the node's value
-    as it was. Used to re-attach properties a format such as Pajek NET
-    cannot carry.
+    Rows are matched by name against each node's label, or else its name
+    (its text id, or its code's level in the node table); unmatched rows
+    are ignored, and a missing cell leaves the node's value as it was. Used
+    to re-attach properties a format such as Pajek NET cannot carry.
     """
     cols = _decode(node_table, _NODE_COLUMNS, "node", decimal_separator)
     row_of = {name: i for i, name in enumerate(cols.pop("id"))}
-    props = cols.pop("props")
+    props, name_of = cols.pop("props"), node_names(network)
     nodes = []
     for n in network.nodes:
-        i = row_of.get(n.lab or (n.id if isinstance(n.id, str) else None))
+        i = row_of.get(n.lab or name_of(n.id))
         if i is not None:
             changes = {field: cells[i] for field, cells in cols.items() if cells[i] is not None}
             n = n._replace(**changes, props={**n.props, **props[i]})

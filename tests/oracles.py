@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from netconv import (
-    CodingError,
     CodingTable,
     LevelPolicy,
     LinkKind,
@@ -196,11 +195,10 @@ def factorize_network(network, base=1):
 
 def defactorize_network(network):
     """Integer-coded network -> labeled network, record by record; the node
-    table is emptied, as on every labeled network."""
+    table is emptied, as on every labeled network. A code no table covers
+    raises the table's CodingError."""
     if not network.is_factorized:
         return network
-    if len(network.node_coding) == 0:
-        raise CodingError("cannot invert: network carries no node coding table")
     nodes = tuple(n._replace(id=network.node_coding.value_of(n.id)) for n in network.nodes)
     links = tuple(
         l._replace(
@@ -217,11 +215,12 @@ def defactorize_network(network):
 
 
 def canonical_order(network):
-    """Relation levels sorted; coded links remapped to the new codes."""
+    """Relation levels sorted and based at info.org; coded links remapped to
+    the new codes."""
     old = network.relations
-    new_rel = CodingTable(old.name, tuple(sorted(old.levels)), old.base)
+    new_rel = CodingTable(old.name, tuple(sorted(old.levels)), network.info.org)
     links = network.links
-    if new_rel.levels != old.levels and any(isinstance(l.rel, int) for l in links):
+    if new_rel != old and any(isinstance(l.rel, int) for l in links):
         links = tuple(
             l._replace(rel=new_rel.code_of(old.value_of(l.rel))) if isinstance(l.rel, int) else l
             for l in links

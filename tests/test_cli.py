@@ -922,6 +922,151 @@ class TestNodeCodesOutsideTheNodeCoding:
         assert list(tmp_path.iterdir()) == []
 
 
+def factorized_document(org: int = 1, relations=None, node_coding=None, labs=("a", "b"),
+                        rels=(1,)) -> dict:
+    """A factorized document: nodes ``org`` and ``org + 1`` (labeled by
+    ``labs`` when given), one arc between them per code in ``rels``, and the
+    coding tables given."""
+    info = {"org": org, "multirel": True}
+    if relations is not None:
+        info["relations"] = relations
+    if node_coding is not None:
+        info["nodeCoding"] = node_coding
+    nodes = [{"id": org + i, **({"lab": labs[i]} if labs else {})} for i in range(2)]
+    return {"netsJSON": "basic", "info": info, "nodes": nodes,
+            "links": [{"n1": org, "n2": org + 1, "rel": r} for r in rels]}
+
+
+def run_cli(*argv) -> tuple[int, str]:
+    """The exit status and standard error of one CLI run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = main([str(arg) for arg in argv])
+    return status, err.getvalue()
+
+
+class TestFactorizedWithoutNodeCoding:
+    """A factorized document without nodeCoding names each node code by
+    itself: convert writes it to every format and with either transform,
+    and its NetsJSON output carries that node table."""
+
+    def write(self, tmp_path, doc) -> str:
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    def test_csv_names_nodes_by_their_codes(self, tmp_path):
+        path = self.write(tmp_path, factorized_document(relations=["r"]))
+        nodes, links = tmp_path / "n.csv", tmp_path / "l.csv"
+        assert run_cli("convert", "-i", path, "--to", "csv", "--nodes", nodes, "--links", links) == (0, "")
+        assert nodes.read_text(encoding="utf-8") == "name;x;y\n1;;\n2;;\n"
+        assert links.read_text(encoding="utf-8") == "from;relation;to\n1;r;2\n"
+
+    def test_defactorize(self, tmp_path):
+        path, out = self.write(tmp_path, factorized_document(relations=["r"])), tmp_path / "o.json"
+        assert run_cli("convert", "-i", path, "-o", out, "--defactorize") == (0, "")
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert [n["id"] for n in doc["nodes"]] == ["1", "2"] and "nodeCoding" not in doc["info"]
+        assert doc["links"] == [{"n1": "1", "n2": "2", "rel": "r"}]
+
+    @pytest.mark.parametrize("org, coding", [(1, ["1", "2"]), (0, ["0", "1"])])
+    def test_netsjson_output_carries_the_node_table(self, org, coding, tmp_path):
+        doc = factorized_document(org, relations=["r"], rels=(org,))
+        path, out = self.write(tmp_path, doc), tmp_path / "o.json"
+        assert run_cli("convert", "-i", path, "-o", out) == (0, "")
+        assert json.loads(out.read_text(encoding="utf-8"))["info"]["nodeCoding"] == coding
+        assert run_cli("validate", out) == (0, "")
+
+    @pytest.mark.parametrize("org", [0, 1])
+    def test_net_labels_nodes_without_lab_by_their_codes(self, org, tmp_path):
+        doc = factorized_document(org, relations=["r"], labs=None, rels=(org,))
+        path, out = self.write(tmp_path, doc), tmp_path / "o.net"
+        assert run_cli("convert", "-i", path, "-o", out) == (0, "")
+        vertices = out.read_text(encoding="utf-8").splitlines()[1:3]
+        assert vertices == [f'1 "{org}"', f'2 "{org + 1}"']
+
+
+# Inputs whose coded relation table is based away from org, each with the
+# relations and link codes of its NetsJSON output, and its NET output.
+OFF_BASE_RELATIONS = {
+    "net-declares-code-2": ('*vertices 2\n1 "a"\n2 "b"\n*arcs :2 "x"\n*arcs\n2: 1 2\n',
+                            ["x"], [1], '*arcs :1 "x"\n*arcs\n1: 1 2 1 l "x"\n'),
+    "json-rel-above-org": (json.dumps(factorized_document(rels=(3,))),
+                           ["3"], [1], '*arcs :1 "3"\n*arcs\n1: 1 2 1 l "3"\n'),
+    "json-rel-below-org": (json.dumps(factorized_document(rels=(0,))),
+                           ["0"], [1], '*arcs :1 "0"\n*arcs\n1: 1 2 1 l "0"\n'),
+}
+
+
+class TestRelationTablesWrittenFromOrg:
+    """A coded relation table is rebased at org before writing, so the
+    NetsJSON output validates; the NET output numbers relations by their
+    place in the table, as before."""
+
+    @pytest.mark.parametrize("name", sorted(OFF_BASE_RELATIONS))
+    def test_outputs(self, name, tmp_path):
+        text, relations, rels, arcs = OFF_BASE_RELATIONS[name]
+        path = tmp_path / ("in.net" if name.startswith("net") else "in.json")
+        path.write_text(text, encoding="utf-8")
+        assert run_cli("convert", "-i", path, "-o", tmp_path / "o.json") == (0, "")
+        doc = json.loads((tmp_path / "o.json").read_text(encoding="utf-8"))
+        assert (doc["info"]["relations"], [l["rel"] for l in doc["links"]]) == (relations, rels)
+        assert run_cli("validate", tmp_path / "o.json") == (0, "")
+        assert run_cli("convert", "-i", path, "-o", tmp_path / "o.net") == (0, "")
+        assert (tmp_path / "o.net").read_text(encoding="utf-8").endswith(arcs)
+
+
+# Relation names and node names the documents below draw from.
+NAMES = ["a", "b", "r", "s", "x y", '"q"', "1", "2"]
+
+
+@st.composite
+def factorized_documents(draw) -> dict:
+    """A factorized document: node codes contiguous from org, in any order,
+    with or without relations and nodeCoding; relation codes may start above
+    or below org, or leave gaps. Nodes carry no lab, so NET output labels
+    each by its name: NET names a vertex by its label, and its reader
+    refuses a file whose labels repeat."""
+    org = draw(st.sampled_from([0, 1]))
+    n = draw(st.integers(1, 4))
+    ids = draw(st.permutations(range(org, org + n)))
+    info = {"org": org, "multirel": True}
+    if draw(st.booleans()):
+        info["nodeCoding"] = draw(st.lists(st.sampled_from(NAMES), min_size=n, max_size=n + 1,
+                                           unique=True))
+    if draw(st.booleans()):
+        info["relations"] = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=3,
+                                          unique=True))
+        codes = st.integers(org, org + len(info["relations"]) - 1)
+    else:
+        codes = st.integers(org - 1, org + 4)
+    links = [{"n1": draw(st.sampled_from(ids)), "n2": draw(st.sampled_from(ids)),
+              "rel": draw(codes), **draw(st.sampled_from([{}, {"type": "edge"}]))}
+             for _ in range(draw(st.integers(0, 4)))]
+    return {"netsJSON": "basic", "info": info, "nodes": [{"id": i} for i in ids], "links": links}
+
+
+class TestFactorizedDocumentsConvert:
+    """Whenever validate accepts a factorized document, convert writes it to
+    every format, and validate accepts the NetsJSON and NET it writes."""
+
+    @given(factorized_documents())
+    @settings(max_examples=150, deadline=None)
+    def test_accepted_documents_convert(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "in.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(doc, handle)
+            if run_cli("validate", path)[0] != 0:
+                return
+            outputs = {"netsjson": os.path.join(tmp, "o.json"), "net": os.path.join(tmp, "o.net")}
+            for to, out in outputs.items():
+                assert run_cli("convert", "-i", path, "-o", out)[0] == 0, to
+                assert run_cli("validate", out)[0] == 0, to
+            csv_paths = ["--nodes", os.path.join(tmp, "n.csv"), "--links", os.path.join(tmp, "l.csv")]
+            assert run_cli("convert", "-i", path, "--to", "csv", *csv_paths)[0] == 0
+
+
 # Lines and cells the mutations below insert into NET files and tables.
 NET_LINES = ["*edges", "*arcs", "*Edges", "1 2", "2 1 3", "1: 1 1", '2: 2 1 0.5 l "x"',
              '*arcs :2 "x"', "% note", "", '1 "dup"', '2 "dup"', "*vertices 3", "3 1"]
@@ -1179,3 +1324,12 @@ class TestPartition:
         )
         assert status == 1
         assert "unknown property" in capsys.readouterr().err
+
+    def test_via_csv_matches_coded_nodes_by_their_names(self, tmp_path, capsys):
+        doc = factorized_document(relations=["r"], node_coding=["a", "b"], labs=None)
+        path, table = tmp_path / "in.json", tmp_path / "kinds.csv"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        table.write_text("name;kind\nb;y\na;x\n", encoding="utf-8")
+        argv = ["partition", "-i", str(path), "--via-csv", str(table), "--property", "kind"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "% 1 x 2 y\n*vertices 2\n1\n2\n"

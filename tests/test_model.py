@@ -150,6 +150,20 @@ class TestCanonicalOrder:
         assert ordered.relations.levels == ("a", "b")
         assert [l.rel for l in ordered.links] == [2, 1]
 
+    @pytest.mark.parametrize("org, rels, codes", [
+        (1, [3], [1]),  # a table based above org
+        (1, [0, 2], [1, 3]),  # below org
+        (0, [2, 4], [0, 2]),  # above org, with a gap
+    ])  # fmt: skip
+    def test_coded_relation_table_rebased_at_org(self, org, rels, codes):
+        nodes = [NodeRecord(org), NodeRecord(org + 1)]
+        links = [LinkRecord(LinkKind.ARC, org, org + 1, r) for r in rels]
+        net = make_network(nodes, links, org=org)
+        ordered = canonical_order(net)
+        assert ordered.relations == CodingTable("relation", net.relations.levels, org)
+        assert [l.rel for l in ordered.links] == codes
+        assert canonical_order(ordered) == ordered
+
 
 class TestMakeNetwork:
     def test_node_table_kept_only_on_coded_ids(self):
@@ -159,6 +173,15 @@ class TestMakeNetwork:
         assert labeled.node_coding == make_network([], [], org=0).node_coding
         assert labeled.node_coding == CodingTable("node", (), 0)
         assert coded.node_coding == table
+
+    @pytest.mark.parametrize("org, ids, levels", [
+        (1, [1, 2], ("1", "2")),
+        (0, [1, 0], ("0", "1")),
+        (1, [3, 2], ("1", "2", "3")),  # every code from org, each named by itself
+    ])  # fmt: skip
+    def test_coded_ids_without_a_node_table_get_one(self, org, ids, levels):
+        net = make_network([NodeRecord(i) for i in ids], [], org=org)
+        assert net.node_coding == CodingTable("node", levels, org)
 
     def test_duplicate_node_ids_rejected(self):
         nodes = [NodeRecord(id="a", lab="a"), NodeRecord(id="a", lab="a2")]

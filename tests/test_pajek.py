@@ -469,7 +469,7 @@ class TestPartition:
         expected = tuple(oracles.positional_encode(column, levels, 1, 0))
         part = partition_from_property(bib_network, "sex")
         assert part.values == expected == SEX_VALUES
-        assert part.coding.levels == ("f", "m")
+        assert part.coding.levels == ("f", "m") and part.coding.name == "sex"
 
     def test_mode_partition_matches_oracle(self, bib_network, bib_node_table):
         column = bib_node_table.column("mode")
@@ -512,7 +512,7 @@ class TestCluFiles:
         assert legend == "% 1 book 2 journal 3 paper 4 person 5 publisher 6 series"
 
     def test_empty_partition(self):
-        assert write_pajek_clu(Partition(name="")) == "*vertices 0\n"
+        assert write_pajek_clu(Partition()) == "*vertices 0\n"
 
     def test_round_trip(self, bib_network):
         for prop in ("sex", "mode"):
@@ -560,7 +560,7 @@ class TestCluFiles:
 
     def test_legend_with_spaces_quoted(self):
         coding = CodingTable("kind", ("two words", "one"), 1)
-        part = Partition(name="kind", values=(1, 2), coding=coding)
+        part = Partition((1, 2), coding)
         text = write_pajek_clu(part)
         assert '"two words"' in text
         assert read_pajek_clu(io.StringIO(text)) == part
@@ -577,10 +577,10 @@ class TestCluFiles:
     def test_coding_holding_zero_rejected(self):
         coding = CodingTable("p", ("a", "b", "c"), -1)
         with pytest.raises(ExportError) as excinfo:
-            write_pajek_clu(Partition(name="p", values=(-1, 1), coding=coding))
+            write_pajek_clu(Partition((-1, 1), coding))
         assert str(excinfo.value) == "code 0 is the CLU missing code; re-code the partition without it"
 
     def test_base_zero_coding_rejected(self):
         coding = CodingTable("p", ("a", "b"), 0)
         with pytest.raises(ExportError):
-            write_pajek_clu(Partition(name="p", values=(0, 1), coding=coding))
+            write_pajek_clu(Partition((0, 1), coding))

@@ -55,8 +55,8 @@ SAMPLES = {
     " node_coding=CodingTable(name='node', levels=(), base=1), property_codings={})": Network,
     "CodingTable(name='node', levels=('a', 'b'), base=0)":
         lambda: CodingTable("node", ("a", "b"), 0),
-    "Partition(name='p', values=(1, 0), coding=CodingTable(name='p', levels=('x',), base=1))":
-        lambda: Partition("p", (1, 0), CodingTable("p", ("x",))),
+    "Partition(values=(1, 0), coding=CodingTable(name='p', levels=('x',), base=1))":
+        lambda: Partition((1, 0), CodingTable("p", ("x",))),
     "Table(header=('name',), columns=(('a',),))": lambda: Table(("name",), (("a",),)),
     "TableOptions(delimiter=';')": TableOptions,
     "Finding(severity=<Severity.ERROR: 'error'>, rule='org-invalid', location='$.info.org',"
@@ -114,7 +114,7 @@ def test_copies_and_pickles_are_equal(sample):
     (LinkRecord(LinkKind.ARC, "a", "b", "r"), LinkRecord(LinkKind.EDGE, "a", "b", "r")),
     (Network(), Network(info=InfoBlock(org=0))),
     (CodingTable("t", ("a",)), CodingTable("t", ("a",), 0)),
-    (Partition("p", (1,)), Partition("p", (0,))),
+    (Partition((1,)), Partition((0,))),
     (Finding(Severity.ERROR, "org-invalid", "$", "m"), Finding(Severity.WARNING, "org-invalid", "$", "m")),
 ])  # fmt: skip
 def test_a_changed_field_makes_values_unequal(changed):
@@ -124,7 +124,7 @@ def test_a_changed_field_makes_values_unequal(changed):
 
 @pytest.mark.parametrize("pair", [
     (CodingTable("node", ("a", "b"), 0), CodingTable("other", ("a", "b"), 0)),
-    (Partition("p", (1, 0), CodingTable("p", ("x",))), Partition("q", (1, 0), CodingTable("q", ("x",)))),
+    (Partition((1, 0), CodingTable("p", ("x",))), Partition((1, 0), CodingTable("q", ("x",)))),
 ])  # fmt: skip
 def test_names_are_left_out_of_equality_and_hash(pair):
     a, b = pair

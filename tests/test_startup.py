@@ -76,6 +76,7 @@ def test_csv_to_net_loads_no_netsjson_code(tmp_path):
     assert status == 0 and (tmp_path / "bib.net").exists()
     assert {"netconv.tabular", "netconv.pajek"} <= modules
     assert not modules & {"netconv.netsjson", "json"}
+    assert "netconv.factorize" not in modules  # the tables name codes through the model
 
 
 def test_netsjson_validate_loads_no_table_pajek_or_factorize_code():

@@ -281,7 +281,7 @@ class TestFactorizedToTables:
         coded = factorize_network(bib_canonical, 1)._replace(node_coding=CodingTable("node"))
         with pytest.raises(CodingError) as excinfo:
             network_to_tables(coded)
-        assert str(excinfo.value) == "cannot invert: network carries no node coding table"
+        assert str(excinfo.value) == "code 1 out of range [1, 0] for coding table 'node'"
 
 
 class TestQuotingAndRoundTrips:
