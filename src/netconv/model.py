@@ -171,7 +171,7 @@ class LinkRecord(NamedTuple):
 @_fresh(info=InfoBlock, property_codings=dict)
 class Network(NamedTuple):
     """The complete model: info block, records, and coding tables (a node
-    table only when factorized, and then always one)."""
+    table only when factorized)."""
 
     info: InfoBlock = InfoBlock()
     nodes: tuple[NodeRecord, ...] = ()
@@ -261,8 +261,9 @@ def make_network(
     flags are computed from content. A missing relation table is derived:
     labeled, by :func:`sorted_relations` at the base ``org`` (1 unless 0 or
     1); factorized, by :func:`~netconv.coding.code_range_table`. A given node
-    table is kept only when the ids are codes; a labeled network's is empty,
-    at that base, and a missing one names each code from that base up by itself.
+    table is kept only when the ids are codes. A missing one names each code
+    by itself when the codes run from that base without a gap; otherwise, and
+    on a labeled network, the node table is empty, at that base.
     """
     nodes = tuple(nodes)
     links = tuple(links)
@@ -285,10 +286,10 @@ def make_network(
         relations = code_range_table("relation", rels)
     elif relations is None:
         relations = sorted_relations((), links, base)
-    if not factorized:
-        node_coding = CodingTable("node", base=base)
-    elif node_coding is None:
-        node_coding = code_range_table("node", [base, *ids])
+    if not factorized or node_coding is None:
+        # the ids are distinct, so codes from base to base + n - 1 leave no gap
+        contiguous = factorized and min(ids) == base and max(ids) == base + len(ids) - 1
+        node_coding = code_range_table("node", ids) if contiguous else CodingTable("node", base=base)
 
     net = Network(
         info=info if info is not None else InfoBlock(org=org, directed=directed),
@@ -307,7 +308,8 @@ def make_network(
 
 
 def node_names(network: Network) -> Callable[[str | int], str]:
-    """A node id's name: its code's level in the node table; a labeled id is its own."""
+    """A node id's name: its code's level in the node table (a code the
+    table does not cover raises CodingError); a labeled id is its own."""
     return network.node_coding.value_of if network.is_factorized else str
 
 

@@ -15,9 +15,9 @@ Concrete schema points this implementation fixes:
   strings and are parsed as integers);
 * coding tables travel inside ``info`` under ``relations``, ``nodeCoding``
   and ``propertyCodings`` (level arrays based at ``org``), each written when
-  non-empty; every factorized network, and no other, has a node table --
-  carrying the tables is what keeps the coded form invertible instead of
-  dropping them as lost metadata;
+  non-empty; only a factorized network has a node table -- carrying the
+  tables is what keeps the coded form invertible instead of dropping them
+  as lost metadata;
 * the top-level ``data`` member is preserved verbatim but never
   interpreted; the name is reserved and may not appear inside ``info``.
 
@@ -38,7 +38,8 @@ first finding of a rule in :data:`PARSE_FATAL` (``json-malformed``,
 other rules are semantic, and the parser returns the network despite them.
 The walk type-checks the coding tables a document carries and passes them on;
 :func:`~netconv.model.make_network` keeps ``nodeCoding`` only when ids are
-codes, and names each code by itself when a factorized document has none.
+codes, and names each code by itself when a factorized document has none
+and its codes run from ``org`` without a gap.
 
 Serialization is a normal form: member order is fixed, user keys are
 sorted, and writing the parse of a written document reproduces it byte for

@@ -86,7 +86,8 @@ def write_pajek_net(network: Network, base: int = 1, *, coordinates: bool = Fals
         relations = sorted_relations(network.relations.levels, network.links, 1)
         rel_code, rel_name = relations.code_of, str
 
-    lines, name_of = [f"*vertices {len(nodes)}"], node_names(network)
+    name_of = node_names(network)
+    lines = [f"*vertices {len(nodes)}"]
     for node in nodes:
         line = f"{number[node.id]} {_quote(node.lab or name_of(node.id))}"
         if coordinates and node.x is not None and node.y is not None:

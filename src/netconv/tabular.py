@@ -291,7 +291,8 @@ def merge_node_properties(
     """
     cols = _decode(node_table, _NODE_COLUMNS, "node", decimal_separator)
     row_of = {name: i for i, name in enumerate(cols.pop("id"))}
-    props, name_of = cols.pop("props"), node_names(network)
+    props = cols.pop("props")
+    name_of = node_names(network)
     nodes = []
     for n in network.nodes:
         i = row_of.get(n.lab or name_of(n.id))

@@ -348,7 +348,8 @@ def check_network(network: Network, level: Level = Level.LENIENT) -> ValidationR
     """
     info = network.info
     check = Checker(level)
-    check.flags, check.relations, check.node_coding = info, network.relations, network.node_coding
+    check.flags, check.relations = info, network.relations
+    check.node_coding = network.node_coding or None  # no node table: the empty one
     check.info_org(info.org)
     check.info_mode(info.mode)
     for i, event in enumerate(info.meta):

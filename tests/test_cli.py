@@ -946,9 +946,10 @@ def run_cli(*argv) -> tuple[int, str]:
 
 
 class TestFactorizedWithoutNodeCoding:
-    """A factorized document without nodeCoding names each node code by
-    itself: convert writes it to every format and with either transform,
-    and its NetsJSON output carries that node table."""
+    """A factorized document without nodeCoding whose node codes run from
+    org without a gap names each code by itself: convert writes it to every
+    format and with either transform, and its NetsJSON output carries that
+    node table. Codes with a gap get no table, whatever the largest code."""
 
     def write(self, tmp_path, doc) -> str:
         path = tmp_path / "in.json"
@@ -984,6 +985,20 @@ class TestFactorizedWithoutNodeCoding:
         assert run_cli("convert", "-i", path, "-o", out) == (0, "")
         vertices = out.read_text(encoding="utf-8").splitlines()[1:3]
         assert vertices == [f'1 "{org}"', f'2 "{org + 1}"']
+
+    def test_sparse_codes_get_no_node_table(self, tmp_path, capsys):
+        doc = factorized_document(relations=["r"])
+        doc["nodes"][1]["id"] = doc["links"][0]["n2"] = 10**9
+        path, out = self.write(tmp_path, doc), tmp_path / "o.json"
+        assert run_cli("convert", "-i", path, "-o", out) == (0, "")
+        written = json.loads(out.read_text(encoding="utf-8"))
+        assert "nodeCoding" not in written["info"] and written["nodes"] == doc["nodes"]
+        assert main(["info", path]) == 0
+        assert capsys.readouterr().out.startswith("nodes: 2\n")
+        refusal = "error: code 1 out of range [1, 0] for coding table 'node'\n"
+        csv_paths = ["--nodes", tmp_path / "n.csv", "--links", tmp_path / "l.csv"]
+        assert run_cli("convert", "-i", path, "--to", "csv", *csv_paths) == (2, refusal)
+        assert run_cli("convert", "-i", path, "-o", out, "--defactorize") == (2, refusal)
 
 
 # Inputs whose coded relation table is based away from org, each with the
@@ -1022,17 +1037,21 @@ NAMES = ["a", "b", "r", "s", "x y", '"q"', "1", "2"]
 
 @st.composite
 def factorized_documents(draw) -> dict:
-    """A factorized document: node codes contiguous from org, in any order,
-    with or without relations and nodeCoding; relation codes may start above
-    or below org, or leave gaps. Nodes carry no lab, so NET output labels
-    each by its name: NET names a vertex by its label, and its reader
-    refuses a file whose labels repeat."""
+    """A factorized document: node codes in any order, contiguous from org
+    or sparse, with or without relations and nodeCoding; relation codes may
+    start above or below org, or leave gaps. Nodes carry no lab, so NET
+    output labels each by its name: NET names a vertex by its label, and
+    its reader refuses a file whose labels repeat."""
     org = draw(st.sampled_from([0, 1]))
-    n = draw(st.integers(1, 4))
-    ids = draw(st.permutations(range(org, org + n)))
+    if draw(st.booleans()):
+        ids = draw(st.permutations(range(org, org + draw(st.integers(1, 4)))))
+    else:
+        ids = draw(st.lists(st.sampled_from([org - 1, org, org + 1, org + 3, 10**9]),
+                            min_size=1, max_size=4, unique=True))
+    n = len(ids)
     info = {"org": org, "multirel": True}
     if draw(st.booleans()):
-        info["nodeCoding"] = draw(st.lists(st.sampled_from(NAMES), min_size=n, max_size=n + 1,
+        info["nodeCoding"] = draw(st.lists(st.sampled_from(NAMES), min_size=n, max_size=n + 3,
                                            unique=True))
     if draw(st.booleans()):
         info["relations"] = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=3,
@@ -1048,7 +1067,10 @@ def factorized_documents(draw) -> dict:
 
 class TestFactorizedDocumentsConvert:
     """Whenever validate accepts a factorized document, convert writes it to
-    every format, and validate accepts the NetsJSON and NET it writes."""
+    NetsJSON, and validate accepts what it writes. NET output, which numbers
+    vertices 1 to n, needs node codes contiguous from org, and validate
+    accepts what it writes; CSV output needs those codes or a nodeCoding to
+    name the nodes. Either refuses otherwise, with exit 2."""
 
     @given(factorized_documents())
     @settings(max_examples=150, deadline=None)
@@ -1059,12 +1081,16 @@ class TestFactorizedDocumentsConvert:
                 json.dump(doc, handle)
             if run_cli("validate", path)[0] != 0:
                 return
-            outputs = {"netsjson": os.path.join(tmp, "o.json"), "net": os.path.join(tmp, "o.net")}
-            for to, out in outputs.items():
-                assert run_cli("convert", "-i", path, "-o", out)[0] == 0, to
-                assert run_cli("validate", out)[0] == 0, to
+            ids = sorted(node["id"] for node in doc["nodes"])
+            contiguous = ids == list(range(doc["info"]["org"], doc["info"]["org"] + len(ids)))
+            named = contiguous or "nodeCoding" in doc["info"]
+            outputs = {"netsjson": (os.path.join(tmp, "o.json"), True),
+                       "net": (os.path.join(tmp, "o.net"), contiguous)}
+            for to, (out, writable) in outputs.items():
+                assert run_cli("convert", "-i", path, "-o", out)[0] == (0 if writable else 2), to
+                assert not writable or run_cli("validate", out)[0] == 0, to
             csv_paths = ["--nodes", os.path.join(tmp, "n.csv"), "--links", os.path.join(tmp, "l.csv")]
-            assert run_cli("convert", "-i", path, "--to", "csv", *csv_paths)[0] == 0
+            assert run_cli("convert", "-i", path, "--to", "csv", *csv_paths)[0] == (0 if named else 2)
 
 
 # Lines and cells the mutations below insert into NET files and tables.

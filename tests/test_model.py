@@ -176,10 +176,11 @@ class TestMakeNetwork:
 
     @pytest.mark.parametrize("org, ids, levels", [
         (1, [1, 2], ("1", "2")),
-        (0, [1, 0], ("0", "1")),
-        (1, [3, 2], ("1", "2", "3")),  # every code from org, each named by itself
+        (0, [1, 0], ("0", "1")),  # each code from org, named by itself
+        (1, [3, 2], ()),  # code 1 unused: no table
+        (1, [1, 10**9], ()),  # a gap: no table, whose size would follow the largest code
     ])  # fmt: skip
-    def test_coded_ids_without_a_node_table_get_one(self, org, ids, levels):
+    def test_coded_ids_without_a_node_table_get_one_when_contiguous(self, org, ids, levels):
         net = make_network([NodeRecord(i) for i in ids], [], org=org)
         assert net.node_coding == CodingTable("node", levels, org)
 
