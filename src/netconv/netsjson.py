@@ -28,6 +28,8 @@ declared counters, and (strict) the presence of the dates. It hands the
 fields of each node and link, as soon as it has read them, to
 :class:`~netconv.validation.Checker`, which codes every rule about the
 network itself, and builds the records only when a network is asked for.
+A well-formed record costs one test per member and per tq triple; only a
+value that fails it reaches the code that words every finding.
 Each finding carries a ``$.`` JSON-path locator, in document order. The
 validator reports every finding, and its walk builds no record;
 :func:`check_netsjson` returns that report together with the network, so
@@ -65,6 +67,7 @@ from .model import (
     NodeRecord,
     TemporalQuantity,
     TimeWindow,
+    canonical_order,
     make_network,
     network_stats,
 )
@@ -78,8 +81,9 @@ _NODE_MEMBERS, _LINK_MEMBERS, _EVENT_MEMBERS = (  # fields but the last (props);
     {"type" if name == "kind" else name for name in cls._fields[:-1]}
     for cls in (NodeRecord, LinkRecord, EventRecord))
 _EVENT_TEXT = tuple(k for k, v in EventRecord._field_defaults.items() if v is None)  # author, ..., copy
-_LINK_KINDS = {kind.value: kind for kind in LinkKind}
 _NESTED = (dict, list)  # the JSON values _value_from_json rebuilds
+_NUMBERS = (int, float)  # the exact types of a JSON number (a bool is neither)
+_tuple_new = tuple.__new__  # builds an Interval without its keyword-parsing __new__
 
 # Rules whose findings make parse_netsjson raise, with the class it raises.
 PARSE_FATAL: dict[str, type] = {
@@ -106,10 +110,6 @@ def _is_int(v: Any) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_number(v: Any) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _is_text(v: Any) -> bool:
     return isinstance(v, str)
 
@@ -119,8 +119,9 @@ def _is_text(v: Any) -> bool:
 
 def _value_from_json(v: Any) -> Any:
     if isinstance(v, dict):
-        if set(v) == {"lo", "hi"} and _is_number(v["lo"]) and _is_number(v["hi"]):
-            return Interval(float(v["lo"]), float(v["hi"]))
+        lo, hi = v.get("lo"), v.get("hi")
+        if len(v) == 2 and type(lo) in _NUMBERS and type(hi) in _NUMBERS:  # {"lo": n, "hi": n}
+            return _tuple_new(Interval, (float(lo), float(hi)))
         return {k: _value_from_json(v[k]) for k in v}
     if isinstance(v, list):
         return [_value_from_json(item) for item in v]
@@ -202,10 +203,12 @@ def check_netsjson(
 def write_netsjson(network: Network, pretty: bool = False) -> str:
     """Serialize a network as a NetsJSON basic document (deterministic bytes).
 
-    Counters are recomputed before writing. Compact mode (the default)
-    suppresses the ``type``/``weight`` defaults; pretty mode indents by two
-    spaces and keeps them.
+    Counters are recomputed and relation codes rebased at ``org``
+    (:func:`~netconv.model.canonical_order`) before writing. Compact mode
+    (the default) suppresses the ``type``/``weight`` defaults; pretty mode
+    indents by two spaces and keeps them.
     """
+    network = canonical_order(network)
     stats = network_stats(network)
     info = network.info
     raw_info: dict[str, Any] = {
@@ -341,7 +344,7 @@ class _Walk:
         return default
 
     def number(self, obj: dict, key: str, where: str, default: Optional[float]):
-        value = self.typed(obj, key, _is_number, "a number", where)
+        value = self.typed(obj, key, lambda v: type(v) in _NUMBERS, "a number", where)
         try:
             return default if value is None else float(value)
         except OverflowError:
@@ -509,33 +512,41 @@ class _Walk:
 
     # -- records ---------------------------------------------------------------
 
-    def tq(self, raw: Any, where: str) -> tuple:
-        """The checked ``(s, f, v)`` triples of a tq; none after tq-malformed."""
+    def tq(self, raw: Any, where: str) -> list:
+        """A tq's ``[s, f, v]`` triples: ``raw`` itself when each has integer
+        bounds and a scalar value; else checked one by one, nested values
+        converted, and none after tq-malformed."""
         if type(raw) is not list:
             self.err("tq-malformed", where, "tq must be an array of [s, f, v] triples")
-            return ()
+            return []
+        for t in raw:
+            if not (type(t) is list and len(t) == 3 and type(t[0]) is type(t[1]) is int
+                    and type(t[2]) not in _NESTED):  # fmt: skip
+                break
+        else:
+            return raw
         triples = []
         for k, triple in enumerate(raw):
             if type(triple) is not list or len(triple) != 3:
                 self.err("tq-malformed", f"{where}[{k}]", "triple must be a 3-element array")
-                return ()
+                return []
             s, f, value = triple
             if type(s) is not int or type(f) is not int:
                 self.err("tq-malformed", f"{where}[{k}]", "interval bounds must be integers")
-                return ()
+                return []
             triples.append((s, f, self.value(value, where, k) if type(value) in _NESTED else value))
-        return tuple(triples)
+        return triples
 
     def props(self, raw: dict, reserved: set, where: str) -> dict:
         props = {}
-        for key in raw:
-            if key not in reserved and raw[key] is not None:
-                value = raw[key]
+        for key, value in raw.items():
+            if key not in reserved and value is not None:
                 props[key] = self.value(value, where, key) if type(value) in _NESTED else value
         return props
 
     def nodes(self, raw_nodes: list) -> list[NodeRecord]:
-        """Node records; none when ``build`` is false."""
+        """Node records; none when ``build`` is false. The members a node
+        seldom has go to their helpers only when one is present."""
         err, typed, number, check, build = self.err, self.typed, self.number, self.check, self.build
         nodes = []
         for i, raw in enumerate(raw_nodes):
@@ -549,22 +560,53 @@ class _Walk:
             elif type(node_id) is not int and type(node_id) is not str:
                 err("member-type", f"{loc}.id", "id must be text or an integer")
                 node_id = None
-            lab = typed(raw, "lab", _is_text, "text", loc, "")
-            slab, mode = typed(raw, "slab", _is_text, "text", loc), typed(raw, "mode", _is_text, "text", loc)
-            x, y = number(raw, "x", loc, None), number(raw, "y", loc, None)
+            lab = raw.get("lab", "")
+            if type(lab) is not str:
+                lab = typed(raw, "lab", _is_text, "text", loc, "")
+            slab = mode = x = y = None
+            if "slab" in raw or "mode" in raw or "x" in raw or "y" in raw:
+                slab, mode = typed(raw, "slab", _is_text, "text", loc), typed(raw, "mode", _is_text, "text", loc)
+                x, y = number(raw, "x", loc, None), number(raw, "y", loc, None)
             tq = self.tq(raw["tq"], loc + ".tq") if "tq" in raw else None
             props = self.props(raw, _NODE_MEMBERS, loc)
             check.node(node_id, lab, slab, loc)
             check.tq(tq, "node", loc)
-            check.props(props, loc)
+            if props:
+                check.props(props, loc)
             if build:
-                tq = None if tq is None else TemporalQuantity(tq)
-                nodes.append(NodeRecord(node_id, lab, slab, x, y, mode, tq, props))
+                tq = None if tq is None else TemporalQuantity(map(tuple, tq))
+                nodes.append(NodeRecord._make((node_id, lab, slab, x, y, mode, tq, props)))
         return nodes
+
+    def ends(self, raw: dict, loc: str, id_type) -> tuple:
+        """A link's ``n1``, ``n2`` and ``rel``, each None after its finding."""
+        ends = []
+        for member in ("n1", "n2"):
+            end = raw.get(member)
+            if member not in raw:
+                self.err("member-missing", loc, f"link has no {member}")
+            elif type(end) is not int and type(end) is not str:
+                self.err("member-type", f"{loc}.{member}", "endpoint must be text or an integer")
+                end = None
+            ends.append(end)
+        rel = raw.get("rel")
+        if "rel" not in raw:
+            self.err("member-missing", loc, "link has no rel")
+        elif type(rel) is not int and type(rel) is not str:
+            self.err("member-type", f"{loc}.rel", "rel must be text or an integer")
+            rel = None
+        elif id_type is not None and type(rel) is not id_type:
+            self.err("member-type", f"{loc}.rel", "rel must match the node identifier kind")
+            rel = None
+        elif rel == "":
+            self.err("member-type", f"{loc}.rel", "rel must be non-empty text")
+            rel = None
+        return (*ends, rel)
 
     def links(self, raw_links: list, id_type) -> list[LinkRecord]:
         """Link records, none when ``build`` is false; ``id_type`` is the type
-        rel must have, None when any will do. Counts arcs and edges."""
+        rel must have, None when any will do. Counts arcs and edges. A link
+        whose ends and rel pass one type test skips :meth:`ends`."""
         err, number, check, build = self.err, self.number, self.check, self.build
         links, n_arcs, n_edges = [], 0, 0
         for i, raw in enumerate(raw_links):
@@ -572,47 +614,29 @@ class _Walk:
             if type(raw) is not dict:
                 err("member-type", loc, "link must be an object")
                 continue
-            kind_text = raw.get("type", "arc")
-            kind = _LINK_KINDS.get(kind_text) if type(kind_text) is str else None
-            if kind is None:
-                err("link-type-invalid", f"{loc}.type", f"got {kind_text!r}")
-                kind = LinkKind.ARC
-            if kind is LinkKind.EDGE:
-                n_edges += 1
+            kind = raw.get("type", "arc")
+            if kind == "edge":
+                kind, n_edges = LinkKind.EDGE, n_edges + 1
             else:
-                n_arcs += 1
-            ends = []
-            for member in ("n1", "n2"):
-                end = raw.get(member)
-                if member not in raw:
-                    err("member-missing", loc, f"link has no {member}")
-                elif type(end) is not int and type(end) is not str:
-                    err("member-type", f"{loc}.{member}", "endpoint must be text or an integer")
-                    end = None
-                ends.append(end)
-            rel = raw.get("rel")
-            if "rel" not in raw:
-                err("member-missing", loc, "link has no rel")
-            elif type(rel) is not int and type(rel) is not str:
-                err("member-type", f"{loc}.rel", "rel must be text or an integer")
-                rel = None
-            elif id_type is not None and type(rel) is not id_type:
-                err("member-type", f"{loc}.rel", "rel must match the node identifier kind")
-                rel = None
-            elif rel == "":
-                err("member-type", f"{loc}.rel", "rel must be non-empty text")
-                rel = None
-            weight = number(raw, "weight", loc, 1.0)
-            label = self.typed(raw, "label", _is_text, "text", loc)
+                if kind != "arc":
+                    err("link-type-invalid", f"{loc}.type", f"got {kind!r}")
+                kind, n_arcs = LinkKind.ARC, n_arcs + 1
+            n1, n2, rel = raw.get("n1"), raw.get("n2"), raw.get("rel")
+            if not (type(n1) is type(n2) is type(rel) is id_type and rel != ""):
+                n1, n2, rel = self.ends(raw, loc, id_type)
+            weight = raw.get("weight", 1.0)
+            if type(weight) is not float:
+                weight = number(raw, "weight", loc, 1.0)
+            label = self.typed(raw, "label", _is_text, "text", loc) if "label" in raw else None
             tq = self.tq(raw["tq"], loc + ".tq") if "tq" in raw else None
             props = self.props(raw, _LINK_MEMBERS, loc)
-            n1, n2 = ends
             check.link(kind, n1, n2, rel, loc)
             check.tq(tq, "link", loc)
-            check.props(props, loc)
+            if props:
+                check.props(props, loc)
             if build:
-                tq = None if tq is None else TemporalQuantity(tq)
-                links.append(LinkRecord(kind, n1, n2, rel, weight, label, tq, props))
+                tq = None if tq is None else TemporalQuantity(map(tuple, tq))
+                links.append(LinkRecord._make((kind, n1, n2, rel, weight, label, tq, props)))
         self.n_arcs, self.n_edges = n_arcs, n_edges
         check.links_end()
         return links

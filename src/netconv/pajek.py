@@ -68,8 +68,9 @@ def write_pajek_net(network: Network, base: int = 1, *, coordinates: bool = Fals
     1, without building the coded copy: each node by its position in node
     order, each relation by its place in the sorted table of the declared
     levels and the relations in use. A node without a label is labeled by
-    its name (:func:`~netconv.model.node_names`). Coordinates are emitted
-    only when requested and both x and y are present.
+    its name (:func:`~netconv.model.node_names`); a label that two nodes
+    share raises, as the reader could not tell them apart. Coordinates are
+    emitted only when requested and both x and y are present.
     """
     if base != 1:
         raise ExportError("Pajek NET files are 1-based; base must be 1")
@@ -87,9 +88,14 @@ def write_pajek_net(network: Network, base: int = 1, *, coordinates: bool = Fals
         rel_code, rel_name = relations.code_of, str
 
     name_of = node_names(network)
+    labels = [node.lab or name_of(node.id) for node in nodes]
+    if len(set(labels)) < len(labels):  # the reader names each vertex by its label
+        seen = set()
+        repeated = next(lab for lab in labels if lab in seen or seen.add(lab))
+        raise ExportError(f"vertex label {repeated!r} names more than one node")
     lines = [f"*vertices {len(nodes)}"]
-    for node in nodes:
-        line = f"{number[node.id]} {_quote(node.lab or name_of(node.id))}"
+    for node, label in zip(nodes, labels):
+        line = f"{number[node.id]} {_quote(label)}"
         if coordinates and node.x is not None and node.y is not None:
             line += f" {node.x} {node.y}"
         lines.append(line)

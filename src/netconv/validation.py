@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 from itertools import combinations
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .coding import CodingTable
 from .model import (
@@ -200,6 +200,7 @@ class Checker:
     def __init__(self, level: Level):
         self.level, self.out = level, []
         self.org, self.window, self.need_tq = 1, None, False
+        self.tq_bounds = (-float("inf"), float("inf"))  # (Tmin, Tmax + 1): where tq intervals lie
         self.flags: Optional[InfoBlock] = None
         self.relations: Optional[CodingTable] = None
         self.node_coding: Optional[CodingTable] = None
@@ -284,8 +285,9 @@ class Checker:
 
     def props(self, props: dict, where: str) -> None:
         for key in sorted(props) if len(props) > 1 else props:
-            if type(props[key]) in _STRUCTURED:
-                self.intervals(props[key], f"{where}.{key}")
+            value = props[key]  # a sound interval has no finding
+            if type(value) in _STRUCTURED and (type(value) is not Interval or value.lo > value.hi):
+                self.intervals(value, f"{where}.{key}")
 
     def intervals(self, value, where: str) -> None:
         if isinstance(value, Interval):
@@ -316,6 +318,8 @@ class Checker:
 
     def info_time(self, window: Optional[TimeWindow]) -> None:
         self.window = window
+        if window is not None:
+            self.tq_bounds = (window.t_min, window.t_max + 1)
         self.need_tq = self.level is Level.STRICT and window is not None
         if window is not None and window.t_min > window.t_max:
             message = f"Tmin {window.t_min} exceeds Tmax {window.t_max}"
@@ -326,10 +330,15 @@ class Checker:
         if not t_min <= t <= t_max:
             self.err("tlab-outside-window", where, f"label for {t} outside [{t_min}, {t_max}]")
 
-    def tq(self, triples: Optional[tuple], what: str, where: str) -> None:
+    def tq(self, triples: Optional[Sequence], what: str, where: str) -> None:
         if triples is not None:
             self.any_tq = True
-            check_tq_bounds(triples, where + ".tq", self.window, self.out)
+            lo, hi = self.tq_bounds
+            for s, f, _ in triples:  # sorted, disjoint, non-empty and inside: no finding
+                if not lo <= s < f <= hi:
+                    check_tq_bounds(triples, where + ".tq", self.window, self.out)
+                    return
+                lo = f
         elif self.need_tq:
             self.err("tq-missing", where, f"temporal network {what} lacks a tq")
 

@@ -1039,9 +1039,8 @@ NAMES = ["a", "b", "r", "s", "x y", '"q"', "1", "2"]
 def factorized_documents(draw) -> dict:
     """A factorized document: node codes in any order, contiguous from org
     or sparse, with or without relations and nodeCoding; relation codes may
-    start above or below org, or leave gaps. Nodes carry no lab, so NET
-    output labels each by its name: NET names a vertex by its label, and
-    its reader refuses a file whose labels repeat."""
+    start above or below org, or leave gaps. A node may carry a lab; NET
+    output labels one without a lab by its name."""
     org = draw(st.sampled_from([0, 1]))
     if draw(st.booleans()):
         ids = draw(st.permutations(range(org, org + draw(st.integers(1, 4)))))
@@ -1062,15 +1061,25 @@ def factorized_documents(draw) -> dict:
     links = [{"n1": draw(st.sampled_from(ids)), "n2": draw(st.sampled_from(ids)),
               "rel": draw(codes), **draw(st.sampled_from([{}, {"type": "edge"}]))}
              for _ in range(draw(st.integers(0, 4)))]
-    return {"netsJSON": "basic", "info": info, "nodes": [{"id": i} for i in ids], "links": links}
+    nodes = [{"id": i, **draw(st.sampled_from([{}, {"lab": draw(st.sampled_from(NAMES))}]))}
+             for i in ids]
+    return {"netsJSON": "basic", "info": info, "nodes": nodes, "links": links}
+
+
+def vertex_labels(doc: dict) -> list[str]:
+    """The label NET output gives each node: its lab, else its name."""
+    org, coding = doc["info"]["org"], doc["info"].get("nodeCoding")
+    return [node.get("lab") or (coding[node["id"] - org] if coding else str(node["id"]))
+            for node in doc["nodes"]]
 
 
 class TestFactorizedDocumentsConvert:
     """Whenever validate accepts a factorized document, convert writes it to
     NetsJSON, and validate accepts what it writes. NET output, which numbers
-    vertices 1 to n, needs node codes contiguous from org, and validate
-    accepts what it writes; CSV output needs those codes or a nodeCoding to
-    name the nodes. Either refuses otherwise, with exit 2."""
+    vertices 1 to n and names each by its label, needs node codes
+    contiguous from org and distinct labels, and validate accepts what it
+    writes; CSV output needs those codes or a nodeCoding to name the nodes.
+    Either refuses otherwise, with exit 2."""
 
     @given(factorized_documents())
     @settings(max_examples=150, deadline=None)
@@ -1084,13 +1093,35 @@ class TestFactorizedDocumentsConvert:
             ids = sorted(node["id"] for node in doc["nodes"])
             contiguous = ids == list(range(doc["info"]["org"], doc["info"]["org"] + len(ids)))
             named = contiguous or "nodeCoding" in doc["info"]
+            distinct = contiguous and len(set(vertex_labels(doc))) == len(ids)
             outputs = {"netsjson": (os.path.join(tmp, "o.json"), True),
-                       "net": (os.path.join(tmp, "o.net"), contiguous)}
+                       "net": (os.path.join(tmp, "o.net"), distinct)}
             for to, (out, writable) in outputs.items():
                 assert run_cli("convert", "-i", path, "-o", out)[0] == (0 if writable else 2), to
                 assert not writable or run_cli("validate", out)[0] == 0, to
             csv_paths = ["--nodes", os.path.join(tmp, "n.csv"), "--links", os.path.join(tmp, "l.csv")]
             assert run_cli("convert", "-i", path, "--to", "csv", *csv_paths)[0] == (0 if named else 2)
+
+
+class TestRepeatedVertexLabels:
+    """NET names each vertex by its label, so convert refuses NET output
+    whose labels repeat (exit 2, no file) rather than write a file that
+    validate rejects; the document itself validates."""
+
+    @pytest.mark.parametrize("nodes", [
+        [{"id": 1, "lab": "2"}, {"id": 2}],
+        [{"id": 1, "lab": "x"}, {"id": 2, "lab": "x"}],
+        [{"id": "a", "lab": "b"}, {"id": "b"}],
+    ])  # fmt: skip
+    def test_net_output_refused(self, nodes, tmp_path):
+        path, out = tmp_path / "in.json", tmp_path / "o.net"
+        doc = {"netsJSON": "basic", "info": {"org": 1}, "nodes": nodes, "links": []}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli("validate", path) == (0, "")
+        label = nodes[0]["lab"]
+        assert run_cli("convert", "-i", path, "-o", out) == (
+            2, f"error: vertex label {label!r} names more than one node\n")
+        assert not out.exists()
 
 
 # Lines and cells the mutations below insert into NET files and tables.

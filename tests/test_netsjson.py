@@ -24,9 +24,11 @@ from netconv import (
     SchemaError,
     TemporalError,
     TemporalQuantity,
+    canonical_order,
     check_netsjson,
     network_stats,
     parse_netsjson,
+    read_pajek_net,
     tq_value_at,
     validate_netsjson_document,
     write_netsjson,
@@ -259,6 +261,16 @@ class TestWrite:
     def test_normal_form_on_every_parsable_document(self, name, pretty):
         once = write_netsjson(parse((DATA / name).read_text(encoding="utf-8")), pretty=pretty)
         assert write_netsjson(parse(once), pretty=pretty) == once
+
+    def test_relation_codes_written_from_org(self):
+        """A NET file that declares only relation 2 reads to a table based at
+        2; the writer rebases it, so each rel is its place in relations."""
+        net = read_pajek_net(io.StringIO('*vertices 1\n1 "a"\n*arcs :2 "x"\n*arcs\n2: 1 1\n'))
+        text = write_netsjson(net)
+        doc = json.loads(text)
+        assert (doc["info"]["relations"], doc["links"][0]["rel"]) == (["x"], 1)
+        assert validate_netsjson_document(io.StringIO(text)).findings == ()
+        assert write_netsjson(canonical_order(net)) == text
 
     def test_labeled_node_coding_not_carried(self):
         doc = json.loads(LABELED)

@@ -116,6 +116,19 @@ class TestWriteNet:
             with pytest.raises(ExportError, match="names no node"):
                 write_pajek_net(net)
 
+    @pytest.mark.parametrize("nodes,label", [
+        ([NodeRecord(id="a", lab="x"), NodeRecord(id="b"), NodeRecord(id="c", lab="x")], "x"),
+        ([NodeRecord(id="a", lab="b"), NodeRecord(id="b")], "b"),
+        ([NodeRecord(id=1, lab="2"), NodeRecord(id=2)], "2"),
+    ])  # fmt: skip
+    def test_repeated_vertex_label_rejected(self, nodes, label):
+        """The reader names each vertex by its label, so a label two nodes
+        share (a lab, or a node's name standing in for a missing lab) would
+        write a file it refuses."""
+        with pytest.raises(ExportError) as excinfo:
+            write_pajek_net(make_network(nodes, []))
+        assert str(excinfo.value) == f"vertex label {label!r} names more than one node"
+
     def test_relation_table_based_above_org_numbered_as_declared(self):
         text = '*vertices 2\n*arcs :2 "a"\n*arcs\n2: 1 2\n'
         ours = write_pajek_net(read_pajek_net(io.StringIO(text)))
