@@ -88,13 +88,13 @@ def write_pajek_net(network: Network, base: int = 1, *, coordinates: bool = Fals
         rel_code, rel_name = relations.code_of, str
 
     name_of = node_names(network)
-    labels = [node.lab or name_of(node.id) for node in nodes]
-    if len(set(labels)) < len(labels):  # the reader names each vertex by its label
-        seen = set()
-        repeated = next(lab for lab in labels if lab in seen or seen.add(lab))
-        raise ExportError(f"vertex label {repeated!r} names more than one node")
+    labels = set()  # the reader names each vertex by its label
     lines = [f"*vertices {len(nodes)}"]
-    for node, label in zip(nodes, labels):
+    for node in nodes:
+        label = node.lab or name_of(node.id)
+        if label in labels:
+            raise ExportError(f"vertex label {label!r} names more than one node")
+        labels.add(label)
         line = f"{number[node.id]} {_quote(label)}"
         if coordinates and node.x is not None and node.y is not None:
             line += f" {node.x} {node.y}"
