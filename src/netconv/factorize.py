@@ -32,11 +32,17 @@ def factorize_network(network: Network, base: int = 1) -> Network:
         raise StructuralError("duplicate node identifiers prevent factorization")
     # Keep declared-but-unused relation levels so inversion restores them.
     relations = sorted_relations(network.relations.levels, network.links, base)
-    # Property codings follow the network-wide base convention.
-    property_codings = {
-        name: CodingTable(table.name, table.levels, base)
-        for name, table in network.property_codings.items()
-    }
+    tables = network.property_codings
+    property_codings = {name: table._replace(base=base) for name, table in tables.items()}
+
+    def rebased(record):  # a coded value moves with its table, so it names the same level
+        new = {name: v - tables[name].base + base for name, v in record.props.items()
+               if name in tables and type(v) is int and tables[name].in_range(v)}
+        return record._replace(props={**record.props, **new}) if new else record
+
+    if any(table.base != base for table in tables.values()):
+        network = network._replace(nodes=tuple(map(rebased, network.nodes)),
+                                   links=tuple(map(rebased, network.links)))
     info = network.info._replace(org=base)
     return recode(network, node_coding.code_of, relations.code_of, info=info, relations=relations,
                   node_coding=node_coding, property_codings=property_codings)

@@ -6,7 +6,9 @@ tables that make the integer-coded (factorized) representation invertible.
 
 Networks are immutable after construction: every record is a named tuple,
 and transformations return new instances (``record._replace(field=value)``
-copies one with some fields changed). Property values are plain Python
+copies one with some fields changed). A record built without one of its
+maps holds :data:`EMPTY`, the one read-only empty dict; a map the caller
+gives is kept as given. Property values are plain Python
 values: None stands for a missing (absent) value, bool/int/float/str for
 scalars, lists for subsets and series, dicts for opaque structured values,
 plus the two dedicated types :class:`Interval` and :class:`TemporalQuantity`.
@@ -15,7 +17,6 @@ plus the two dedicated types :class:`Interval` and :class:`TemporalQuantity`.
 from __future__ import annotations
 
 import bisect
-import functools
 from collections import Counter
 from enum import Enum
 from typing import Any, Callable, NamedTuple, Optional, Sequence
@@ -28,23 +29,22 @@ from .errors import StructuralError
 PropertyValue = Any
 
 
-def _fresh(**factories: Callable):
-    """Class decorator for a named tuple: a record built without one of the
-    fields named in ``factories`` gets a new value from its factory there,
-    not the one default object every such record would share."""
-    def decorate(cls):
-        make, at = cls.__new__, {name: cls._fields.index(name) for name in factories}
+class _Empty(dict):
+    """The type of :data:`EMPTY`: an empty dict whose every mutator raises
+    TypeError. Copies and pickles give back :data:`EMPTY` itself."""
 
-        @functools.wraps(make)
-        def __new__(cls, *args, **kwargs):
-            for name, i in at.items():
-                if i >= len(args) and name not in kwargs:
-                    kwargs[name] = factories[name]()
-            return make(cls, *args, **kwargs)
+    __slots__ = ()
 
-        cls.__new__ = __new__
-        return cls
-    return decorate
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a record's default map is read-only; give the record a map of its own")
+
+    __setitem__ = __delitem__ = __ior__ = update = setdefault = pop = popitem = clear = _refuse
+
+    def __reduce__(self):
+        return "EMPTY"
+
+
+EMPTY = _Empty()  # the map of every record built without one
 
 
 class Interval(NamedTuple):
@@ -91,16 +91,14 @@ class LinkKind(str, Enum):
     EDGE = "edge"
 
 
-@_fresh(t_labs=dict)
 class TimeWindow(NamedTuple):
     """Lifetime [t_min, t_max] of a temporal network with optional point labels."""
 
     t_min: int
     t_max: int
-    t_labs: dict[int, str] = {}
+    t_labs: dict[int, str] = EMPTY
 
 
-@_fresh(extra=dict)
 class EventRecord(NamedTuple):
     """One entry of the dataset's life log (creation, release, publication, ...)."""
 
@@ -111,10 +109,9 @@ class EventRecord(NamedTuple):
     url: Optional[str] = None
     cite: Optional[str] = None
     copy: Optional[str] = None
-    extra: dict[str, PropertyValue] = {}
+    extra: dict[str, PropertyValue] = EMPTY
 
 
-@_fresh(extra=dict)
 class InfoBlock(NamedTuple):
     """Network-level metadata: flags and provenance.
 
@@ -134,10 +131,9 @@ class InfoBlock(NamedTuple):
     meta: tuple[EventRecord, ...] = ()
     created: Optional[str] = None
     modified: Optional[str] = None
-    extra: dict[str, PropertyValue] = {}
+    extra: dict[str, PropertyValue] = EMPTY
 
 
-@_fresh(props=dict)
 class NodeRecord(NamedTuple):
     """A node: identity, labels, coordinates, and a free property map.
 
@@ -151,10 +147,9 @@ class NodeRecord(NamedTuple):
     y: Optional[float] = None
     mode: Optional[str] = None
     tq: Optional[TemporalQuantity] = None
-    props: dict[str, PropertyValue] = {}
+    props: dict[str, PropertyValue] = EMPTY
 
 
-@_fresh(props=dict)
 class LinkRecord(NamedTuple):
     """A link between two nodes; an arc is directed n1 -> n2, an edge is not."""
 
@@ -165,10 +160,9 @@ class LinkRecord(NamedTuple):
     weight: float = 1.0
     label: Optional[str] = None
     tq: Optional[TemporalQuantity] = None
-    props: dict[str, PropertyValue] = {}
+    props: dict[str, PropertyValue] = EMPTY
 
 
-@_fresh(info=InfoBlock, property_codings=dict)
 class Network(NamedTuple):
     """The complete model: info block, records, and coding tables (a node
     table only when factorized)."""
@@ -178,7 +172,7 @@ class Network(NamedTuple):
     links: tuple[LinkRecord, ...] = ()
     relations: CodingTable = CodingTable("relation")
     node_coding: CodingTable = CodingTable("node")
-    property_codings: dict[str, CodingTable] = {}
+    property_codings: dict[str, CodingTable] = EMPTY
 
     @property
     def is_factorized(self) -> bool:
@@ -225,15 +219,6 @@ def parallel_key(kind: LinkKind, rel, n1, n2) -> tuple:
     return kind, rel, n1, n2
 
 
-def _parallel_links_exist(links: Sequence[LinkRecord]) -> bool:
-    seen = set()
-    for key in (parallel_key(l.kind, l.rel, l.n1, l.n2) for l in links):
-        if key in seen:
-            return True
-        seen.add(key)
-    return False
-
-
 def sorted_relations(declared: Sequence[str], links: Sequence[LinkRecord], base: int) -> CodingTable:
     """A labeled network's relation table: the ``declared`` levels and the
     relations ``links`` use, sorted, based at ``base``."""
@@ -249,7 +234,7 @@ def make_network(
     directed: bool = True,
     relations: Optional[CodingTable] = None,
     node_coding: Optional[CodingTable] = None,
-    property_codings: Optional[dict[str, CodingTable]] = None,
+    property_codings: dict[str, CodingTable] = EMPTY,
 ) -> Network:
     """Assemble a network and derive the relation table it was not given.
 
@@ -297,12 +282,12 @@ def make_network(
         links=links,
         relations=relations,
         node_coding=node_coding,
-        property_codings=dict(property_codings or {}),
+        property_codings=property_codings,
     )
     stats = network_stats(net)  # raises on an endpoint that names no node
     if info is None:
-        simple, multirel = not _parallel_links_exist(links), stats.n_relations > 1
-        info = net.info._replace(simple=simple, multirel=multirel, mode=stats.n_modes)
+        simple = len({parallel_key(l.kind, l.rel, l.n1, l.n2) for l in links}) == len(links)
+        info = net.info._replace(simple=simple, multirel=stats.n_relations > 1, mode=stats.n_modes)
         net = net._replace(info=info)
     return net
 

@@ -218,6 +218,9 @@ def read_pajek_net(source: IO[str]) -> Network:
     codes = {link.rel for link in links}.union(names)
     if codes and min(codes) < 1:
         raise ParseError(f"relation code {min(codes)} is below 1")
+    if codes and max(codes) - min(codes) >= lineno:  # the table names every code between
+        raise ParseError(f"relation codes {min(codes)} to {max(codes)} span more values"
+                         f" than the file's {lineno} lines")
     try:
         relations = code_range_table("relation", codes, names)
     except ValueError as exc:
@@ -341,7 +344,11 @@ def read_pajek_clu(source: IO[str]) -> Partition:
     if len(values) != n_declared:
         raise ParseError(f"expected {n_declared} values, found {len(values)}")
     if coding is None:
-        coding = code_range_table("", set(values) - {0})
+        codes = set(values) - {0}
+        if codes and max(codes) - min(codes) >= lineno:  # the table names every code between
+            raise ParseError(f"partition values {min(codes)} to {max(codes)} span more values"
+                             f" than the file's {lineno} lines")
+        coding = code_range_table("", codes)
     if coding.in_range(0):
         raise ParseError(f"the coded range [{coding.base}, {coding.base + len(coding) - 1}]"
                          " holds 0, the missing code")

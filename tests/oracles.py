@@ -170,19 +170,33 @@ def factorize_network(network, base=1):
         l.rel for l in network.links if isinstance(l.rel, str)
     ]
     relations = build_coding_table("relation", rel_names, LevelPolicy.SORTED, base)
-    nodes = tuple(n._replace(id=node_coding.code_of(str(n.id))) for n in network.nodes)
+    property_codings = {
+        name: CodingTable(table.name, table.levels, base)
+        for name, table in network.property_codings.items()
+    }
+
+    def recoded(props):
+        """A coded property's int value in its table's range names the same
+        level at the new base."""
+        out = dict(props)
+        for name, v in props.items():
+            old = network.property_codings.get(name)
+            if old and isinstance(v, int) and not isinstance(v, bool) and old.in_range(v):
+                out[name] = property_codings[name].code_of(old.value_of(v))
+        return out
+
+    nodes = tuple(
+        n._replace(id=node_coding.code_of(str(n.id)), props=recoded(n.props)) for n in network.nodes
+    )
     links = tuple(
         l._replace(
             n1=node_coding.code_of(str(l.n1)),
             n2=node_coding.code_of(str(l.n2)),
             rel=relations.code_of(str(l.rel)),
+            props=recoded(l.props),
         )
         for l in network.links
     )
-    property_codings = {
-        name: CodingTable(table.name, table.levels, base)
-        for name, table in network.property_codings.items()
-    }
     return network._replace(
         info=network.info._replace(org=base),
         nodes=nodes,

@@ -1124,6 +1124,44 @@ class TestRepeatedVertexLabels:
         assert not out.exists()
 
 
+class TestCodedPropertiesAtAnotherBase:
+    """--factorize at another base moves each int value of a coded property
+    that lies in its table's range along with the table, so that it names
+    the same level; every other value stays as it is."""
+
+    def test_values_keep_their_levels(self, tmp_path):
+        info = {"org": 1, "propertyCodings": {"kind": ["paper", "author", "venue"]}}
+        nodes = [{"id": i, "kind": v} for i, v in zip("abcdef", (1, 3, 2, 10, True, "x"))]
+        doc = {"netsJSON": "basic", "info": info, "nodes": nodes,
+               "links": [{"n1": "a", "n2": "b", "rel": "r", "kind": 2}]}
+        path, zero, one = tmp_path / "in.json", tmp_path / "zero.json", tmp_path / "one.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli("convert", "-i", path, "-o", zero, "--factorize", "--base", 0) == (0, "")
+        coded = json.loads(zero.read_text(encoding="utf-8"))
+        assert coded["info"]["org"] == 0
+        assert [n["kind"] for n in coded["nodes"]] == [0, 2, 1, 10, True, "x"]
+        assert coded["links"][0]["kind"] == 1
+        assert run_cli("convert", "-i", zero, "-o", one, "--factorize", "--base", 1) == (0, "")
+        back = json.loads(one.read_text(encoding="utf-8"))
+        assert [n["kind"] for n in back["nodes"]] == [n["kind"] for n in nodes]
+        assert back["links"][0]["kind"] == 2
+
+
+class TestRelationCodesBoundedByTheFile:
+    """A NET file whose relation codes span more values than it has lines is
+    refused before a table names each of them: convert exits 2 and writes
+    no file, validate exits 1."""
+
+    @pytest.mark.parametrize("code", [4000000, 10**18])
+    def test_refused(self, code, tmp_path):
+        path, out = tmp_path / "in.net", tmp_path / "o.json"
+        path.write_text(f'*vertices 2\n1 "a"\n2 "b"\n*arcs\n1: 1 2\n{code}: 1 2\n', encoding="utf-8")
+        message = f"error: relation codes 1 to {code} span more values than the file's 6 lines\n"
+        assert run_cli("convert", "-i", path, "-o", out) == (2, message)
+        assert not out.exists()
+        assert run_cli("validate", path) == (1, message)
+
+
 # Lines and cells the mutations below insert into NET files and tables.
 NET_LINES = ["*edges", "*arcs", "*Edges", "1 2", "2 1 3", "1: 1 1", '2: 2 1 0.5 l "x"',
              '*arcs :2 "x"', "% note", "", '1 "dup"', '2 "dup"', "*vertices 3", "3 1"]

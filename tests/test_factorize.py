@@ -10,6 +10,8 @@ import oracles
 from netconv import (
     CodingError,
     CodingTable,
+    LinkKind,
+    LinkRecord,
     Network,
     NodeRecord,
     StructuralError,
@@ -17,6 +19,7 @@ from netconv import (
     canonical_order,
     defactorize_network,
     factorize_network,
+    make_network,
     parse_netsjson,
     read_pajek_net,
     write_netsjson,
@@ -50,6 +53,19 @@ class TestFactorize:
             (l.n1 - 1, l.n2 - 1, l.rel - 1) for l in one.links
         ]
         assert zero.info.org == 0
+
+    def test_coded_property_values_keep_their_levels(self):
+        kind = CodingTable("kind", ("paper", "author", "venue"))
+        nodes = [NodeRecord(i, props={"kind": v}) for i, v in zip("abcdef", (1, 3, 2, 10, True, "x"))]
+        links = [LinkRecord(LinkKind.ARC, "a", "b", "r", props={"kind": 2, "w": 1})]
+        net = make_network(nodes, links, property_codings={"kind": kind})
+        zero = factorize_network(net, 0)
+        assert [n.props["kind"] for n in zero.nodes] == [0, 2, 1, 10, True, "x"]
+        assert zero.links[0].props == {"kind": 1, "w": 1}
+        assert zero.property_codings["kind"].value_of(zero.nodes[0].props["kind"]) == "paper"
+        one = factorize_network(defactorize_network(zero), 1)
+        assert [n.props for n in one.nodes] == [n.props for n in net.nodes]
+        assert one.links[0].props == links[0].props
 
     def test_labels_preserved(self, bib_canonical):
         coded = factorize_network(bib_canonical, base=1)

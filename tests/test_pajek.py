@@ -290,6 +290,12 @@ class TestReadNet:
         ("*vertices 1\n*arcs\n1 1 l\n", 'line 3: expected relation suffix of the form: l "name"'),
         ("1 1\n", "line 1: data before *vertices header"),
         ("% only a comment\n", "missing *vertices header"),
+        ('*vertices 2\n1 "a"\n2 "b"\n*arcs\n1: 1 2\n4000000: 1 2\n',
+         "relation codes 1 to 4000000 span more values than the file's 6 lines"),
+        ('*vertices 1\n*arcs :1 "a"\n*arcs :5 "b"\n',
+         "relation codes 1 to 5 span more values than the file's 3 lines"),
+        ("*vertices 1\n*edges\n1: 1 1\n1000000000000000000: 1 1\n",
+         "relation codes 1 to 1000000000000000000 span more values than the file's 4 lines"),
     ])  # fmt: skip
     def test_rejection(self, text, message):
         with pytest.raises(ParseError) as excinfo:
@@ -301,6 +307,7 @@ class TestReadNet:
         ("*vertices 1\n*arcs\n3: 1 1\n5: 1 1\n", ("3", "4", "5"), 3),
         ('*vertices 1\n*arcs :4 "d"\n*arcs\n2: 1 1\n', ("2", "3", "d"), 2),
         ('*vertices 1\n*arcs :2 "b"\n*arcs :3 "c"\n', ("b", "c"), 2),
+        ("*vertices 1\n*arcs\n1: 1 1\n4: 1 1\n", ("1", "2", "3", "4"), 1),  # as many as lines
     ])  # fmt: skip
     def test_relations_named_by_their_codes(self, text, levels, base):
         assert read_pajek_net(io.StringIO(text)).relations == CodingTable("relation", levels, base)
@@ -556,6 +563,10 @@ class TestCluFiles:
         ("% 1 a 2 b\n*vertices 1\n-1\n", "value -1 at position 0 outside the coded range"),
         ("% 0 a 1 b\n*vertices 2\n0\n1\n", "the coded range [0, 1] holds 0, the missing code"),
         ("*vertices 2\n-1\n1\n", "the coded range [-1, 1] holds 0, the missing code"),
+        ("*vertices 2\n1\n4000000\n",
+         "partition values 1 to 4000000 span more values than the file's 3 lines"),
+        ("% legend\n*vertices 2\n1000000000000000000\n1\n",
+         "partition values 1 to 1000000000000000000 span more values than the file's 4 lines"),
     ])  # fmt: skip
     def test_rejection(self, text, message):
         with pytest.raises(ParseError) as excinfo:
@@ -566,6 +577,7 @@ class TestCluFiles:
         ("0\n0\n", (), 1),
         ("4\n0\n2\n", ("2", "3", "4"), 2),
         ("-2\n-1\n", ("-2", "-1"), -2),
+        ("3\n1\n", ("1", "2", "3"), 1),  # as many as lines
     ])  # fmt: skip
     def test_bare_values_coded_by_their_range(self, values, levels, base):
         text = f"*vertices {values.count(chr(10))}\n{values}"

@@ -4,13 +4,16 @@ Records, coding tables, partitions, tables, table options and findings are
 immutable values: no field can be set or deleted, equality and hash follow the
 fields (leaving out the descriptive ``name`` of a coding table or a
 partition), ``repr`` shows every field, a copy or a pickle round trip is
-equal to the original, and no two records share a default dict.
+equal to the original, and a record built without a map holds the one
+read-only empty map ``EMPTY``, so no record holds a default dict that a
+change could carry into another.
 """
 
 from __future__ import annotations
 
 import copy
 import inspect
+import io
 import pickle
 
 import pytest
@@ -33,7 +36,12 @@ from netconv import (
     TemporalQuantity,
     TimeWindow,
     ValidationReport,
+    make_network,
+    merge_node_properties,
+    read_node_table,
+    read_pajek_net,
 )
+from netconv.model import EMPTY
 
 # Each sample built twice gives equal values; the text is its repr.
 SAMPLES = {
@@ -132,6 +140,23 @@ def test_names_are_left_out_of_equality_and_hash(pair):
     assert hash(a) == hash(b)
 
 
+def _assign(m):
+    m["k"] = 1
+
+
+def _delete(m):
+    del m["k"]
+
+
+def _merge(m):
+    m |= {"k": 1}
+
+
+# Every way to change a dict in place.
+MUTATORS = (_assign, _delete, _merge, lambda m: m.update(k=1), lambda m: m.setdefault("k", 1),
+            lambda m: m.pop("k", None), lambda m: m.popitem(), lambda m: m.clear())
+
+
 @pytest.mark.parametrize("build, get", [
     (lambda: NodeRecord("a"), lambda r: r.props),
     (lambda: NodeRecord(id="a", lab="A"), lambda r: r.props),
@@ -144,10 +169,28 @@ def test_names_are_left_out_of_equality_and_hash(pair):
     (lambda: Network(nodes=()), lambda r: r.info.extra),
 ])  # fmt: skip
 def test_records_built_with_defaults_share_no_dict(build, get):
+    """The one map records built with defaults share is ``EMPTY``, and no
+    change reaches it, so none can pass from one record to another."""
     first, second = build(), build()
-    assert get(first) == {} and get(first) is not get(second)
-    get(first)["k"] = 1
+    assert get(first) == {} and get(first) is get(second) is EMPTY
+    for mutate in MUTATORS:
+        with pytest.raises(TypeError):
+            mutate(get(first))
     assert get(second) == {}
+
+
+def test_a_given_map_is_kept():
+    props, codings = {"p": 1}, {}
+    assert NodeRecord("a", props=props).props is props
+    assert make_network([], [], property_codings=codings).property_codings is codings
+
+
+def test_net_records_hold_the_shared_map_and_take_merged_properties():
+    net = read_pajek_net(io.StringIO('*vertices 2\n1 "a"\n2 "b"\n*arcs\n1 2\n'))
+    assert all(r.props is EMPTY for r in (*net.nodes, *net.links))
+    assert net.info.extra is EMPTY and net.property_codings is EMPTY
+    merged = merge_node_properties(net, read_node_table(io.StringIO("name;year\na;1982\n")))
+    assert [n.props for n in merged.nodes] == [{"year": 1982.0}, {}] and EMPTY == {}
 
 
 def test_temporal_quantity_has_length_and_iterates_over_its_triples():
