@@ -195,20 +195,22 @@ def network_stats(network: Network) -> NetworkStats:
     n_relations counts distinct relation values referenced by links;
     n_modes counts distinct node modes, 1 when no node carries a mode.
     """
-    ids = {n.id for n in network.nodes}
-    n_arcs = 0
-    n_edges = 0
-    rels = set()
-    for i, link in enumerate(network.links):
+    nodes, links = network.nodes, network.links
+    _check_ends(links, {n.id for n in nodes})
+    n_arcs = sum(l.kind is LinkKind.ARC for l in links)
+    return NetworkStats(len(nodes), n_arcs, len(links) - n_arcs, len({l.rel for l in links}),
+                        _n_modes(nodes))
+
+
+def _check_ends(links: Sequence[LinkRecord], ids: set) -> None:
+    """Raise StructuralError at the first link with an endpoint outside ``ids``."""
+    for i, link in enumerate(links):
         if link.n1 not in ids or link.n2 not in ids:
             raise StructuralError(f"link {i} references unknown node ({link.n1!r}, {link.n2!r})")
-        if link.kind is LinkKind.ARC:
-            n_arcs += 1
-        else:
-            n_edges += 1
-        rels.add(link.rel)
-    modes = {n.mode for n in network.nodes if n.mode is not None}
-    return NetworkStats(len(network.nodes), n_arcs, n_edges, len(rels), max(1, len(modes)))
+
+
+def _n_modes(nodes: Sequence[NodeRecord]) -> int:
+    return max(1, len({n.mode for n in nodes if n.mode is not None}))
 
 
 def parallel_key(kind: LinkKind, rel, n1, n2) -> tuple:
@@ -244,7 +246,7 @@ def make_network(
     raises :class:`StructuralError`.
     A given ``info`` is kept as it is; otherwise the simple/multirel/mode
     flags are computed from content. A missing relation table is derived:
-    labeled, by :func:`sorted_relations` at the base ``org`` (1 unless 0 or
+    labeled, the links' relations sorted, at the base ``org`` (1 unless 0 or
     1); factorized, by :func:`~netconv.coding.code_range_table`. A given node
     table is kept only when the ids are codes. A missing one names each code
     by itself when the codes run from that base without a gap; otherwise, and
@@ -253,43 +255,35 @@ def make_network(
     nodes = tuple(nodes)
     links = tuple(links)
     ids = [n.id for n in nodes]
-    if len(set(ids)) != len(ids):
+    id_set = set(ids)
+    if len(id_set) != len(ids):
         dupes = sorted({str(i) for i, count in Counter(ids).items() if count > 1})
         raise StructuralError(f"duplicate node identifier(s): {', '.join(dupes)}")
 
     factorized = bool(nodes) and isinstance(ids[0], int)
     form = int if factorized else str
-    if not set(map(type, ids)) <= {form}:
+    if not set(map(type, id_set)) <= {form}:
         raise StructuralError("node identifiers must be all names or all integer codes")
     rels = [link.rel for link in links]
-    if not set(map(type, rels)) <= {form}:
+    if not set(map(type, rels)) <= {form}:  # every link: True == 1 would hide in a set
         raise StructuralError("link relations must be all names or all integer codes,"
                               " matching the node identifiers")
+    used = set(rels)
     base = info.org if info is not None else org
     base = base if base in (0, 1) else 1
-    if relations is None and factorized and rels:
-        relations = code_range_table("relation", rels)
-    elif relations is None:
-        relations = sorted_relations((), links, base)
+    if relations is None:
+        relations = (code_range_table("relation", used) if factorized and used
+                     else CodingTable("relation", tuple(sorted(used)), base))
     if not factorized or node_coding is None:
         # the ids are distinct, so codes from base to base + n - 1 leave no gap
         contiguous = factorized and min(ids) == base and max(ids) == base + len(ids) - 1
         node_coding = code_range_table("node", ids) if contiguous else CodingTable("node", base=base)
-
-    net = Network(
-        info=info if info is not None else InfoBlock(org=org, directed=directed),
-        nodes=nodes,
-        links=links,
-        relations=relations,
-        node_coding=node_coding,
-        property_codings=property_codings,
-    )
-    stats = network_stats(net)  # raises on an endpoint that names no node
+    _check_ends(links, id_set)
     if info is None:
         simple = len({parallel_key(l.kind, l.rel, l.n1, l.n2) for l in links}) == len(links)
-        info = net.info._replace(simple=simple, multirel=stats.n_relations > 1, mode=stats.n_modes)
-        net = net._replace(info=info)
-    return net
+        info = InfoBlock(org=org, simple=simple, directed=directed, multirel=len(used) > 1,
+                         mode=_n_modes(nodes))
+    return Network(info, nodes, links, relations, node_coding, property_codings)
 
 
 def node_names(network: Network) -> Callable[[str | int], str]:

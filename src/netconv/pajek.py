@@ -133,13 +133,14 @@ def read_pajek_net(source: IO[str]) -> Network:
     distinct); relation declarations become the relation coding table, with
     names synthesized from bare codes when a referenced relation was never
     declared. A repeated vertex line replaces only the label and coordinates
-    it gives.
+    it gives. A ``*network`` line before ``*vertices`` names the network.
     """
     n = None  # the count of the last *vertices header
     vertices: dict[int, NodeRecord] = {}  # vertex number -> record, as last described
     links: list[LinkRecord] = []
     names: dict[int, str] = {}  # relation code -> its declared or first used name
     kind = None  # the kind of the open link section; None in *vertices
+    title = ""  # the network's name, from a *network line before *vertices
 
     def check(ends, code=0, name=None, conflict=""):
         """Raise unless each vertex of ``ends`` lies in [1, n] and ``name``,
@@ -162,6 +163,8 @@ def read_pajek_net(source: IO[str]) -> Network:
             keyword = toks[0].lower()
             if keyword == "*vertices":
                 n, kind = _vertex_count(toks, lineno), None
+            elif keyword == "*network" and n is None:
+                title = " ".join(toks[1:])
             elif keyword not in ("*arcs", "*edges"):
                 raise ParseError(f"unknown section keyword {toks[0]!r}", line=lineno)
             elif len(toks) > 1 and toks[1].startswith(":"):
@@ -226,9 +229,9 @@ def read_pajek_net(source: IO[str]) -> Network:
     except ValueError as exc:
         raise ParseError(f"relation names are not distinct: {exc}") from None
     directed = any(l.kind is LinkKind.ARC for l in links) or not links
-    return make_network(
-        nodes, links, org=1, directed=directed, relations=relations, node_coding=node_coding
-    )
+    network = make_network(nodes, links, org=1, directed=directed, relations=relations,
+                           node_coding=node_coding)
+    return network._replace(info=network.info._replace(network=title))
 
 
 def _int(text: str, lineno: int, message: str, token: str | None = None) -> int:

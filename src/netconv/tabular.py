@@ -70,26 +70,29 @@ class Table(namedtuple("Table", "header columns")):
         return self.columns[self.header.index(name)]
 
 
-def _read_table(source: IO[str], opts: TableOptions) -> Table:
+def _read_table(source: IO[str], opts: TableOptions, what: str) -> Table:
     reader = csv.reader(source, delimiter=opts.delimiter, quotechar='"', doublequote=True)
     try:
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("empty input: missing header row")
-        if len(set(header)) < len(header):
-            name = next(name for i, name in enumerate(header) if name in header[:i])
-            raise ParseError(f"column {name!r} appears twice in the header", line=1)
-        rows = []
-        for row in reader:
-            if len(row) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} cells, found {len(row)}", line=reader.line_num
-                )
-            rows.append(row)
-    except UnicodeDecodeError as exc:
-        raise ParseError.undecodable(exc, reader.line_num) from None
-    except csv.Error as exc:  # a field over csv.field_size_limit; a NUL byte before 3.11
-        raise ParseError(str(exc), line=reader.line_num) from None
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ParseError("empty input: missing header row")
+            if len(set(header)) < len(header):
+                name = next(name for i, name in enumerate(header) if name in header[:i])
+                raise ParseError(f"column {name!r} appears twice in the header", line=1)
+            rows = []
+            for row in reader:
+                if len(row) != len(header):
+                    raise ParseError(f"expected {len(header)} cells, found {len(row)}",
+                                     line=reader.line_num)
+                rows.append(row)
+        except UnicodeDecodeError as exc:
+            raise ParseError.undecodable(exc, reader.line_num) from None
+        except csv.Error as exc:  # a field over csv.field_size_limit; a NUL byte before 3.11
+            raise ParseError(str(exc), line=reader.line_num) from None
+    except ParseError as exc:  # name the table: "<what> table: line <n>: ..."
+        exc.args = (f"{what} table: {exc}",)
+        raise
     columns = zip(*rows) if rows else [()] * len(header)
     return Table(tuple(header), tuple(tuple([None if c in _NA_STRINGS else c for c in cells])
                                       for cells in columns))
@@ -97,7 +100,7 @@ def _read_table(source: IO[str], opts: TableOptions) -> Table:
 
 def read_node_table(source: IO[str], opts: TableOptions = TableOptions()) -> Table:
     """Parse a node table; requires a unique, fully present ``name`` column."""
-    table = _read_table(source, opts)
+    table = _read_table(source, opts, "node")
     if NODE_NAME_COLUMN not in table.header:
         raise SchemaError(f"node table is missing the {NODE_NAME_COLUMN!r} column")
     names = table.column(NODE_NAME_COLUMN)
@@ -113,7 +116,7 @@ def read_node_table(source: IO[str], opts: TableOptions = TableOptions()) -> Tab
 
 def read_link_table(source: IO[str], opts: TableOptions = TableOptions()) -> Table:
     """Parse a link table; requires from/relation/to columns."""
-    table = _read_table(source, opts)
+    table = _read_table(source, opts, "link")
     missing = [c for c in LINK_REQUIRED_COLUMNS if c not in table.header]
     if missing:
         raise SchemaError(f"link table is missing column(s): {', '.join(missing)}")

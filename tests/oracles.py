@@ -9,22 +9,25 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 from netconv import (
     CodingTable,
+    InfoBlock,
     LevelPolicy,
     LinkKind,
     LinkRecord,
+    Network,
     NodeRecord,
     ParseError,
     StructuralError,
     build_coding_table,
-    make_network,
     network_stats,
 )
 from netconv.coding import code_range_table
+from netconv.model import EMPTY
 from netconv.pajek import _numbered_lines, _tokens
 from netconv.tabular import _LINK_COLUMNS, _NA_STRINGS, _NODE_COLUMNS
 
@@ -258,23 +261,22 @@ class RowTable:
         return [row[i] for row in self.rows]
 
 
-def read_table(source, opts) -> RowTable:
+def read_table(source, opts, what) -> RowTable:
     reader = csv.reader(source, delimiter=opts.delimiter, quotechar='"', doublequote=True)
     try:
         header = next(reader, None)
         if header is None:
-            raise ParseError("empty input: missing header row")
+            raise ParseError(f"{what} table: empty input: missing header row")
         rows = []
         for row in reader:
             if len(row) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} cells, found {len(row)}", line=reader.line_num
-                )
+                raise ParseError(f"{what} table: line {reader.line_num}:"
+                                 f" expected {len(header)} cells, found {len(row)}")
             rows.append(tuple(None if cell in _NA_STRINGS else cell for cell in row))
     except UnicodeDecodeError as exc:
-        raise ParseError.undecodable(exc, reader.line_num) from None
+        raise ParseError(f"{what} table: {ParseError.undecodable(exc, reader.line_num)}") from None
     except csv.Error as exc:
-        raise ParseError(str(exc), line=reader.line_num) from None
+        raise ParseError(f"{what} table: line {reader.line_num}: {exc}") from None
     return RowTable(header=tuple(header), rows=tuple(rows))
 
 
@@ -379,6 +381,7 @@ def read_pajek_net(source: IO[str]) -> Network:
     declarations: dict[int, str] = {}
     raw_links: list[tuple[int, int, int, float, LinkKind]] = []  # rel, n1, n2, w, kind
     section = None  # "vertices" | LinkKind
+    title = ""
 
     for lineno, raw in _numbered_lines(source):
         line = raw.rstrip("\r\n")
@@ -390,6 +393,8 @@ def read_pajek_net(source: IO[str]) -> Network:
             if keyword == "*vertices":
                 n_declared = _vertex_count(toks, lineno)
                 section = "vertices"
+            elif keyword == "*network" and n_declared is None:
+                title = " ".join(toks[1:])
             elif keyword in ("*arcs", "*edges"):
                 if len(toks) >= 2 and toks[1].startswith(":"):
                     try:
@@ -477,9 +482,10 @@ def read_pajek_net(source: IO[str]) -> Network:
         for rel, n1, n2, weight, kind in raw_links
     )
     directed = any(l.kind is LinkKind.ARC for l in links) or not links
-    return make_network(
+    net = make_network(
         nodes, links, org=1, directed=directed, relations=relations, node_coding=node_coding
     )
+    return net._replace(info=net.info._replace(network=title))
 
 
 def _parse_link_tokens(toks: list[str], lineno: int):
@@ -524,3 +530,61 @@ def _vertex_count(toks: list[str], lineno: int) -> int:
         return int(toks[1])
     except ValueError:
         raise ParseError(f"invalid vertex count {toks[1]!r}", line=lineno) from None
+
+
+# The network constructor as written when it built the id set twice and
+# checked endpoints and counted relations and modes through network_stats;
+# the oracle readers above build their networks with it.
+
+
+def make_network(nodes, links, *, info=None, org=1, directed=True, relations=None,
+                 node_coding=None, property_codings=EMPTY):
+    nodes = tuple(nodes)
+    links = tuple(links)
+    ids = [n.id for n in nodes]
+    if len(set(ids)) != len(ids):
+        dupes = sorted({str(i) for i, count in Counter(ids).items() if count > 1})
+        raise StructuralError(f"duplicate node identifier(s): {', '.join(dupes)}")
+
+    factorized = bool(nodes) and isinstance(ids[0], int)
+    form = int if factorized else str
+    if not set(map(type, ids)) <= {form}:
+        raise StructuralError("node identifiers must be all names or all integer codes")
+    rels = [link.rel for link in links]
+    if not set(map(type, rels)) <= {form}:
+        raise StructuralError("link relations must be all names or all integer codes,"
+                              " matching the node identifiers")
+    base = info.org if info is not None else org
+    base = base if base in (0, 1) else 1
+    if relations is None and factorized and rels:
+        relations = code_range_table("relation", rels)
+    elif relations is None:
+        relations = build_coding_table("relation", [l.rel for l in links], LevelPolicy.SORTED, base)
+    if not factorized or node_coding is None:
+        contiguous = factorized and min(ids) == base and max(ids) == base + len(ids) - 1
+        node_coding = code_range_table("node", ids) if contiguous else CodingTable("node", base=base)
+
+    net = Network(
+        info=info if info is not None else InfoBlock(org=org, directed=directed),
+        nodes=nodes,
+        links=links,
+        relations=relations,
+        node_coding=node_coding,
+        property_codings=property_codings,
+    )
+    node_set = {n.id for n in net.nodes}
+    used = set()
+    for i, link in enumerate(net.links):
+        if link.n1 not in node_set or link.n2 not in node_set:
+            raise StructuralError(f"link {i} references unknown node ({link.n1!r}, {link.n2!r})")
+        used.add(link.rel)
+    if info is None:
+        keys = set()
+        for l in links:
+            ends = frozenset((l.n1, l.n2)) if l.kind is LinkKind.EDGE else (l.n1, l.n2)
+            keys.add((l.kind, l.rel, ends))
+        modes = {n.mode for n in nodes if n.mode is not None}
+        info = net.info._replace(simple=len(keys) == len(links), multirel=len(used) > 1,
+                                 mode=max(1, len(modes)))
+        net = net._replace(info=info)
+    return net

@@ -675,14 +675,15 @@ CANNOT_INFER = "error: cannot determine format; use --format\n"
 NEED_CSV_PATHS = "error: csv input requires --nodes and --links paths\n"
 BAD_NET = "error: line 2: vertex number 5 outside [1, 1]\n"
 BAD_JSON = "error: [json-malformed] $: Expecting value: line 1 column 14 (char 13)\n"
-BAD_CSV = "error: line 2: expected 2 cells, found 1\n"
+BAD_CSV = "error: node table: line 2: expected 2 cells, found 1\n"
 EMPTY_LABEL = "error: line 2: empty vertex label\n"
 NO_RELATION = "error: link table contains a missing 'relation' value\n"
 MIXED_KINDS = "warning: [directed-kind-mismatch] $.links: directed network contains edges\n"
 UNDIRECTED_ARCS = "warning: [directed-kind-mismatch] $.links: undirected network contains arcs\n"
 LONG_SLAB = "error: [slab-longer-than-label] $.nodes[0].slab: short label longer than label\n"
 TEXT_X = "error: node row 1: x 'left' is not numeric\n"
-TWICE = "error: line 1: column 'to' appears twice in the header\n"
+TWICE = "error: link table: line 1: column 'to' appears twice in the header\n"
+SHORT_ROW = "error: link table: line 2: expected 3 cells, found 2\n"
 
 # (argv, exit status, standard error) for each subcommand and way of failing;
 # run in a directory holding the files written by `failure_files`.
@@ -788,6 +789,11 @@ CLI_FAILURES = {
         ("validate n.csv --links twice.csv", 1, TWICE),
         ("info n.csv --links twice.csv", 2, TWICE),
     ],
+    "csv-row-width": [  # the message names the table that holds the line
+        ("validate --format csv ab.csv --links short.csv", 1, SHORT_ROW),
+        ("convert --nodes ab.csv --links short.csv -o o.net", 2, SHORT_ROW),
+        ("info ab.csv --links short.csv", 2, SHORT_ROW),
+    ],
     "unknown-property": [
         ("partition -i bib.net --property nope -o x.clu", 1,
          "error: unknown property 'nope': absent on every node\n"),
@@ -819,6 +825,8 @@ def failure_files(tmp_path, monkeypatch):
         ("named.json", '{"netsJSON": "basic", "info": {}, "nodes": [{"id": "a", "name": "b"}], '
                        '"links": []}'),
         ("twice.csv", 'from;relation;to;to\n"Batagelj, Vladimir";r;zz;"Mrvar, Andrej"\n'),
+        ("ab.csv", "name\na\nb\n"),
+        ("short.csv", "from;relation;to\na;r\n"),
     ):
         (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
@@ -1122,6 +1130,22 @@ class TestRepeatedVertexLabels:
         assert run_cli("convert", "-i", path, "-o", out) == (
             2, f"error: vertex label {label!r} names more than one node\n")
         assert not out.exists()
+
+
+class TestPajekNetworkLine:
+    """A ``*network`` line before ``*vertices`` names the network: NetsJSON
+    output and ``info`` show the name, and NET output drops it."""
+
+    def test_named_network(self, tmp_path, capsys):
+        path, out = tmp_path / "eat.net", tmp_path / "eat.json"
+        path.write_text('*Network EAT\n*vertices 2\n1 "a"\n2 "b"\n*arcs\n1 2\n', encoding="utf-8")
+        assert run_cli("validate", path) == (0, "")
+        assert run_cli("convert", "-i", path, "-o", out) == (0, "")
+        assert json.loads(out.read_text(encoding="utf-8"))["info"]["network"] == "EAT"
+        assert main(["info", str(path)]) == 0
+        assert "network: EAT\n" in capsys.readouterr().out
+        assert run_cli("convert", "-i", path, "-o", tmp_path / "eat2.net") == (0, "")
+        assert "EAT" not in (tmp_path / "eat2.net").read_text(encoding="utf-8")
 
 
 class TestCodedPropertiesAtAnotherBase:

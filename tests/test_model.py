@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from conftest import outcome
 from netconv import (
     CodingTable,
     InfoBlock,
@@ -249,3 +250,55 @@ class TestMakeNetwork:
         assert net.info.simple is True
         net2 = net_of(["a", "b"], [("a", "r", "b"), ("a", "r", "b")])
         assert net2.info.simple is False
+
+
+def make_network_case(rng: random.Random) -> tuple[list, list, dict]:
+    """Records and keywords for one ``make_network`` call: ids of one form,
+    now and then with a repeat, a bool or an id of the other form; links
+    with now and then a dangling endpoint, a bool, empty or other-form
+    relation; an org outside {0, 1}; a given or absent info block,
+    relation table and node table."""
+    coded = rng.random() < 0.5
+    names, rels = ([0, 1, 2, 3, 5], [1, 2, 4]) if coded else (["a", "b", "c", "d"], ["r", "s", "t"])
+    odd_ids = [True, False, "a", 1, 99, "zz"]
+    ids = rng.sample(names, rng.randint(0 if rng.random() < 0.1 else 1, len(names)))
+    if ids and rng.random() < 0.2:
+        ids[rng.randrange(len(ids))] = rng.choice(ids + odd_ids)
+    nodes = [NodeRecord(i, mode=rng.choice([None, None, "p", "q"])) for i in ids]
+    ends = ids + ["zz", 99] if rng.random() < 0.2 else ids or names
+    odd_rels = [True, False, "", None, 1, "r"]
+    links = [LinkRecord(rng.choice(list(LinkKind)), rng.choice(ends), rng.choice(ends),
+                        rng.choice(odd_rels if rng.random() < 0.05 else rels))
+             for _ in range(rng.randint(0, 6))]
+    kwargs = {"org": rng.choice([0, 1, 1, 2, -1]), "directed": rng.random() < 0.5}
+    if rng.random() < 0.3:
+        kwargs["info"] = InfoBlock(org=rng.choice([0, 1, 2]), title="given")
+    if rng.random() < 0.3:
+        kwargs["relations"] = CodingTable("relation", ("r",), rng.choice([0, 1]))
+    if rng.random() < 0.3:
+        kwargs["node_coding"] = CodingTable("node", ("x", "y", "z"), rng.choice([0, 1]))
+    if rng.random() < 0.1:
+        kwargs["property_codings"] = {"kind": CodingTable("kind", ("k",))}
+    return nodes, links, kwargs
+
+
+class TestMakeNetworkMatchesOracle:
+    """The one-pass constructor against the multi-pass one it replaced
+    (``oracles``): the same network, by ``==`` and by ``repr``, or the same
+    error class and message."""
+
+    def test_seeded_cases(self):
+        rng = random.Random(22)
+        for _ in range(2000):
+            nodes, links, kwargs = make_network_case(rng)
+            ours = outcome(make_network, nodes, links, **kwargs)
+            oracle = outcome(oracles.make_network, nodes, links, **kwargs)
+            assert ours == oracle and repr(ours) == repr(oracle), (nodes, links, kwargs)
+
+    def test_true_relation_next_to_code_one(self):
+        nodes = [NodeRecord(1), NodeRecord(2)]
+        links = [LinkRecord(LinkKind.ARC, 1, 2, 1), LinkRecord(LinkKind.ARC, 2, 1, True)]
+        expected = (StructuralError, "link relations must be all names or all integer codes,"
+                    " matching the node identifiers")
+        assert outcome(make_network, nodes, links) == expected
+        assert outcome(oracles.make_network, nodes, links) == expected

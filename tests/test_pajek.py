@@ -238,6 +238,17 @@ class TestReadNet:
         with pytest.raises(ParseError, match="unknown section"):
             read_pajek_net(io.StringIO("*vertices 0\n*matrix\n"))
 
+    @pytest.mark.parametrize("text, title", [
+        ("*Network EAT\n*vertices 1\n", "EAT"),
+        ("*network\n*vertices 1\n", ""),
+        ('% a comment\n*network a\n*NETWORK "b  c"  d\n*vertices 0\n*arcs\n', "b  c d"),
+        ("*vertices 1\n", ""),
+    ])  # fmt: skip
+    def test_network_line_before_vertices_names_the_network(self, text, title):
+        net = read_pajek_net(io.StringIO(text))
+        assert net.info.network == title
+        assert net.info._replace(network="") == read_pajek_net(io.StringIO("*vertices 1\n")).info
+
     def test_redeclared_relation_code_conflicts(self):
         text = '*vertices 0\n*arcs :1 "a"\n*arcs :1 "b"\n'
         with pytest.raises(ParseError, match="redeclared"):
@@ -289,6 +300,9 @@ class TestReadNet:
         ("*vertices 1\n*arcs\n1 1 2 x\n", 'line 3: expected relation suffix of the form: l "name"'),
         ("*vertices 1\n*arcs\n1 1 l\n", 'line 3: expected relation suffix of the form: l "name"'),
         ("1 1\n", "line 1: data before *vertices header"),
+        ("*vertices 1\n*network late\n", "line 2: unknown section keyword '*network'"),
+        ("*network a\n*vertices 1\n*vertices 1\n*Network b\n",
+         "line 4: unknown section keyword '*Network'"),
         ("% only a comment\n", "missing *vertices header"),
         ('*vertices 2\n1 "a"\n2 "b"\n*arcs\n1: 1 2\n4000000: 1 2\n',
          "relation codes 1 to 4000000 span more values than the file's 6 lines"),
@@ -346,7 +360,7 @@ SUFFIX = (["l {}", "l {} extra"], ["l", "x", "{}"])
 VERTICES = ["*vertices", "*Vertices", "*VERTICES", "*vErTiCeS"]
 SECTIONS = ["*arcs", "*edges", "*Arcs", "*EDGES", "*aRcS"]
 OTHER_LINES = ["% a comment", "%", '% an "open quote', "", "  ", "\t", '1 "open', "*matrix",
-               "*network name", "*arcslist", "1 1"]
+               "*network name", "*Network", '*NETWORK "two words"  x', "*arcslist", "1 1"]
 
 
 @st.composite

@@ -87,7 +87,7 @@ class TestReadNodeTable:
         assert springer[header.index("y")] == "174.0"
 
     def test_ragged_row_reports_line(self):
-        with pytest.raises(ParseError, match="line 3"):
+        with pytest.raises(ParseError, match="^node table: line 3"):
             read_node_table(io.StringIO("name;mode\na;person\nb\n"))
 
     def test_missing_name_column(self):
@@ -99,20 +99,20 @@ class TestReadNodeTable:
             read_node_table(io.StringIO("name\na\na\n"))
 
     def test_empty_input(self):
-        with pytest.raises(ParseError, match="header"):
+        with pytest.raises(ParseError, match="^node table: empty input: missing header row$"):
             read_node_table(io.StringIO(""))
 
     @pytest.mark.parametrize("bad_line", [1, 2, 2500])
     def test_undecodable_bytes_report_line(self, bad_line):
         lines = [b"name;x"] + [b"n%d;%d" % (i, i) for i in range(1, 3000)]
         lines[bad_line - 1] += b"\xff"
-        with pytest.raises(ParseError, match=rf"^line {bad_line}: input is not valid utf-8"):
+        with pytest.raises(ParseError, match=rf"^node table: line {bad_line}: input is not valid utf-8"):
             read_node_table(utf8_stream(b"\n".join(lines) + b"\n"))
 
     def test_field_over_size_limit_reports_line(self):
         old = csv.field_size_limit(10)
         try:
-            with pytest.raises(ParseError, match="^line 3: field larger than field limit"):
+            with pytest.raises(ParseError, match="^node table: line 3: field larger than field limit"):
                 read_node_table(io.StringIO("name\na\n" + "b" * 20 + "\n"))
         finally:
             csv.field_size_limit(old)
@@ -135,7 +135,7 @@ class TestReadLinkTable:
 
     def test_undecodable_bytes_report_line(self):
         data = "from;relation;to\na;r;b\nc;r\u00e9l;d\n".encode("latin-1")
-        with pytest.raises(ParseError, match="^line 3: input is not valid utf-8"):
+        with pytest.raises(ParseError, match="^link table: line 3: input is not valid utf-8"):
             read_link_table(utf8_stream(data))
 
 
@@ -193,11 +193,12 @@ class TestRejections:
          "link row 2: kind must be 'arc' or 'edge'"),
         ("name\na\n", "from;relation;to\na;r;b\n", StructuralError,
          "link row 1 references unknown node 'b'"),
-        ("name\na\n", "from;relation;to\na;r\n", ParseError, "line 2: expected 3 cells, found 2"),
+        ("name\na\n", "from;relation;to\na;r\n", ParseError,
+         "link table: line 2: expected 3 cells, found 2"),
         ("name;p;p;x;x\na;1;2;3;4\n", "from;relation;to\n", ParseError,
-         "line 1: column 'p' appears twice in the header"),
+         "node table: line 1: column 'p' appears twice in the header"),
         ("name\na\n", "from;relation;to;to\na;r;zz;a\n", ParseError,
-         "line 1: column 'to' appears twice in the header"),
+         "link table: line 1: column 'to' appears twice in the header"),
     ])  # fmt: skip
     def test_message(self, nodes, links, error, message):
         with pytest.raises(error) as excinfo:
@@ -490,8 +491,10 @@ class TestColumnsMatchRowOracle:
     @settings(max_examples=400, deadline=None)
     def test_same_network_or_error(self, texts, directed, base, decimal):
         opts = TableOptions()
-        tables = [outcome(_read_table, io.StringIO(text), opts) for text in texts]
-        expected = [outcome(oracles.read_table, io.StringIO(text), opts) for text in texts]
+        tables, expected = (
+            [outcome(read, io.StringIO(text), opts, what) for text, what in zip(texts, ("node", "link"))]
+            for read in (_read_table, oracles.read_table)
+        )
         for table, oracle in zip(tables, expected):
             if isinstance(oracle, tuple):
                 assert table == oracle
