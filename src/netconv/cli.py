@@ -47,13 +47,13 @@ def _infer_format(path: str | None) -> str | None:
     return _EXTENSIONS.get(os.path.splitext(path)[1].lower())
 
 
-def _open_text(path: str, encoding: str = "utf-8"):
+def _open_text(path: str):
     if path == "-":
-        return io.TextIOWrapper(sys.stdin.buffer, encoding=encoding, newline="")
-    return open(path, "r", encoding=encoding, newline="")
+        return io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline="")
+    return open(path, "r", encoding="utf-8", newline="")
 
 
-def _write_outputs(*outputs: tuple[str, str], encoding: str = "utf-8") -> None:
+def _write_outputs(*outputs: tuple[str, str]) -> None:
     """Write each ``(path, text)``; the path ``-`` is standard output.
 
     As with ``open(path, "w")``, a symbolic link is written through and
@@ -73,7 +73,7 @@ def _write_outputs(*outputs: tuple[str, str], encoding: str = "utf-8") -> None:
                 mode = os.stat(target).st_mode & 0o777 if os.path.exists(target) else 0o666 & ~mask
                 fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".netconv-")
                 staged.append((tmp, target))
-                with os.fdopen(fd, "w", encoding=encoding, newline="") as handle:
+                with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
                     os.fchmod(handle.fileno(), mode)
                     handle.write(text)
         for path, text in outputs:

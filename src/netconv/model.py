@@ -242,8 +242,8 @@ def make_network(
 
     A network holds one identifier form: every node id and link relation
     is text when the first node id is (labeled), and an ``int``, not a
-    ``bool``, when it is a code (factorized); any other id or relation
-    raises :class:`StructuralError`.
+    ``bool``, when it is a code (factorized); an empty name, or any other
+    id or relation, raises :class:`StructuralError`.
     A given ``info`` is kept as it is; otherwise the simple/multirel/mode
     flags are computed from content. A missing relation table is derived:
     labeled, the links' relations sorted, at the base ``org`` (1 unless 0 or
@@ -264,11 +264,15 @@ def make_network(
     form = int if factorized else str
     if not set(map(type, id_set)) <= {form}:
         raise StructuralError("node identifiers must be all names or all integer codes")
+    if "" in id_set:
+        raise StructuralError("empty node identifier")
     rels = [link.rel for link in links]
     if not set(map(type, rels)) <= {form}:  # every link: True == 1 would hide in a set
         raise StructuralError("link relations must be all names or all integer codes,"
                               " matching the node identifiers")
     used = set(rels)
+    if "" in used:
+        raise StructuralError("empty link relation")
     base = info.org if info is not None else org
     base = base if base in (0, 1) else 1
     if relations is None:

@@ -70,6 +70,16 @@ class Table(namedtuple("Table", "header columns")):
         return self.columns[self.header.index(name)]
 
 
+def _first_repeat(values) -> Optional[str]:
+    """The first value that occurs a second time, found in one pass; None if none does."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            return value
+        seen.add(value)
+    return None
+
+
 def _read_table(source: IO[str], opts: TableOptions, what: str) -> Table:
     reader = csv.reader(source, delimiter=opts.delimiter, quotechar='"', doublequote=True)
     try:
@@ -77,8 +87,8 @@ def _read_table(source: IO[str], opts: TableOptions, what: str) -> Table:
             header = next(reader, None)
             if header is None:
                 raise ParseError("empty input: missing header row")
-            if len(set(header)) < len(header):
-                name = next(name for i, name in enumerate(header) if name in header[:i])
+            name = _first_repeat(header)
+            if name is not None:
                 raise ParseError(f"column {name!r} appears twice in the header", line=1)
             rows = []
             for row in reader:
@@ -106,11 +116,9 @@ def read_node_table(source: IO[str], opts: TableOptions = TableOptions()) -> Tab
     names = table.column(NODE_NAME_COLUMN)
     if None in names:
         raise SchemaError("node table contains a missing name")
-    seen = set()
-    for n in names:
-        if n in seen:
-            raise SchemaError(f"duplicate node name: {n!r}")
-        seen.add(n)
+    name = _first_repeat(names)
+    if name is not None:
+        raise SchemaError(f"duplicate node name: {name!r}")
     return table
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
-from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 from .coding import CodingTable
@@ -135,42 +134,6 @@ def parse_iso_date(text: str) -> Optional[datetime.date]:
 def _bound(x: float) -> str:
     text = repr(x)
     return text[:-2] if text.endswith(".0") else text  # whole numbers as documents write them
-
-
-def check_tq_bounds(triples, loc: str, window, out: list[Finding]) -> None:
-    """Append the findings on one temporal quantity's ``(s, f, v)`` triples.
-
-    Per triple ``tq-empty-interval`` and ``tq-outside-window``, then
-    ``tq-unsorted``, then ``tq-overlap`` naming the first overlapping pair
-    in index order. One pass, O(k) for k triples: on sorted input that pair
-    is the first non-empty interval and the next non-empty one, when that
-    starts before the first ends (empty intervals overlap nothing). Only
-    unsorted input, already an error, falls back to the O(k^2) pair scan.
-    """
-    err = lambda rule, where, msg: out.append(Finding(Severity.ERROR, rule, where, msg))
-    unsorted = False
-    overlap = prev_s = last = None  # last: (position, finish) of the latest non-empty interval
-    for k, (s, f, _) in enumerate(triples):
-        if s >= f:
-            err("tq-empty-interval", f"{loc}[{k}]", f"interval [{s}, {f}) is empty")
-        else:
-            if overlap is None and last is not None and s < last[1]:
-                overlap = (last[0], k)
-            last = (k, f)
-        if window is not None and (s < window.t_min or f > window.t_max + 1):
-            leaves = f"leaves window [{window.t_min}, {window.t_max}]"
-            err("tq-outside-window", f"{loc}[{k}]", f"[{s}, {f}) {leaves}")
-        unsorted = unsorted or (prev_s is not None and prev_s > s)
-        prev_s = s
-    if unsorted:
-        err("tq-unsorted", loc, "intervals not sorted by start")
-        pairs = combinations(enumerate(triples), 2)
-        overlap = next(
-            ((i, j) for (i, (s1, f1, _)), (j, (s2, f2, _)) in pairs if max(s1, s2) < min(f1, f2)),
-            None,
-        )
-    if overlap is not None:
-        err("tq-overlap", loc, f"intervals {overlap[0]} and {overlap[1]} overlap")
 
 
 class Checker:
@@ -336,11 +299,43 @@ class Checker:
             lo, hi = self.tq_bounds
             for s, f, _ in triples:  # sorted, disjoint, non-empty and inside: no finding
                 if not lo <= s < f <= hi:
-                    check_tq_bounds(triples, where + ".tq", self.window, self.out)
+                    self._tq_findings(triples, where + ".tq")
                     return
                 lo = f
         elif self.need_tq:
             self.err("tq-missing", where, f"temporal network {what} lacks a tq")
+
+    def _tq_findings(self, triples: Sequence, loc: str) -> None:
+        """Report a tq that failed ``tq``'s test: per triple
+        ``tq-empty-interval`` and ``tq-outside-window``, then ``tq-unsorted``,
+        then ``tq-overlap`` naming the first overlapping pair ``(i, j)`` in
+        index order. O(k log k) for k triples; the sort is skipped when the
+        starts are sorted."""
+        (lo, hi), window = self.tq_bounds, self.window
+        spans = []  # (s, k, f) of each non-empty interval: an empty one overlaps nothing
+        for k, (s, f, _) in enumerate(triples):
+            if s >= f:
+                self.err("tq-empty-interval", f"{loc}[{k}]", f"interval [{s}, {f}) is empty")
+            else:
+                spans.append((s, k, f))
+            if s < lo or f > hi:
+                leaves = f"leaves window [{window.t_min}, {window.t_max}]"
+                self.err("tq-outside-window", f"{loc}[{k}]", f"[{s}, {f}) {leaves}")
+        if any(a[0] > b[0] for a, b in zip(triples, triples[1:])):
+            self.err("tq-unsorted", loc, "intervals not sorted by start")
+            spans.sort()
+        # In (start, index) order an interval overlaps another exactly when the
+        # next one starts before it ends or an earlier one ends after it starts.
+        first, reach = len(triples), -float("inf")  # least overlapping index; largest finish
+        for (s, k, f), after in zip(spans, spans[1:] + [(float("inf"),)]):
+            if after[0] < f or reach > s:
+                first = min(first, k)
+            reach = max(reach, f)
+        if first < len(triples):  # the first later interval that overlaps it completes the pair
+            s, f, _ = triples[first]
+            j = next(j for j in range(first + 1, len(triples))
+                     if max(s, triples[j][0]) < min(f, triples[j][1]))
+            self.err("tq-overlap", loc, f"intervals {first} and {j} overlap")
 
     def tq_end(self) -> None:
         if self.any_tq and self.window is None:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import signal
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,23 @@ from netconv import (
 )
 
 DATA = Path(__file__).parent / "data"
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Fail with TimeoutError, rather than hang, when the block runs longer
+    than ``seconds`` (a SIGALRM timer: main thread, Unix)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def normalize_layout(text: str) -> str:

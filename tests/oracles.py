@@ -550,10 +550,14 @@ def make_network(nodes, links, *, info=None, org=1, directed=True, relations=Non
     form = int if factorized else str
     if not set(map(type, ids)) <= {form}:
         raise StructuralError("node identifiers must be all names or all integer codes")
+    if "" in ids:
+        raise StructuralError("empty node identifier")
     rels = [link.rel for link in links]
     if not set(map(type, rels)) <= {form}:
         raise StructuralError("link relations must be all names or all integer codes,"
                               " matching the node identifiers")
+    if "" in rels:
+        raise StructuralError("empty link relation")
     base = info.org if info is not None else org
     base = base if base in (0, 1) else 1
     if relations is None and factorized and rels:

@@ -12,6 +12,7 @@ from netconv import (
     InfoBlock,
     LinkKind,
     LinkRecord,
+    NetconvError,
     Network,
     NodeRecord,
     StructuralError,
@@ -254,13 +255,14 @@ class TestMakeNetwork:
 
 def make_network_case(rng: random.Random) -> tuple[list, list, dict]:
     """Records and keywords for one ``make_network`` call: ids of one form,
-    now and then with a repeat, a bool or an id of the other form; links
+    now and then with a repeat, a bool, an empty name or an id of the other
+    form; links
     with now and then a dangling endpoint, a bool, empty or other-form
     relation; an org outside {0, 1}; a given or absent info block,
     relation table and node table."""
     coded = rng.random() < 0.5
     names, rels = ([0, 1, 2, 3, 5], [1, 2, 4]) if coded else (["a", "b", "c", "d"], ["r", "s", "t"])
-    odd_ids = [True, False, "a", 1, 99, "zz"]
+    odd_ids = [True, False, "a", "", 1, 99, "zz"]
     ids = rng.sample(names, rng.randint(0 if rng.random() < 0.1 else 1, len(names)))
     if ids and rng.random() < 0.2:
         ids[rng.randrange(len(ids))] = rng.choice(ids + odd_ids)
@@ -302,3 +304,36 @@ class TestMakeNetworkMatchesOracle:
                     " matching the node identifiers")
         assert outcome(make_network, nodes, links) == expected
         assert outcome(oracles.make_network, nodes, links) == expected
+
+    def test_seeded_cases_raise_only_netconv_errors(self):
+        rng = random.Random(22)
+        for _ in range(2000):
+            nodes, links, kwargs = make_network_case(rng)
+            result = outcome(make_network, nodes, links, **kwargs)
+            assert isinstance(result, Network) or issubclass(result[0], NetconvError), result
+
+
+class TestEmptyNames:
+    """An empty name is refused as a StructuralError, with or without a
+    relation table, rather than let out as a ValueError or built into a
+    network that no reader accepts."""
+
+    @pytest.mark.parametrize("relations", [None, CodingTable("relation", ("r",))])
+    def test_empty_relation(self, relations):
+        links = [LinkRecord(LinkKind.ARC, "a", "a", "")]
+        expected = (StructuralError, "empty link relation")
+        assert outcome(make_network, [NodeRecord("a")], links, relations=relations) == expected
+        assert outcome(oracles.make_network, [NodeRecord("a")], links, relations=relations) == expected
+
+    @pytest.mark.parametrize("relations", [None, CodingTable("relation", ("r",))])
+    def test_empty_node_id(self, relations):
+        nodes = [NodeRecord(""), NodeRecord("b")]
+        links = [LinkRecord(LinkKind.ARC, "", "b", "r")]
+        expected = (StructuralError, "empty node identifier")
+        assert outcome(make_network, nodes, links, relations=relations) == expected
+        assert outcome(oracles.make_network, nodes, links, relations=relations) == expected
+
+    def test_empty_node_id_before_relation_form(self):
+        nodes = [NodeRecord("")]
+        links = [LinkRecord(LinkKind.ARC, "", "", 1)]
+        assert outcome(make_network, nodes, links) == (StructuralError, "empty node identifier")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import outcome
+from conftest import deadline, outcome
 from netconv import (
     CodingError,
     CodingTable,
@@ -205,6 +205,14 @@ class TestRejections:
             node_table = read_node_table(io.StringIO(nodes))
             tables_to_network(node_table, read_link_table(io.StringIO(links)))
         assert str(excinfo.value) == message
+
+    def test_repeated_column_of_a_wide_header_found_in_one_pass(self):
+        """100,000 distinct column names, then the first one again: the scan
+        that compared each name with all before it takes minutes here."""
+        header = ";".join(["name"] + [f"c{i}" for i in range(100_000)] + ["c0"])
+        with deadline(20), pytest.raises(ParseError) as excinfo:
+            read_node_table(io.StringIO(header + "\n"))
+        assert str(excinfo.value) == "node table: line 1: column 'c0' appears twice in the header"
 
 
 class TestNetworkToTables:

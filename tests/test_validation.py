@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from corpus import CORPUS, corpus_path
-from conftest import DATA
+from conftest import DATA, deadline
 from netconv import (
     Level,
     LinkKind,
@@ -161,8 +162,29 @@ class TestCheckTemporal:
         assert "tq-missing" in rules_of(check_temporal(net, Level.STRICT))
         assert "tq-missing" not in rules_of(check_temporal(net, Level.LENIENT))
 
+    @staticmethod
+    def assert_tq_matches_oracle(triples, window):
+        """The tq findings of ``check_temporal`` and of the NetsJSON walk are
+        those of the all-pairs oracle, in order."""
+
+        def tq_findings(report, loc):
+            assert all(f.severity.value == "error" for f in report.findings if loc in f.location)
+            return [(f.rule, f.location, f.message) for f in report.findings if loc in f.location]
+
+        expected = oracles.tq_bounds_findings(triples, "$.nodes[0].tq", window)
+        net = make_network([NodeRecord(id="a", lab="a", tq=TemporalQuantity(tuple(triples)))], [])
+        info = {}
+        if window is not None:
+            net = net._replace(info=net.info._replace(time=TimeWindow(*window)))
+            info["time"] = {"Tmin": window[0], "Tmax": window[1]}
+        assert tq_findings(check_temporal(net), "$.nodes[0].tq") == expected
+        doc = {"netsJSON": "basic", "info": info, "nodes": [{"id": "a", "tq": triples}]}
+        doc["links"] = []
+        report = validate_netsjson_document(io.StringIO(json.dumps(doc)))
+        assert tq_findings(report, "$.nodes[0].tq") == expected
+
     @given(
-        st.lists(st.tuples(st.integers(-4, 8), st.integers(-4, 8), st.integers(0, 2)), max_size=6),
+        st.lists(st.tuples(st.integers(-4, 8), st.integers(-4, 8), st.integers(0, 2)), max_size=40),
         st.booleans(),
         st.none() | st.tuples(st.integers(-3, 3), st.integers(2, 8)),
     )
@@ -172,29 +194,48 @@ class TestCheckTemporal:
     @example([(1, 1, 0), (1, 3, 0), (1, 4, 0)], False, (1, 3))  # equal starts, one empty
     @example([(6, 8, 0), (1, 7, 0), (-2, 2, 0), (0, 1, 0)], False, (0, 8))  # unsorted
     def test_tq_findings_match_all_pairs_oracle(self, triples, by_start, window):
-        """The linear tq check gives the all-pairs scan's findings in order,
-        on model values and on raw JSON alike."""
+        """The tq check gives the all-pairs scan's findings in order, on
+        model values and on raw JSON alike."""
         if by_start:
             triples = sorted(triples, key=lambda t: t[0])
+        self.assert_tq_matches_oracle(triples, window)
 
-        def tq_findings(report, loc):
-            assert all(f.severity.value == "error" for f in report.findings if loc in f.location)
-            return [(f.rule, f.location, f.message) for f in report.findings if loc in f.location]
+    @given(
+        st.lists(st.tuples(st.integers(-1, 3), st.integers(-1, 3)), max_size=40),
+        st.lists(st.integers(0, 39), max_size=4),
+        st.none() | st.tuples(st.integers(-3, 3), st.integers(10, 80)),
+    )
+    @settings(max_examples=200)
+    def test_tq_chain_findings_match_all_pairs_oracle(self, steps, swaps, window):
+        """Chains of intervals that mostly follow one another: disjoint,
+        touching, empty or reversed (a length of -1), now and then reaching
+        back into the one before (a gap of -1), with a few adjacent triples
+        swapped: long unsorted runs whose first overlap may lie far down."""
+        triples, end = [], 0
+        for gap, length in steps:
+            start = end + gap
+            end = start + max(length, 0)
+            triples.append((start, start + length, 0))
+        for k in swaps:
+            if k + 1 < len(triples):
+                triples[k], triples[k + 1] = triples[k + 1], triples[k]
+        self.assert_tq_matches_oracle(triples, window)
 
-        net = make_network([NodeRecord(id="a", lab="a", tq=TemporalQuantity(tuple(triples)))], [])
-        info = {}
-        if window is not None:
-            net = net._replace(info=net.info._replace(time=TimeWindow(*window)))
-            info["time"] = {"Tmin": window[0], "Tmax": window[1]}
-        assert tq_findings(check_temporal(net), "$.nodes[0].tq") == oracles.tq_bounds_findings(
-            triples, "$.nodes[0].tq", window
-        )
-        doc = {"netsJSON": "basic", "info": info, "nodes": [{"id": "a", "tq": triples}]}
-        doc["links"] = []
-        report = validate_netsjson_document(io.StringIO(json.dumps(doc)))
-        assert tq_findings(report, "$.nodes[0].tq") == oracles.tq_bounds_findings(
-            triples, "$.nodes[0].tq", window
-        )
+    def test_long_unsorted_tq_is_checked_in_linearithmic_time(self):
+        """20,000 disjoint triples with the first two swapped: unsorted, no
+        overlap. An all-pairs scan takes minutes here."""
+        triples = [[2 * k, 2 * k + 1, k] for k in range(20000)]
+        triples[0], triples[1] = triples[1], triples[0]
+        doc = {"netsJSON": "basic", "info": {"time": {"Tmin": 0, "Tmax": 40000}},
+               "nodes": [{"id": "a", "tq": triples}], "links": []}
+        with deadline(20):
+            started = time.perf_counter()
+            report = validate_netsjson_document(io.StringIO(json.dumps(doc)))
+            elapsed = time.perf_counter() - started
+        assert [(f.rule, f.location) for f in report.findings] == [
+            ("tq-unsorted", "$.nodes[0].tq")
+        ]
+        assert elapsed < 1  # about 0.05 s, JSON decoding included
 
     def test_tlabs_outside_window(self):
         net = make_network([], [])
