@@ -8,7 +8,8 @@ same report: for NetsJSON the walk's
 :func:`~netconv.validation.check_all`'s, from the two of its rules a
 network those readers build can break. ``convert`` prints it before any
 transform and runs no check after one. Findings go to standard error;
-``-`` means standard input/output. Output files are written via
+``-`` means standard input/output, for at most one input and one output
+of a run. Output files are written via
 temporary files, renamed once all of them are written, so a failed run
 leaves no partial output behind (csv output writes its two tables as a
 pair).
@@ -124,10 +125,10 @@ def _resolve(args) -> None:
             raise NetconvError("csv-to-csv conversion is not supported")
         if args.to_format == "net" and args.base == 0:
             raise NetconvError("Pajek NET output requires --base 1")
-        if args.to_format == "csv" and not (args.nodes and args.links):
-            raise NetconvError("csv output requires --nodes and --links paths")
-        if args.to_format == "csv" and "-" not in (args.nodes, args.links):
-            if os.path.realpath(args.nodes) == os.path.realpath(args.links):
+        if args.to_format == "csv":
+            if not (args.nodes and args.links):
+                raise NetconvError("csv output requires --nodes and --links paths")
+            if len({p if p == "-" else os.path.realpath(p) for p in (args.nodes, args.links)}) == 1:
                 raise NetconvError("csv output requires --nodes and --links to be different files")
     elif args.from_format is None:
         raise NetconvError("cannot determine format; use --format")
@@ -137,6 +138,9 @@ def _resolve(args) -> None:
             raise NetconvError("csv input requires --nodes and --links paths")
     elif not args.input:
         raise NetconvError(f"{args.from_format} input requires -i/--input")
+    inputs = (args.nodes, args.links) if args.from_format == "csv" else (args.input,)
+    if (*inputs, getattr(args, "via_csv", None)).count("-") > 1:
+        raise NetconvError("'-' (standard input) may name only one input")
 
 
 def _read_network(args) -> Network:
@@ -269,18 +273,6 @@ def cmd_partition(args) -> int:
     return EXIT_OK
 
 
-def _add_directed_flags(parser) -> None:
-    """The kind of the links of a csv table without a ``kind`` cell."""
-    directed = parser.add_mutually_exclusive_group()
-    directed.add_argument("--directed", dest="directed", action="store_true", default=True)
-    directed.add_argument("--undirected", dest="directed", action="store_false")
-
-
-def _add_table_flags(parser) -> None:
-    parser.add_argument("--delimiter", default=_DELIMITER, help="table delimiter (default ';')")
-    parser.add_argument("--decimal", default=".", help="decimal separator (default '.')")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netconv",
@@ -289,54 +281,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    convert = sub.add_parser("convert", help="convert between network formats")
+    tables = argparse.ArgumentParser(add_help=False)
+    tables.add_argument("--nodes", help="csv node table path")
+    tables.add_argument("--links", help="csv link table path")
+    tables.add_argument("--delimiter", default=_DELIMITER, help="table delimiter (default ';')")
+    tables.add_argument("--decimal", default=".", help="decimal separator (default '.')")
+    checked = argparse.ArgumentParser(add_help=False)
+    checked.add_argument("--level", choices=("lenient", "strict"), default="lenient")
+    checked.add_argument("--report", choices=("text", "json"), default="text")
+    directed = checked.add_mutually_exclusive_group()  # the kind of a csv link without a kind cell
+    directed.add_argument("--directed", dest="directed", action="store_true", default=True)
+    directed.add_argument("--undirected", dest="directed", action="store_false")
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument("--format", dest="from_format", choices=FORMATS)
+
+    convert = sub.add_parser("convert", parents=[checked, tables], help="convert between network formats")
     convert.add_argument("--from", dest="from_format", choices=FORMATS)
     convert.add_argument("--to", dest="to_format", choices=FORMATS)
     convert.add_argument("-i", "--input", help="input path ('-' for stdin)")
-    convert.add_argument("--nodes", help="csv-side node table path")
-    convert.add_argument("--links", help="csv-side link table path")
     convert.add_argument("-o", "--output", default="-", help="output path ('-' for stdout)")
     group = convert.add_mutually_exclusive_group()
     group.add_argument("--factorize", action="store_true", help="code identifiers as integers")
     group.add_argument("--defactorize", action="store_true", help="restore text identifiers")
     convert.add_argument("--base", type=int, choices=(0, 1), default=1, help="smallest index")
-    _add_directed_flags(convert)
     convert.add_argument("--coords", action="store_true", help="emit coordinates in NET output")
     convert.add_argument("--pretty", action="store_true", help="indent NetsJSON output")
-    convert.add_argument("--level", choices=("lenient", "strict"), default="lenient")
-    convert.add_argument("--report", choices=("text", "json"), default="text")
-    _add_table_flags(convert)
     convert.set_defaults(func=cmd_convert, rejects=())
 
-    validate = sub.add_parser("validate", help="check a network file and report findings")
+    validate = sub.add_parser("validate", parents=[formatted, checked, tables],
+                              help="check a network file and report findings")  # fmt: skip
     validate.add_argument("input", metavar="path", help="file to validate ('-' for stdin)")
-    validate.add_argument("--format", dest="from_format", choices=FORMATS)
-    validate.add_argument("--nodes", help="csv node table path (csv format)")
-    validate.add_argument("--links", help="csv link table path (csv format)")
-    validate.add_argument("--level", choices=("lenient", "strict"), default="lenient")
-    validate.add_argument("--report", choices=("text", "json"), default="text")
-    _add_directed_flags(validate)
-    _add_table_flags(validate)
     # An input validate cannot parse is rejected (exit 1), like one with error findings.
     validate.set_defaults(func=cmd_validate, rejects=NetconvError, base=1)
 
-    info = sub.add_parser("info", help="print counts, title, dates, and the event log")
+    info = sub.add_parser("info", parents=[formatted, tables],
+                          help="print counts, title, dates, and the event log")  # fmt: skip
     info.add_argument("input", metavar="path", help="network file ('-' for stdin)")
-    info.add_argument("--format", dest="from_format", choices=FORMATS)
-    info.add_argument("--nodes", help="csv node table path (csv format)")
-    info.add_argument("--links", help="csv link table path (csv format)")
-    _add_table_flags(info)
     info.set_defaults(func=cmd_info, rejects=(), directed=True, base=1)
 
-    partition = sub.add_parser("partition", help="extract a node partition as a CLU file")
+    partition = sub.add_parser("partition", parents=[formatted, tables],
+                               help="extract a node partition as a CLU file")  # fmt: skip
     partition.add_argument("-i", "--input", help="network file (csv: the node table)")
-    partition.add_argument("--format", dest="from_format", choices=FORMATS)
-    partition.add_argument("--nodes", help="csv node table path (csv format)")
-    partition.add_argument("--links", help="csv link table path (csv format)")
     partition.add_argument("--via-csv", dest="via_csv", help="node table supplying properties")
     partition.add_argument("--property", required=True, help="categorical property to code")
     partition.add_argument("-o", "--output", default="-", help="CLU output path")
-    _add_table_flags(partition)
     partition.set_defaults(func=cmd_partition, rejects=CodingError, directed=True, base=1)
 
     return parser

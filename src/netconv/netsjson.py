@@ -73,10 +73,9 @@ from .model import (
 )
 from .validation import Checker, Finding, Level, Severity, ValidationReport
 
-_INFO_MEMBERS = {
-    "org", "nNodes", "nArcs", "nEdges", "simple", "directed", "multirel", "mode", "network",
-    "title", "time", "meta", "created", "modified", "relations", "nodeCoding", "propertyCodings",
-}  # fmt: skip
+_INFO_MEMBERS = {*InfoBlock._fields[:-1],  # fields but the last (extra); then the document's own
+                 "nNodes", "nArcs", "nEdges", "relations", "nodeCoding", "propertyCodings"}  # fmt: skip
+_INFO_DEFAULTS = InfoBlock._field_defaults
 _NODE_MEMBERS, _LINK_MEMBERS, _EVENT_MEMBERS = (  # fields but the last (props); kind as "type"
     {"type" if name == "kind" else name for name in cls._fields[:-1]}
     for cls in (NodeRecord, LinkRecord, EventRecord))
@@ -409,16 +408,17 @@ class _Walk:
 
     def info(self, raw: dict, doc: dict) -> InfoBlock:
         err, typed, check = self.err, self.typed, self.check
-        org = typed(raw, "org", _is_int, "an integer", "$.info", 1)
+        org = typed(raw, "org", _is_int, "an integer", "$.info", _INFO_DEFAULTS["org"])
         check.info_org(org)
         self.counters_at = len(self.out)
         simple, directed, multirel = (
-            typed(raw, member, lambda v: isinstance(v, bool), "a boolean", "$.info", default)
-            for member, default in (("simple", False), ("directed", True), ("multirel", False))
+            typed(raw, m, lambda v: isinstance(v, bool), "a boolean", "$.info", _INFO_DEFAULTS[m])
+            for m in ("simple", "directed", "multirel")
         )
-        mode = typed(raw, "mode", _is_int, "an integer", "$.info", 1)
+        mode = typed(raw, "mode", _is_int, "an integer", "$.info", _INFO_DEFAULTS["mode"])
         check.info_mode(mode)
-        network, title = (typed(raw, m, _is_text, "text", "$.info", "") for m in ("network", "title"))
+        network, title = (typed(raw, m, _is_text, "text", "$.info", _INFO_DEFAULTS[m])
+                          for m in ("network", "title"))  # fmt: skip
         window = self.time(raw["time"]) if "time" in raw else None
         meta = self.meta(raw["meta"]) if "meta" in raw else ()
         created, modified = self.dates(raw)

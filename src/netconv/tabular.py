@@ -46,8 +46,9 @@ class TableOptions(namedtuple("TableOptions", "delimiter")):
     __slots__ = ()
 
     def __new__(cls, delimiter: str = ";"):
-        if len(delimiter) != 1 or delimiter == '"':
-            raise ValueError(f"delimiter must be one character other than '\"', got {delimiter!r}")
+        if len(delimiter) != 1 or delimiter in '"\r\n':  # '"' quotes cells; \r and \n end rows
+            raise ValueError("delimiter must be one character other than '\"', '\\r' and '\\n',"
+                             f" got {delimiter!r}")
         return tuple.__new__(cls, (delimiter,))
 
 

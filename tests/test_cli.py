@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import copy
 import csv
@@ -19,6 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import DATA, normalize_layout
 from corpus import CORPUS, corpus_path
 from netconv import (
+    CodingError,
     Level,
     NetconvError,
     TableOptions,
@@ -36,7 +38,7 @@ from netconv import (
     write_pajek_net,
     write_table,
 )
-from netconv.cli import FORMATS, main
+from netconv.cli import FORMATS, build_parser, main
 from netconv import netsjson
 from netconv.netsjson import PARSE_FATAL, check_netsjson
 from netgen import random_csv_network, random_pajek_network
@@ -845,12 +847,12 @@ class TestFailureTable:
         assert main(argv.split()) == status
         assert capsys.readouterr().err == err
 
-    @pytest.mark.parametrize("delimiter", [";;", '"', ""])
+    @pytest.mark.parametrize("delimiter", [";;", '"', "", "\n", "\r"])
     @pytest.mark.parametrize("command", ["convert --to net --nodes", "validate"])
     def test_bad_delimiter_is_a_usage_error(self, command, delimiter, failure_files, capsys):
         argv = [*command.split(), "n.csv", "--links", "l.csv", "--delimiter", delimiter]
         assert main(argv) == 2
-        message = f"--delimiter must be one character other than '\"', got {delimiter!r}"
+        message = f"--delimiter must be one character other than '\"', '\\r' and '\\n', got {delimiter!r}"
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
@@ -1452,3 +1454,148 @@ class TestPartition:
         argv = ["partition", "-i", str(path), "--via-csv", str(table), "--property", "kind"]
         assert main(argv) == 0
         assert capsys.readouterr().out == "% 1 x 2 y\n*vertices 2\n1\n2\n"
+
+
+# Each subcommand's options: option strings (a positional by its dest) ->
+# (dest, default, choices, required).
+TABLE_OPTIONS = {
+    ("--nodes",): ("nodes", None, None, False),
+    ("--links",): ("links", None, None, False),
+    ("--delimiter",): ("delimiter", ";", None, False),
+    ("--decimal",): ("decimal", ".", None, False),
+}
+CHECK_OPTIONS = {
+    ("--level",): ("level", "lenient", ("lenient", "strict"), False),
+    ("--report",): ("report", "text", ("text", "json"), False),
+    ("--directed",): ("directed", True, None, False),
+    ("--undirected",): ("directed", True, None, False),
+}
+FORMAT_OPTION = {("--format",): ("from_format", None, FORMATS, False)}
+OPTION_SURFACE = {
+    "convert": (
+        {
+            ("--from",): ("from_format", None, FORMATS, False),
+            ("--to",): ("to_format", None, FORMATS, False),
+            ("-i", "--input"): ("input", None, None, False),
+            ("-o", "--output"): ("output", "-", None, False),
+            ("--factorize",): ("factorize", False, None, False),
+            ("--defactorize",): ("defactorize", False, None, False),
+            ("--base",): ("base", 1, (0, 1), False),
+            ("--coords",): ("coords", False, None, False),
+            ("--pretty",): ("pretty", False, None, False),
+            **CHECK_OPTIONS,
+            **TABLE_OPTIONS,
+        },
+        {("--factorize", "--defactorize"), ("--directed", "--undirected")},
+        {"func": "cmd_convert", "rejects": ()},
+    ),
+    "validate": (
+        {("input",): ("input", None, None, True), **FORMAT_OPTION, **CHECK_OPTIONS, **TABLE_OPTIONS},
+        {("--directed", "--undirected")},
+        {"func": "cmd_validate", "rejects": NetconvError, "base": 1},
+    ),
+    "info": (
+        {("input",): ("input", None, None, True), **FORMAT_OPTION, **TABLE_OPTIONS},
+        set(),
+        {"func": "cmd_info", "rejects": (), "directed": True, "base": 1},
+    ),
+    "partition": (
+        {
+            ("-i", "--input"): ("input", None, None, False),
+            ("--via-csv",): ("via_csv", None, None, False),
+            ("--property",): ("property", None, None, True),
+            ("-o", "--output"): ("output", "-", None, False),
+            **FORMAT_OPTION,
+            **TABLE_OPTIONS,
+        },
+        set(),
+        {"func": "cmd_partition", "rejects": CodingError, "directed": True, "base": 1},
+    ),
+}
+
+
+def subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestOptionSurface:
+    """Each subcommand's options, exclusions and hidden defaults, as ``main`` reads them."""
+
+    def test_subcommands(self):
+        assert list(subparsers(build_parser())) == list(OPTION_SURFACE)
+
+    @pytest.mark.parametrize("command", OPTION_SURFACE)
+    def test_surface(self, command):
+        parser = subparsers(build_parser())[command]
+        options, exclusive, defaults = OPTION_SURFACE[command]
+        assert {
+            tuple(a.option_strings) or (a.dest,): (
+                a.dest, a.default, a.choices and tuple(a.choices), a.required
+            )
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+        } == options
+        assert {
+            tuple(o for a in group._group_actions for o in a.option_strings)
+            for group in parser._mutually_exclusive_groups
+        } == exclusive
+        assert {k: getattr(v, "__name__", v) if k == "func" else v
+                for k, v in parser._defaults.items()} == defaults  # fmt: skip
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "info x.net --undirected",
+            "info x.net --level strict",
+            "partition -i x.net --property p --report json",
+            "partition -i x.net --property p --directed",
+            "validate x.json --from net",
+            "convert -i x.net --format net",
+            "convert -i x.net --property p",
+            "convert -i x.net --bogus",
+            "convert -i x.net --directed --undirected",
+            "convert -i x.net --factorize --defactorize",
+            "validate x.json --base 0",
+            "partition -i x.net",
+            "validate",
+        ],
+    )
+    def test_refused(self, argv, capsys):
+        assert main(argv.split()) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", ["--help", "convert --help", "partition --help"])
+    def test_help_exits_0(self, argv, capsys):
+        assert main(argv.split()) == 0
+        assert capsys.readouterr().out.startswith("usage: netconv")
+
+    def test_partition_reads_csv_as_directed_at_base_1(self):
+        args = build_parser().parse_args(["partition", "--nodes", "n.csv", "--links", "l.csv",
+                                          "--property", "p"])  # fmt: skip
+        assert (args.directed, args.base, args.delimiter, args.decimal) == (True, 1, ";", ".")
+
+
+class TestStandardStreams:
+    """``-`` names at most one input and one output of a run."""
+
+    @pytest.mark.parametrize("argv, text", [
+        ("convert --nodes - --links - -o x.json", "name\na\nb\n"),
+        ("validate - --format csv --links -", "name\na\nb\n"),
+        ("info - --format csv --links -", "name\na\nb\n"),
+        ("partition -i - --format net --via-csv - --property kind", '*vertices 1\n1 "a"\n'),
+    ], ids=["convert", "validate", "info", "partition"])  # fmt: skip
+    def test_standard_input_read_once(self, argv, text, failure_files, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
+        assert main(argv.split()) == 2
+        assert capsys.readouterr().err == "error: '-' (standard input) may name only one input\n"
+        assert not (failure_files / "x.json").exists()
+
+    def test_both_tables_to_standard_output_refused(self, failure_files, capsys):
+        assert main("convert -i bib.net --to csv --nodes - --links -".split()) == 2
+        assert capsys.readouterr() == ("", "error: csv output requires --nodes and --links to be different files\n")
+
+    def test_one_table_to_standard_output(self, failure_files, capsys):
+        assert main("convert -i bib.net --to csv --nodes - --links t.csv".split()) == 0
+        assert capsys.readouterr().out.startswith("name;")
+        assert (failure_files / "t.csv").read_text(encoding="utf-8").startswith("from;")

@@ -341,6 +341,13 @@ class TestValidateDocument:
     def test_minimal_valid(self):
         assert self.validate(MINIMAL).findings == ()
 
+    def test_time_not_an_object(self):
+        doc = json.loads(MINIMAL)
+        doc["info"]["time"] = 5
+        assert self.validate(json.dumps(doc)).to_text() == (
+            "error: [member-type] $.info.time: time must be an object with integer Tmin and Tmax"
+        )
+
     @pytest.mark.parametrize("strict", [False, True])
     @pytest.mark.parametrize(
         "text",

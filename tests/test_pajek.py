@@ -523,6 +523,12 @@ class TestPartition:
         with pytest.raises(CodingError, match="unknown property"):
             partition_from_property(bib_network, "shoe_size")
 
+    def test_boolean_property(self):
+        nodes = [NodeRecord(id=i, lab=i, props=props)
+                 for i, props in (("a", {"p": True}), ("b", {}), ("c", {"p": False}))]  # fmt: skip
+        part = partition_from_property(make_network(nodes, []), "p")
+        assert write_pajek_clu(part) == "% 1 false 2 true\n*vertices 3\n2\n0\n1\n"
+
     def test_structured_property_rejected(self):
         net = make_network([NodeRecord(id="a", lab="a", props={"p": [1]})], [])
         with pytest.raises(CodingError) as excinfo:
@@ -557,6 +563,19 @@ class TestCluFiles:
     def test_read_bare_values(self):
         part = read_pajek_clu(io.StringIO("*vertices 2\n1\n1\n"))
         assert part.values == (1, 1)
+
+    def test_comment_after_header_is_no_legend(self):
+        part = read_pajek_clu(io.StringIO("*vertices 2\n% 1 x 2 y\n2\n1\n"))
+        assert part == Partition((2, 1), CodingTable("", ("1", "2"), 1))
+
+    @pytest.mark.parametrize("legend", [
+        "% x a",  # a code that is not an integer
+        "% 1 a 3 b",  # codes with a gap
+        "% 1 a 2 a",  # a repeated level
+    ])  # fmt: skip
+    def test_unusable_legend_read_as_a_comment(self, legend):
+        part = read_pajek_clu(io.StringIO(f"{legend}\n*vertices 2\n1\n3\n"))
+        assert part.coding == CodingTable("", ("1", "2", "3"), 1)
 
     def test_count_mismatch(self):
         with pytest.raises(ParseError, match="expected 2 values"):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -232,6 +233,11 @@ class TestNetworkToTables:
         assert nt.rows[0][nt.header.index("y")] is None
         assert lt.rows == ()
 
+    def test_scalar_of_another_type_written_through_str(self):
+        net = make_network([NodeRecord(id="a", lab="a", props={"share": Fraction(1, 3)})], [])
+        nt, _ = network_to_tables(net)
+        assert nt.rows[0][nt.header.index("share")] == "1/3"
+
     def test_structured_value_named_in_row_order(self):
         net = make_network(
             [NodeRecord(id="a", lab="a", props={"b": [1]}), NodeRecord(id="c", lab="c", props={"a": {}})],
@@ -330,9 +336,9 @@ class TestQuotingAndRoundTrips:
         with pytest.raises(StructuralError, match="all names or all integer codes"):
             tables_to_network(nodes, links)
 
-    @pytest.mark.parametrize("delimiter", [";;", "", '"'])
+    @pytest.mark.parametrize("delimiter", [";;", "", '"', "\n", "\r"])
     def test_delimiter_must_be_one_character_other_than_quote(self, delimiter):
-        message = f"delimiter must be one character other than '\"', got {delimiter!r}"
+        message = f"delimiter must be one character other than '\"', '\\r' and '\\n', got {delimiter!r}"
         with pytest.raises(ValueError) as excinfo:
             TableOptions(delimiter=delimiter)
         assert str(excinfo.value) == message
