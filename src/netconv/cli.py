@@ -48,9 +48,16 @@ def _infer_format(path: str | None) -> str | None:
     return _EXTENSIONS.get(os.path.splitext(path)[1].lower())
 
 
+class _StdinText(io.TextIOWrapper):
+    """Standard input read as UTF-8 text; closing it leaves standard input open."""
+
+    def close(self) -> None:
+        self.detach()
+
+
 def _open_text(path: str):
     if path == "-":
-        return io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline="")
+        return _StdinText(sys.stdin.buffer, encoding="utf-8", newline="")
     return open(path, "r", encoding="utf-8", newline="")
 
 

@@ -194,19 +194,14 @@ def network_stats(network: Network) -> NetworkStats:
 
     n_relations counts distinct relation values referenced by links;
     n_modes counts distinct node modes, 1 when no node carries a mode.
+    Nothing is checked: :func:`make_network` refuses a link endpoint that
+    names no node, and :func:`~netconv.validation.check_network` reports
+    one on a network built any other way.
     """
     nodes, links = network.nodes, network.links
-    _check_ends(links, {n.id for n in nodes})
     n_arcs = sum(l.kind is LinkKind.ARC for l in links)
     return NetworkStats(len(nodes), n_arcs, len(links) - n_arcs, len({l.rel for l in links}),
                         _n_modes(nodes))
-
-
-def _check_ends(links: Sequence[LinkRecord], ids: set) -> None:
-    """Raise StructuralError at the first link with an endpoint outside ``ids``."""
-    for i, link in enumerate(links):
-        if link.n1 not in ids or link.n2 not in ids:
-            raise StructuralError(f"link {i} references unknown node ({link.n1!r}, {link.n2!r})")
 
 
 def _n_modes(nodes: Sequence[NodeRecord]) -> int:
@@ -243,7 +238,8 @@ def make_network(
     A network holds one identifier form: every node id and link relation
     is text when the first node id is (labeled), and an ``int``, not a
     ``bool``, when it is a code (factorized); an empty name, or any other
-    id or relation, raises :class:`StructuralError`.
+    id or relation, raises :class:`StructuralError`, as does a link
+    endpoint that names no node.
     A given ``info`` is kept as it is; otherwise the simple/multirel/mode
     flags are computed from content. A missing relation table is derived:
     labeled, the links' relations sorted, at the base ``org`` (1 unless 0 or
@@ -282,7 +278,9 @@ def make_network(
         # the ids are distinct, so codes from base to base + n - 1 leave no gap
         contiguous = factorized and min(ids) == base and max(ids) == base + len(ids) - 1
         node_coding = code_range_table("node", ids) if contiguous else CodingTable("node", base=base)
-    _check_ends(links, id_set)
+    for i, link in enumerate(links):
+        if link.n1 not in id_set or link.n2 not in id_set:
+            raise StructuralError(f"link {i} references unknown node ({link.n1!r}, {link.n2!r})")
     if info is None:
         simple = len({parallel_key(l.kind, l.rel, l.n1, l.n2) for l in links}) == len(links)
         info = InfoBlock(org=org, simple=simple, directed=directed, multirel=len(used) > 1,

@@ -24,7 +24,6 @@ from netconv import (
     ParseError,
     StructuralError,
     build_coding_table,
-    network_stats,
 )
 from netconv.coding import code_range_table
 from netconv.model import EMPTY
@@ -226,9 +225,7 @@ def defactorize_network(network):
         for l in network.links
     )
     empty = CodingTable("node", (), network.node_coding.base)
-    net = network._replace(nodes=nodes, links=links, node_coding=empty)
-    network_stats(net)
-    return net
+    return network._replace(nodes=nodes, links=links, node_coding=empty)
 
 
 def canonical_order(network):

@@ -1591,6 +1591,15 @@ class TestStandardStreams:
         assert capsys.readouterr().err == "error: '-' (standard input) may name only one input\n"
         assert not (failure_files / "x.json").exists()
 
+    def test_standard_input_left_open(self, monkeypatch, capsys):
+        doc = '{"netsJSON": "basic", "info": {}, "nodes": [{"id": "a"}], "links": []}'
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(doc.encode())))
+        assert main(["validate", "-", "--format", "netsjson"]) == 0
+        assert not sys.stdin.buffer.closed
+        # a second read finds the stream at its end, and reports it as a document
+        assert main(["validate", "-", "--format", "netsjson"]) == 1
+        assert capsys.readouterr().err == "error: [json-malformed] $: Expecting value: line 1 column 1 (char 0)\n"
+
     def test_both_tables_to_standard_output_refused(self, failure_files, capsys):
         assert main("convert -i bib.net --to csv --nodes - --links -".split()) == 2
         assert capsys.readouterr() == ("", "error: csv output requires --nodes and --links to be different files\n")

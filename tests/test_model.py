@@ -18,9 +18,11 @@ from netconv import (
     StructuralError,
     TemporalQuantity,
     canonical_order,
+    check_network,
     make_network,
     network_stats,
     tq_value_at,
+    write_netsjson,
 )
 
 
@@ -42,13 +44,20 @@ class TestNetworkStats:
         net = net_of(["a", "b"], [("a", "knows", "b")], directed=False)
         assert network_stats(net) == (2, 0, 1, 1, 1)
 
-    def test_unresolved_endpoint_names_link_index(self):
+    def test_dangling_endpoint_counted_reported_and_refused(self):
+        # counting checks nothing; check_network reports the endpoint, make_network refuses it
         net = Network(
             nodes=(NodeRecord(id="a", lab="a"),),
             links=(LinkRecord(kind=LinkKind.ARC, n1="a", n2="ghost", rel="r"),),
+            relations=CodingTable("relation", ("r",)),
         )
-        with pytest.raises(StructuralError, match="link 0"):
-            network_stats(net)
+        assert network_stats(net) == (1, 1, 0, 1, 1)
+        findings = check_network(net).findings
+        assert [(f.rule, f.location) for f in findings] == [("endpoint-unresolved", "$.links[0].n2")]
+        assert '"n2":"ghost"' in write_netsjson(net)
+        with pytest.raises(StructuralError) as caught:
+            make_network(net.nodes, net.links)
+        assert str(caught.value) == "link 0 references unknown node ('a', 'ghost')"
 
     def test_counters_reconciled_by_make_network(self, bib_network):
         # A given info block is kept as it is; the counts come from the lists.

@@ -334,6 +334,46 @@ class TestWriteRejections:
             write_netsjson(Network(nodes=(NodeRecord("a", x=float("inf")),)))
 
 
+def coded(rels, n_nodes: int = 1, **info) -> str:
+    """A factorized document: nodes 1 to n_nodes, one loop on node 1 per relation code."""
+    return json.dumps({"netsJSON": "basic", "info": {"org": 1, "multirel": True, **info},
+                       "nodes": [{"id": i} for i in range(1, n_nodes + 1)],
+                       "links": [{"n1": 1, "n2": 1, "rel": r} for r in rels]})
+
+
+class TestRelationSpan:
+    """A factorized document without info.relations names every relation code
+    from the smallest to the largest, so the span may not exceed its records."""
+
+    def test_wide_span_is_a_missing_relations_table(self):
+        text = coded([1, 10000000])
+        message = ("relations must name relation codes 1 to 10000000, which span more values"
+                   " than the document's 3 nodes and links")
+        report = validate_netsjson_document(io.StringIO(text))
+        assert [tuple(f[1:]) for f in report.findings] == [("member-missing", "$.info", message)]
+        with pytest.raises(SchemaError, match=re.escape(f"[member-missing] $.info: {message}")):
+            parse(text)
+
+    @pytest.mark.parametrize("rels, n_nodes, wide", [
+        ([1, 3], 2, False),  # span 2, 4 records
+        ([1, 4], 2, False),  # span 3, 4 records
+        ([1, 5], 2, True),  # span 4, 4 records
+        ([7, 7, 7], 1, False),
+    ])  # fmt: skip
+    def test_span_bounded_by_nodes_and_links(self, rels, n_nodes, wide):
+        report = validate_netsjson_document(io.StringIO(coded(rels, n_nodes)))
+        assert [f.rule for f in report.findings] == (["member-missing"] if wide else [])
+
+    def test_narrow_span_names_every_code(self):
+        net = parse(coded([1, 3], 2))
+        assert net.relations.levels == ("1", "2", "3")
+        assert '"relations":["1","2","3"]' in write_netsjson(net)
+
+    def test_declared_relations_cover_a_wide_span(self):
+        text = coded([1, 5], relations=["a", "b", "c", "d", "e"])
+        assert validate_netsjson_document(io.StringIO(text)).findings == ()
+
+
 class TestValidateDocument:
     def validate(self, text: str, strict: bool = False):
         return validate_netsjson_document(io.StringIO(text), strict=strict)
