@@ -21,8 +21,7 @@ _EXPORTS = {  # submodule -> the public names it defines
               "make_network", "network_stats", "tq_value_at"),
     "netsjson": ("check_netsjson", "parse_netsjson", "validate_netsjson_document",
                  "write_netsjson"),
-    "pajek": ("Partition", "partition_from_property", "read_pajek_clu", "read_pajek_net",
-              "write_pajek_clu", "write_pajek_net"),
+    "pajek": ("read_pajek_clu", "read_pajek_net", "write_pajek_clu", "write_pajek_net"),
     "tabular": ("Table", "TableOptions", "merge_node_properties", "network_to_tables",
                 "read_link_table", "read_node_table", "tables_to_network", "write_table"),
     "validation": ("RULES", "Finding", "Level", "Severity", "ValidationReport", "check_all",

@@ -275,8 +275,7 @@ def cmd_partition(args) -> int:
         with _open_text(args.via_csv) as stream:
             node_table = tabular.read_node_table(stream, _table_options(args))
         network = tabular.merge_node_properties(network, node_table, decimal_separator=args.decimal)
-    partition = pajek.partition_from_property(network, args.property)
-    _write_outputs((args.output, pajek.write_pajek_clu(partition)))
+    _write_outputs((args.output, pajek.write_pajek_clu(network, args.property)))
     return EXIT_OK
 
 

@@ -239,7 +239,9 @@ def make_network(
     is text when the first node id is (labeled), and an ``int``, not a
     ``bool``, when it is a code (factorized); an empty name, or any other
     id or relation, raises :class:`StructuralError`, as does a link
-    endpoint that names no node.
+    endpoint that names no node, and, without a relation table, factorized
+    relation codes that span more values than the network has nodes and
+    links.
     A given ``info`` is kept as it is; otherwise the simple/multirel/mode
     flags are computed from content. A missing relation table is derived:
     labeled, the links' relations sorted, at the base ``org`` (1 unless 0 or
@@ -271,9 +273,14 @@ def make_network(
         raise StructuralError("empty link relation")
     base = info.org if info is not None else org
     base = base if base in (0, 1) else 1
-    if relations is None:
-        relations = (code_range_table("relation", used) if factorized and used
-                     else CodingTable("relation", tuple(sorted(used)), base))
+    if relations is None and factorized and used:
+        lo, hi, size = min(used), max(used), len(nodes) + len(links)
+        if hi - lo >= size:  # the table would name every code between
+            raise StructuralError(f"relation codes {lo} to {hi} span more values than the"
+                                  f" network's {size} nodes and links")
+        relations = code_range_table("relation", used)
+    elif relations is None:
+        relations = CodingTable("relation", tuple(sorted(used)), base)
     if not factorized or node_coding is None:
         # the ids are distinct, so codes from base to base + n - 1 leave no gap
         contiguous = factorized and min(ids) == base and max(ids) == base + len(ids) - 1

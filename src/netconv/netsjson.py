@@ -83,6 +83,12 @@ _NODE_MEMBERS, _LINK_MEMBERS, _EVENT_MEMBERS = (  # fields but the last (props);
     {"type" if name == "kind" else name for name in cls._fields[:-1]}
     for cls in (NodeRecord, LinkRecord, EventRecord))
 _EVENT_TEXT = tuple(k for k, v in EventRecord._field_defaults.items() if v is None)  # author, ..., copy
+# The writer leaves out a member that holds its field's default (props and extra aside).
+_NODE_OMITTED, _LINK_OMITTED, _EVENT_OMITTED = (
+    {name: v for name, v in cls._field_defaults.items() if name != cls._fields[-1]}
+    for cls in (NodeRecord, LinkRecord, EventRecord))
+_COMPACT_LINK_OMITTED = {**_LINK_OMITTED, "kind": LinkKind.ARC}  # pretty mode keeps type and weight
+_PRETTY_LINK_OMITTED = {name: v for name, v in _LINK_OMITTED.items() if name != "weight"}
 _NESTED = (dict, list)  # the JSON values _value_from_json rebuilds
 _NUMBERS = (int, float)  # the exact types of a JSON number (a bool is neither)
 _tuple_new = tuple.__new__  # builds an Interval without its keyword-parsing __new__
@@ -233,7 +239,8 @@ def write_netsjson(network: Network, pretty: bool = False) -> str:
             time_obj["Tlabs"] = {str(t): info.time.t_labs[t] for t in sorted(info.time.t_labs)}
         raw_info["time"] = time_obj
     if info.meta:
-        raw_info["meta"] = [_event_to_json(e) for e in info.meta]
+        raw_info["meta"] = [_record_to_json(e, _EVENT_OMITTED, _EVENT_MEMBERS,
+                                            "event extra entry") for e in info.meta]
     if info.created is not None:
         raw_info["created"] = info.created
     if info.modified is not None:
@@ -250,12 +257,15 @@ def write_netsjson(network: Network, pretty: bool = False) -> str:
     extra = dict(info.extra)
     data = extra.pop("data", None)
     _put_extra(raw_info, extra, _INFO_MEMBERS, "info extra entry")
+    link_omitted = _PRETTY_LINK_OMITTED if pretty else _COMPACT_LINK_OMITTED
 
     doc: dict[str, Any] = {
         "netsJSON": "basic",
         "info": raw_info,
-        "nodes": [_node_to_json(n) for n in network.nodes],
-        "links": [_link_to_json(l, pretty) for l in network.links],
+        "nodes": [_record_to_json(n, _NODE_OMITTED, _NODE_MEMBERS, "node property")
+                  for n in network.nodes],
+        "links": [_record_to_json(l, link_omitted, _LINK_MEMBERS, "link property")
+                  for l in network.links],
     }
     if data is not None:
         doc["data"] = _value_to_json(data)
@@ -277,45 +287,15 @@ def _put_extra(out: dict, extra: dict, reserved, what: str) -> dict:
     return out
 
 
-def _event_to_json(event: EventRecord) -> dict:
-    out: dict[str, Any] = {"date": event.date, "title": event.title}
-    for name in _EVENT_TEXT:
-        if getattr(event, name) is not None:
-            out[name] = getattr(event, name)
-    return _put_extra(out, event.extra, _EVENT_MEMBERS, "event extra entry")
-
-
-def _node_to_json(node: NodeRecord) -> dict:
-    out: dict[str, Any] = {"id": node.id}
-    if node.lab:
-        out["lab"] = node.lab
-    if node.slab is not None:
-        out["slab"] = node.slab
-    if node.x is not None:
-        out["x"] = node.x
-    if node.y is not None:
-        out["y"] = node.y
-    if node.mode is not None:
-        out["mode"] = node.mode
-    if node.tq is not None:
-        out["tq"] = _value_to_json(node.tq)
-    return _put_extra(out, node.props, _NODE_MEMBERS, "node property")
-
-
-def _link_to_json(link: LinkRecord, keep_defaults: bool) -> dict:
+def _record_to_json(record: tuple, omitted: dict, reserved, what: str) -> dict:
+    """A record's members in field order, ``kind`` as ``type``, but for each
+    field whose value equals its entry in ``omitted``; then the entries of
+    its last field's map (``props`` or ``extra``)."""
     out: dict[str, Any] = {}
-    if keep_defaults or link.kind is not LinkKind.ARC:
-        out["type"] = link.kind.value
-    out["n1"] = link.n1
-    out["n2"] = link.n2
-    out["rel"] = link.rel
-    if keep_defaults or link.weight != 1.0:
-        out["weight"] = link.weight
-    if link.label is not None:
-        out["label"] = link.label
-    if link.tq is not None:
-        out["tq"] = _value_to_json(link.tq)
-    return _put_extra(out, link.props, _LINK_MEMBERS, "link property")
+    for name, value in zip(record._fields[:-1], record):
+        if name not in omitted or value != omitted[name]:
+            out["type" if name == "kind" else name] = value if name != "tq" else _value_to_json(value)
+    return _put_extra(out, record[-1], reserved, what)
 
 
 class _Walk:

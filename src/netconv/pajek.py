@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 import re
-from typing import IO, NamedTuple
+from typing import IO
 
-from .coding import CodingTable, LevelPolicy, build_coding_table, code_range_table, encode
+from .coding import (CodingTable, LevelPolicy, build_coding_table, code_range_table, decode,
+                     encode)
 from .errors import CodingError, ExportError, ParseError
 from .model import (LinkKind, LinkRecord, Network, NodeRecord, make_network, node_names,
                     sorted_relations)
@@ -262,20 +263,19 @@ def _vertex_count(toks: list[str], lineno: int) -> int:
     return count
 
 
-class Partition(NamedTuple):
-    """One integer class code per node, aligned with node order; 0 is the
-    missing code, as in CLU files. The coding's name is the property
-    partitioned on."""
-
-    values: tuple[int, ...] = ()
-    coding: CodingTable = CodingTable("")
+def _legend_token(level: str) -> str:
+    if any(c.isspace() for c in level) or '"' in level:
+        return _quote(level)
+    return level
 
 
-def partition_from_property(network: Network, property: str) -> Partition:
-    """Build a partition from a categorical node property.
+def write_pajek_clu(network: Network, property: str) -> str:
+    """Serialize a categorical node property as CLU text: legend comment,
+    header, one code per node in node order.
 
-    Levels are sorted and coded from 1; nodes without the property get 0.
-    The property must be present on at least one node.
+    ``mode`` names the node field, any other name a property. Levels are
+    sorted and coded from 1, and a node without the property gets 0, the
+    missing code. The property must be present on at least one node.
     """
     values = []
     for node in network.nodes:
@@ -291,36 +291,20 @@ def partition_from_property(network: Network, property: str) -> Partition:
     if all(v is None for v in values):
         raise CodingError(f"unknown property {property!r}: absent on every node")
     coding = build_coding_table(property, values, LevelPolicy.SORTED)
-    return Partition(tuple(encode(values, coding)), coding)
+    legend = " ".join(f"{code} {_legend_token(level)}" for code, level in enumerate(coding.levels, 1))
+    codes = map(str, encode(values, coding))
+    return "\n".join([f"% {legend}", f"*vertices {len(values)}", *codes]) + "\n"
 
 
-def _legend_token(level: str) -> str:
-    if any(c.isspace() for c in level) or '"' in level:
-        return _quote(level)
-    return level
+def read_pajek_clu(source: IO[str], network: Network, property: str) -> Network:
+    """Parse CLU text onto ``network``: each node, in node order, gets the
+    level name its value codes as ``property`` (``mode``: the node field),
+    and a node whose value is 0, the missing code, is left as it is.
 
-
-def write_pajek_clu(partition: Partition) -> str:
-    """Serialize a partition as CLU text: legend comment, header, one value
-    per line. The coding may have any base whose range leaves out 0, the
-    missing code."""
-    if partition.coding.in_range(0):
-        raise ExportError("code 0 is the CLU missing code; re-code the partition without it")
-    lines = []
-    if len(partition.coding):
-        pairs = " ".join(
-            f"{partition.coding.base + i} {_legend_token(level)}"
-            for i, level in enumerate(partition.coding.levels)
-        )
-        lines.append(f"% {pairs}")
-    lines.append(f"*vertices {len(partition.values)}")
-    lines.extend(str(v) for v in partition.values)
-    return "\n".join(lines) + "\n"
-
-
-def read_pajek_clu(source: IO[str]) -> Partition:
-    """Parse CLU text; the legend comment is optional (levels are then
-    synthesized from the codes in use, with 0 read as the missing code)."""
+    The legend comment is optional; without it each code is named by
+    itself. The file must give one value per node. ``info.mode`` is kept as
+    it is, not recounted.
+    """
     coding = None
     n_declared = None
     values: list[int] = []
@@ -358,7 +342,14 @@ def read_pajek_clu(source: IO[str]) -> Partition:
     for i, v in enumerate(values):
         if v != 0 and not coding.in_range(v):
             raise ParseError(f"value {v} at position {i} outside the coded range")
-    return Partition(tuple(values), coding)
+    if len(values) != len(network.nodes):
+        raise ParseError(f"{len(values)} values for a network of {len(network.nodes)} nodes")
+    nodes = tuple(
+        node if level is None
+        else node._replace(mode=level) if property == "mode"
+        else node._replace(props={**node.props, property: level})
+        for node, level in zip(network.nodes, decode(values, coding)))
+    return network._replace(nodes=nodes)
 
 
 def _parse_legend(body: str, lineno: int) -> CodingTable | None:

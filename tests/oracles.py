@@ -558,6 +558,9 @@ def make_network(nodes, links, *, info=None, org=1, directed=True, relations=Non
     base = info.org if info is not None else org
     base = base if base in (0, 1) else 1
     if relations is None and factorized and rels:
+        if max(rels) - min(rels) >= len(nodes) + len(links):
+            raise StructuralError(f"relation codes {min(rels)} to {max(rels)} span more values"
+                                  f" than the network's {len(nodes) + len(links)} nodes and links")
         relations = code_range_table("relation", rels)
     elif relations is None:
         relations = build_coding_table("relation", [l.rel for l in links], LevelPolicy.SORTED, base)

@@ -27,7 +27,6 @@ from netconv import (
     network_stats,
     network_to_tables,
     parse_netsjson,
-    partition_from_property,
     read_link_table,
     read_node_table,
     read_pajek_net,
@@ -35,6 +34,7 @@ from netconv import (
     tq_value_at,
     validate_netsjson_document,
     write_netsjson,
+    write_pajek_clu,
     write_pajek_net,
     write_table,
 )
@@ -113,13 +113,12 @@ def test_criterion_3_partition_goldens(bib_network, bib_node_table):
         column = bib_node_table.column(prop)
         levels = oracles.sorted_levels(column)
         expected = tuple(oracles.positional_encode(column, levels, 1, missing))
-        part = partition_from_property(bib_network, prop)
-        assert part.values == expected
-        assert list(part.coding.levels) == levels
-    sex = partition_from_property(bib_network, "sex")
-    assert sex.coding.code_of("f") == 1
-    assert sex.coding.code_of("m") == 2
-    assert sex.values[6:] == (0,) * 10
+        legend, _, *values = write_pajek_clu(bib_network, prop).splitlines()
+        assert tuple(map(int, values)) == expected
+        assert legend == "% " + " ".join(f"{code} {level}" for code, level in enumerate(levels, 1))
+    legend, _, *values = write_pajek_clu(bib_network, "sex").splitlines()
+    assert legend == "% 1 f 2 m"
+    assert values[6:] == ["0"] * 10
     ok(3, "mode and sex partitions equal the brute-force oracle; missing -> 0")
 
 

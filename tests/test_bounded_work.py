@@ -1,10 +1,11 @@
 """A tiny input makes a bounded amount of work.
 
-Each case runs ``python -m netconv.cli`` on an input of a few lines in a
-child interpreter whose address space is capped, with a time limit. A
-command that would size a table by the span of the codes it reads, rather
-than by the records, runs out of memory or time there instead of
-finishing with its documented exit code and at most one ``error:`` line.
+Each case runs ``python -m netconv.cli`` on an input of a few lines, or a
+few library calls, in a child interpreter whose address space is capped,
+with a time limit. A command that would size a table by the span of the
+codes it reads, rather than by the records, runs out of memory or time
+there instead of finishing with its documented exit code and at most one
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -54,12 +55,16 @@ def _cap():
     resource.setrlimit(resource.RLIMIT_AS, (LIMIT, LIMIT))
 
 
+def run_child(args: list[str], cwd: Path | None = None) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-S", *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=10, preexec_fn=_cap)
+
+
 def run_capped(tmp_path: Path, argv: str) -> subprocess.CompletedProcess:
     for name, text in INPUTS.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    return subprocess.run([sys.executable, "-S", "-m", "netconv.cli", *argv.split()], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=10, preexec_fn=_cap)
+    return run_child(["-m", "netconv.cli", *argv.split()], tmp_path)
 
 
 @pytest.mark.parametrize("argv, status, err", CASES, ids=[case[0] for case in CASES])
@@ -67,6 +72,25 @@ def test_tiny_input_bounded(tmp_path, argv, status, err):
     done = run_capped(tmp_path, argv)
     assert "Traceback" not in done.stderr
     assert (done.returncode, done.stderr) == (status, err)
+
+
+# make_network on a factorized network without a relation table: codes 1 and 10^7
+# would name every code between.
+WIDE_LIBRARY = """
+from netconv import LinkKind, LinkRecord, NodeRecord, StructuralError, make_network
+links = [LinkRecord(LinkKind.ARC, 1, 1, 1), LinkRecord(LinkKind.ARC, 1, 1, 10_000_000)]
+try:
+    make_network([NodeRecord(1)], links)
+except StructuralError as exc:
+    print(exc)
+"""
+
+
+def test_make_network_bounded():
+    done = run_child(["-c", WIDE_LIBRARY])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == ("relation codes 1 to 10000000 span more values than the network's"
+                           " 3 nodes and links\n")
 
 
 @pytest.mark.xfail(strict=True, reason="read_pajek_net builds one record per counted vertex "

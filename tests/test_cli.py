@@ -1397,6 +1397,7 @@ class TestPartition:
             ]
         )
         assert status == 0
+        assert out.read_bytes() == (DATA / "bibMode.golden.clu").read_bytes()
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "% 1 book 2 journal 3 paper 4 person 5 publisher 6 series"
         assert lines[1] == "*vertices 16"

@@ -71,10 +71,16 @@ def text(data: bytes) -> io.TextIOWrapper:
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
 
 
+# The network read_pajek_clu reads each input onto.
+BIB = tables_to_network(read_node_table(text(NODES)), read_link_table(text(LINKS)))
+
+
 def readers_raise_only_netconv_errors(data: bytes) -> None:
-    for read in (read_pajek_net, read_pajek_clu, parse_netsjson, validate_netsjson_document):
+    for read in (read_pajek_net, parse_netsjson, validate_netsjson_document):
         with contextlib.suppress(NetconvError):
             read(text(data))
+    with contextlib.suppress(NetconvError):
+        read_pajek_clu(text(data), BIB, "mode")
     for node_bytes, link_bytes in ((data, LINKS), (NODES, data)):
         with contextlib.suppress(NetconvError):
             tables_to_network(read_node_table(text(node_bytes)), read_link_table(text(link_bytes)))

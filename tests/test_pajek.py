@@ -18,13 +18,11 @@ from netconv import (
     Network,
     NodeRecord,
     ParseError,
-    Partition,
     canonical_order,
     defactorize_network,
     factorize_network,
     make_network,
     network_stats,
-    partition_from_property,
     read_pajek_clu,
     read_pajek_net,
     write_pajek_clu,
@@ -335,7 +333,7 @@ class TestReadNet:
         with pytest.raises(ParseError, match="vertices"):
             read_pajek_net(io.StringIO(""))
         with pytest.raises(ParseError, match="vertices"):
-            read_pajek_clu(io.StringIO(""))
+            read_pajek_clu(io.StringIO(""), Network(), "p")
 
     def test_round_trip_random_property_free(self):
         rng = random.Random(4321)
@@ -489,11 +487,38 @@ class TestUndecodableInput:
         lines = [b"*vertices 3000"] + [b"1"] * 3000
         lines[bad_line - 1] += b"\xe9"
         with pytest.raises(ParseError, match=rf"^line {bad_line}: input is not valid utf-8"):
-            read_pajek_clu(utf8_stream(b"\n".join(lines) + b"\n"))
+            read_pajek_clu(utf8_stream(b"\n".join(lines) + b"\n"), Network(), "p")
 
 
 def utf8_stream(data: bytes) -> io.TextIOWrapper:
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+
+
+def codes_of(clu: str) -> tuple[int, ...]:
+    """The values of CLU text the writer made: its lines after the legend and the header."""
+    return tuple(int(v) for v in clu.splitlines()[2:])
+
+
+def plain_nodes(n: int) -> Network:
+    """A network of n labeled nodes that carry nothing but their names."""
+    return make_network([NodeRecord(str(i)) for i in range(n)], [])
+
+
+def without(network: Network, prop: str) -> Network:
+    """``network`` with ``prop`` (``mode``: the node field) taken off every node."""
+    nodes = tuple(n._replace(mode=None) if prop == "mode"
+                  else n._replace(props={k: v for k, v in n.props.items() if k != prop})
+                  for n in network.nodes)  # fmt: skip
+    return network._replace(nodes=nodes)
+
+
+def read_values(text: str) -> list:
+    """Each node's ``p`` after reading ``text`` onto as many plain nodes as it declares."""
+    n = int(re.search(r"\*vertices (\d+)", text).group(1))
+    return [node.props.get("p") for node in read_pajek_clu(io.StringIO(text), plain_nodes(n), "p").nodes]
+
+
+LEVEL_CHARACTERS = st.characters(blacklist_characters="\r\n")  # a CLU legend is one line
 
 
 class TestPartition:
@@ -501,45 +526,43 @@ class TestPartition:
         column = bib_node_table.column("sex")
         levels = oracles.sorted_levels(column)
         expected = tuple(oracles.positional_encode(column, levels, 1, 0))
-        part = partition_from_property(bib_network, "sex")
-        assert part.values == expected == SEX_VALUES
-        assert part.coding.levels == ("f", "m") and part.coding.name == "sex"
+        clu = write_pajek_clu(bib_network, "sex")
+        assert codes_of(clu) == expected == SEX_VALUES
+        assert levels == ["f", "m"] and clu.startswith("% 1 f 2 m\n")
 
     def test_mode_partition_matches_oracle(self, bib_network, bib_node_table):
         column = bib_node_table.column("mode")
         levels = oracles.sorted_levels(column)
         expected = tuple(oracles.positional_encode(column, levels, 1, 0))
-        part = partition_from_property(bib_network, "mode")
-        assert part.values == expected == MODE_VALUES
-        assert part.coding.levels == ("book", "journal", "paper", "person", "publisher", "series")
-        assert part.values[0] == 4  # first node is a person
+        clu = write_pajek_clu(bib_network, "mode")
+        assert codes_of(clu) == expected == MODE_VALUES
+        assert levels == ["book", "journal", "paper", "person", "publisher", "series"]
+        assert codes_of(clu)[0] == 4  # first node is a person
 
     def test_single_node(self):
         net = make_network([NodeRecord(id="a", lab="a", mode="m")], [])
-        part = partition_from_property(net, "mode")
-        assert part.values == (1,)
+        assert codes_of(write_pajek_clu(net, "mode")) == (1,)
 
     def test_unknown_property(self, bib_network):
         with pytest.raises(CodingError, match="unknown property"):
-            partition_from_property(bib_network, "shoe_size")
+            write_pajek_clu(bib_network, "shoe_size")
 
     def test_boolean_property(self):
         nodes = [NodeRecord(id=i, lab=i, props=props)
                  for i, props in (("a", {"p": True}), ("b", {}), ("c", {"p": False}))]  # fmt: skip
-        part = partition_from_property(make_network(nodes, []), "p")
-        assert write_pajek_clu(part) == "% 1 false 2 true\n*vertices 3\n2\n0\n1\n"
+        net = make_network(nodes, [])
+        assert write_pajek_clu(net, "p") == "% 1 false 2 true\n*vertices 3\n2\n0\n1\n"
 
     def test_structured_property_rejected(self):
         net = make_network([NodeRecord(id="a", lab="a", props={"p": [1]})], [])
         with pytest.raises(CodingError) as excinfo:
-            partition_from_property(net, "p")
+            write_pajek_clu(net, "p")
         assert str(excinfo.value) == "property 'p' holds structured values; not categorical"
 
 
 class TestCluFiles:
     def test_write_sex_partition(self, bib_network):
-        part = partition_from_property(bib_network, "sex")
-        text = write_pajek_clu(part)
+        text = write_pajek_clu(bib_network, "sex")
         lines = text.splitlines()
         assert lines[0] == "% 1 f 2 m"
         assert lines[1] == "*vertices 16"
@@ -547,26 +570,26 @@ class TestCluFiles:
         assert tuple(int(v) for v in lines[2:]) == SEX_VALUES
 
     def test_write_mode_legend(self, bib_network):
-        part = partition_from_property(bib_network, "mode")
-        legend = write_pajek_clu(part).splitlines()[0]
+        legend = write_pajek_clu(bib_network, "mode").splitlines()[0]
         assert legend == "% 1 book 2 journal 3 paper 4 person 5 publisher 6 series"
 
     def test_empty_partition(self):
-        assert write_pajek_clu(Partition()) == "*vertices 0\n"
+        """An empty network has no partition to write, and reads one of no values."""
+        with pytest.raises(CodingError, match="^unknown property 'p': absent on every node$"):
+            write_pajek_clu(Network(), "p")
+        assert read_pajek_clu(io.StringIO("*vertices 0\n"), Network(), "p") == Network()
 
     def test_round_trip(self, bib_network):
         for prop in ("sex", "mode"):
-            part = partition_from_property(bib_network, prop)
-            back = read_pajek_clu(io.StringIO(write_pajek_clu(part)))
-            assert back == part
+            text = write_pajek_clu(bib_network, prop)
+            back = read_pajek_clu(io.StringIO(text), without(bib_network, prop), prop)
+            assert back == bib_network
 
     def test_read_bare_values(self):
-        part = read_pajek_clu(io.StringIO("*vertices 2\n1\n1\n"))
-        assert part.values == (1, 1)
+        assert read_values("*vertices 2\n1\n1\n") == ["1", "1"]
 
     def test_comment_after_header_is_no_legend(self):
-        part = read_pajek_clu(io.StringIO("*vertices 2\n% 1 x 2 y\n2\n1\n"))
-        assert part == Partition((2, 1), CodingTable("", ("1", "2"), 1))
+        assert read_values("*vertices 2\n% 1 x 2 y\n2\n1\n") == ["2", "1"]
 
     @pytest.mark.parametrize("legend", [
         "% x a",  # a code that is not an integer
@@ -574,16 +597,15 @@ class TestCluFiles:
         "% 1 a 2 a",  # a repeated level
     ])  # fmt: skip
     def test_unusable_legend_read_as_a_comment(self, legend):
-        part = read_pajek_clu(io.StringIO(f"{legend}\n*vertices 2\n1\n3\n"))
-        assert part.coding == CodingTable("", ("1", "2", "3"), 1)
+        assert read_values(f"{legend}\n*vertices 2\n1\n3\n") == ["1", "3"]
 
     def test_count_mismatch(self):
         with pytest.raises(ParseError, match="expected 2 values"):
-            read_pajek_clu(io.StringIO("*vertices 2\n1\n"))
+            read_pajek_clu(io.StringIO("*vertices 2\n1\n"), plain_nodes(2), "p")
 
     def test_vertex_count_not_a_number_reports_line(self):
         with pytest.raises(ParseError, match=r"line 2: invalid vertex count 'x'"):
-            read_pajek_clu(io.StringIO("% 1 a\n*vertices x\n1\n"))
+            read_pajek_clu(io.StringIO("% 1 a\n*vertices x\n1\n"), plain_nodes(1), "p")
 
     @pytest.mark.parametrize("text, message", [
         ("*vertices\n", "line 1: *vertices requires a count"),
@@ -600,10 +622,13 @@ class TestCluFiles:
          "partition values 1 to 4000000 span more values than the file's 3 lines"),
         ("% legend\n*vertices 2\n1000000000000000000\n1\n",
          "partition values 1 to 1000000000000000000 span more values than the file's 4 lines"),
+        ("% 1 a\n*vertices 3\n1\n0\n1\n", "3 values for a network of 2 nodes"),
     ])  # fmt: skip
     def test_rejection(self, text, message):
+        """Every row but the last would be refused onto any network; the
+        network read onto has two nodes."""
         with pytest.raises(ParseError) as excinfo:
-            read_pajek_clu(io.StringIO(text))
+            read_pajek_clu(io.StringIO(text), plain_nodes(2), "p")
         assert str(excinfo.value) == message
 
     @pytest.mark.parametrize("values, levels, base", [
@@ -613,15 +638,16 @@ class TestCluFiles:
         ("3\n1\n", ("1", "2", "3"), 1),  # as many as lines
     ])  # fmt: skip
     def test_bare_values_coded_by_their_range(self, values, levels, base):
-        text = f"*vertices {values.count(chr(10))}\n{values}"
-        assert read_pajek_clu(io.StringIO(text)).coding == CodingTable("", levels, base)
+        coding = CodingTable("p", levels, base)
+        expected = [coding.value_of(int(v)) if v != "0" else None for v in values.split()]
+        assert read_values(f"*vertices {values.count(chr(10))}\n{values}") == expected
 
     def test_legend_with_spaces_quoted(self):
-        coding = CodingTable("kind", ("two words", "one"), 1)
-        part = Partition((1, 2), coding)
-        text = write_pajek_clu(part)
-        assert '"two words"' in text
-        assert read_pajek_clu(io.StringIO(text)) == part
+        nodes = [NodeRecord("a", props={"kind": "two words"}), NodeRecord("b", props={"kind": "one"})]
+        net = make_network(nodes, [])
+        text = write_pajek_clu(net, "kind")
+        assert text.startswith('% 1 one 2 "two words"\n')
+        assert read_pajek_clu(io.StringIO(text), without(net, "kind"), "kind") == net
 
     @pytest.mark.parametrize("text", [
         "*vertices 2\n2\n3\n",
@@ -629,16 +655,28 @@ class TestCluFiles:
         "*vertices 2\n-2\n-1\n",
     ])  # fmt: skip
     def test_codings_without_zero_round_trip(self, text):
-        part = read_pajek_clu(io.StringIO(text))
-        assert read_pajek_clu(io.StringIO(write_pajek_clu(part))) == part
+        net = read_pajek_clu(io.StringIO(text), plain_nodes(2), "p")
+        assert read_pajek_clu(io.StringIO(write_pajek_clu(net, "p")), plain_nodes(2), "p") == net
 
-    def test_coding_holding_zero_rejected(self):
-        coding = CodingTable("p", ("a", "b", "c"), -1)
-        with pytest.raises(ExportError) as excinfo:
-            write_pajek_clu(Partition((-1, 1), coding))
-        assert str(excinfo.value) == "code 0 is the CLU missing code; re-code the partition without it"
+    def test_missing_code_leaves_a_node_as_it_is(self):
+        nodes = [NodeRecord("a", props={"p": "old", "q": 1}), NodeRecord("b", props={"q": 2})]
+        net = read_pajek_clu(io.StringIO("% 1 x\n*vertices 2\n0\n1\n"), make_network(nodes, []), "p")
+        assert [n.props for n in net.nodes] == [{"p": "old", "q": 1}, {"q": 2, "p": "x"}]
 
-    def test_base_zero_coding_rejected(self):
-        coding = CodingTable("p", ("a", "b"), 0)
-        with pytest.raises(ExportError):
-            write_pajek_clu(Partition((0, 1), coding))
+    def test_mode_is_the_node_field(self):
+        plain = plain_nodes(3)
+        net = read_pajek_clu(io.StringIO("% 1 book 2 paper\n*vertices 3\n2\n1\n2\n"), plain, "mode")
+        assert [(n.mode, n.props) for n in net.nodes] == [("paper", {}), ("book", {}), ("paper", {})]
+        assert net.info == plain.info  # info.mode is not recounted
+
+    @settings(max_examples=200, deadline=None)
+    @given(prop=st.sampled_from(["mode", "p"]),
+           values=st.lists(st.none() | st.text(LEVEL_CHARACTERS, min_size=1), min_size=1,
+                           max_size=12).filter(lambda vs: any(v is not None for v in vs)))
+    def test_written_partition_reads_back_onto_its_network(self, prop, values):
+        nodes = [NodeRecord(str(i), mode=v) if prop == "mode"
+                 else NodeRecord(str(i), props={"p": v, "q": i} if v is not None else {"q": i})
+                 for i, v in enumerate(values)]  # fmt: skip
+        net = make_network(nodes, [])
+        text = write_pajek_clu(net, prop)
+        assert read_pajek_clu(io.StringIO(text), without(net, prop), prop) == net

@@ -1,12 +1,11 @@
 """The value contract of the model's records and the other small value types.
 
-Records, coding tables, partitions, tables, table options and findings are
-immutable values: no field can be set or deleted, equality and hash follow the
-fields (leaving out the descriptive ``name`` of a coding table or a
-partition), ``repr`` shows every field, a copy or a pickle round trip is
-equal to the original, and a record built without a map holds the one
-read-only empty map ``EMPTY``, so no record holds a default dict that a
-change could carry into another.
+Records, coding tables, tables, table options and findings are immutable
+values: no field can be set or deleted, equality and hash follow the fields
+(leaving out the descriptive ``name`` of a coding table), ``repr`` shows every
+field, a copy or a pickle round trip is equal to the original, and a record
+built without a map holds the one read-only empty map ``EMPTY``, so no record
+holds a default dict that a change could carry into another.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from netconv import (
     LinkRecord,
     Network,
     NodeRecord,
-    Partition,
     Severity,
     Table,
     TableOptions,
@@ -63,8 +61,6 @@ SAMPLES = {
     " node_coding=CodingTable(name='node', levels=(), base=1), property_codings={})": Network,
     "CodingTable(name='node', levels=('a', 'b'), base=0)":
         lambda: CodingTable("node", ("a", "b"), 0),
-    "Partition(values=(1, 0), coding=CodingTable(name='p', levels=('x',), base=1))":
-        lambda: Partition((1, 0), CodingTable("p", ("x",))),
     "Table(header=('name',), columns=(('a',),))": lambda: Table(("name",), (("a",),)),
     "TableOptions(delimiter=';')": TableOptions,
     "Finding(severity=<Severity.ERROR: 'error'>, rule='org-invalid', location='$.info.org',"
@@ -122,7 +118,7 @@ def test_copies_and_pickles_are_equal(sample):
     (LinkRecord(LinkKind.ARC, "a", "b", "r"), LinkRecord(LinkKind.EDGE, "a", "b", "r")),
     (Network(), Network(info=InfoBlock(org=0))),
     (CodingTable("t", ("a",)), CodingTable("t", ("a",), 0)),
-    (Partition((1,)), Partition((0,))),
+    (Table(("name",), (("a",),)), Table(("name",), (("b",),))),
     (Finding(Severity.ERROR, "org-invalid", "$", "m"), Finding(Severity.WARNING, "org-invalid", "$", "m")),
 ])  # fmt: skip
 def test_a_changed_field_makes_values_unequal(changed):
@@ -132,7 +128,7 @@ def test_a_changed_field_makes_values_unequal(changed):
 
 @pytest.mark.parametrize("pair", [
     (CodingTable("node", ("a", "b"), 0), CodingTable("other", ("a", "b"), 0)),
-    (Partition((1, 0), CodingTable("p", ("x",))), Partition((1, 0), CodingTable("q", ("x",)))),
+    (CodingTable("p", ("x",)), CodingTable("", ("x",))),
 ])  # fmt: skip
 def test_names_are_left_out_of_equality_and_hash(pair):
     a, b = pair

@@ -24,12 +24,11 @@ PUBLIC = {
     "defactorize_network", "factorize_network", "EventRecord", "InfoBlock", "Interval", "LinkKind",
     "LinkRecord", "Network", "NetworkStats", "NodeRecord", "TemporalQuantity", "TimeWindow",
     "canonical_order", "make_network", "network_stats", "tq_value_at", "check_netsjson",
-    "parse_netsjson", "validate_netsjson_document", "write_netsjson", "Partition",
-    "partition_from_property", "read_pajek_clu", "read_pajek_net", "write_pajek_clu",
-    "write_pajek_net", "Table", "TableOptions", "merge_node_properties", "network_to_tables",
-    "read_link_table", "read_node_table", "tables_to_network", "write_table", "RULES", "Finding",
-    "Level", "Severity", "ValidationReport", "check_all", "check_network", "check_temporal",
-    "__version__",
+    "parse_netsjson", "validate_netsjson_document", "write_netsjson", "read_pajek_clu",
+    "read_pajek_net", "write_pajek_clu", "write_pajek_net", "Table", "TableOptions",
+    "merge_node_properties", "network_to_tables", "read_link_table", "read_node_table",
+    "tables_to_network", "write_table", "RULES", "Finding", "Level", "Severity",
+    "ValidationReport", "check_all", "check_network", "check_temporal", "__version__",
 }  # fmt: skip
 SUBMODULES = ("coding", "errors", "factorize", "model", "netsjson", "pajek", "tabular", "validation")
 
