@@ -350,8 +350,8 @@ def main(argv: list[str] | None = None) -> int:
         _resolve(args)
         rejects = args.rejects
         return args.func(args)
-    except (NetconvError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (NetconvError, OSError, MemoryError) as exc:  # MemoryError's text is usually empty
+        print(f"error: {'out of memory' if isinstance(exc, MemoryError) else exc}", file=sys.stderr)
         return EXIT_INVALID if isinstance(exc, rejects) else EXIT_FAILURE
     finally:
         if gc_was_enabled:

@@ -21,7 +21,7 @@ from collections import Counter
 from enum import Enum
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
-from .coding import CodingTable, LevelPolicy, build_coding_table, code_range_table
+from .coding import CodingTable, LevelPolicy, build_coding_table, check_span, code_range_table
 from .errors import StructuralError
 
 # Tagged union of supported property values. Absent is represented by None
@@ -240,8 +240,8 @@ def make_network(
     ``bool``, when it is a code (factorized); an empty name, or any other
     id or relation, raises :class:`StructuralError`, as does a link
     endpoint that names no node, and, without a relation table, factorized
-    relation codes that span more values than the network has nodes and
-    links.
+    relation codes whose span, from the smallest to the largest, is wider
+    than the network's count of nodes and links.
     A given ``info`` is kept as it is; otherwise the simple/multirel/mode
     flags are computed from content. A missing relation table is derived:
     labeled, the links' relations sorted, at the base ``org`` (1 unless 0 or
@@ -274,10 +274,8 @@ def make_network(
     base = info.org if info is not None else org
     base = base if base in (0, 1) else 1
     if relations is None and factorized and used:
-        lo, hi, size = min(used), max(used), len(nodes) + len(links)
-        if hi - lo >= size:  # the table would name every code between
-            raise StructuralError(f"relation codes {lo} to {hi} span more values than the"
-                                  f" network's {size} nodes and links")
+        check_span(used, len(nodes) + len(links), "relation codes",
+                   "the network's {} nodes and links", StructuralError)
         relations = code_range_table("relation", used)
     elif relations is None:
         relations = CodingTable("relation", tuple(sorted(used)), base)

@@ -42,9 +42,9 @@ The walk type-checks the coding tables a document carries and passes them on;
 :func:`~netconv.model.make_network` keeps ``nodeCoding`` only when ids are
 codes, and names each code by itself when a factorized document has none
 and its codes run from ``org`` without a gap. A factorized document
-without ``relations`` whose relation codes span more values than it has
-nodes and links is a ``member-missing`` finding at ``$.info``, so the
-derived relation table is never larger than the document.
+without ``relations`` whose relation codes, from the smallest to the
+largest, outnumber its nodes and links is a ``member-missing`` finding at
+``$.info``, so the derived relation table is never larger than the document.
 
 Serialization is a normal form: member order is fixed, user keys are
 sorted, and writing the parse of a written document reproduces it byte for
@@ -58,7 +58,7 @@ import json
 import math
 from typing import IO, Any, Optional
 
-from .coding import CodingTable
+from .coding import CodingTable, check_span
 from .errors import ExportError, ParseError, SchemaError, StructuralError, TemporalError
 from .model import (
     EventRecord,
@@ -377,10 +377,12 @@ class _Walk:
         if raw_info is not None:  # info findings that need the records come after info.org
             tail = len(self.out)
             self.counters(raw_info, len(raw_nodes or ()), self.n_arcs, self.n_edges)
-            rels, size = check.rels, len(raw_nodes or ()) + len(raw_links or ())
-            if id_type is int and check.relations is None and rels and max(rels) - min(rels) >= size:
-                self.err("member-missing", "$.info", f"relations must name relation codes {min(rels)} to"
-                         f" {max(rels)}, which span more values than the document's {size} nodes and links")
+            if id_type is int and check.relations is None:  # the codes name the relation table
+                try:
+                    check_span(check.rels, len(raw_nodes or ()) + len(raw_links or ()),
+                               "relation codes", "the document's {} nodes and links", StructuralError)
+                except StructuralError as exc:
+                    self.err("member-missing", "$.info", f"relations must be given: {exc}")
             check.tq_end()
             found = self.out[tail:]
             del self.out[tail:]

@@ -18,8 +18,8 @@ import math
 import re
 from typing import IO
 
-from .coding import (CodingTable, LevelPolicy, build_coding_table, code_range_table, decode,
-                     encode)
+from .coding import (CodingTable, LevelPolicy, build_coding_table, check_span, code_range_table,
+                     decode, encode)
 from .errors import CodingError, ExportError, ParseError
 from .model import (LinkKind, LinkRecord, Network, NodeRecord, make_network, node_names,
                     sorted_relations)
@@ -142,6 +142,7 @@ def read_pajek_net(source: IO[str]) -> Network:
     names: dict[int, str] = {}  # relation code -> its declared or first used name
     kind = None  # the kind of the open link section; None in *vertices
     title = ""  # the network's name, from a *network line before *vertices
+    chars = 0  # the characters read, which bound the vertex count
 
     def check(ends, code=0, name=None, conflict=""):
         """Raise unless each vertex of ``ends`` lies in [1, n] and ``name``,
@@ -156,6 +157,7 @@ def read_pajek_net(source: IO[str]) -> Network:
             raise ParseError(f"relation code {code} {conflict.format(name, names[code])}", line=lineno)
 
     for lineno, line in _numbered_lines(source):
+        chars += len(line)
         line = line.lstrip()
         if not line or line[0] == "%":
             continue
@@ -214,6 +216,8 @@ def read_pajek_net(source: IO[str]) -> Network:
 
     if n is None:
         raise ParseError("missing *vertices header")
+    # each counted vertex becomes a record, listed or not, so the count may not exceed the text
+    check_span((1, n), chars, "vertex numbers", "the file's {} characters", ParseError)
     nodes = [vertices.get(v) or NodeRecord(v, str(v)) for v in range(1, n + 1)]
     try:
         node_coding = CodingTable("node", tuple(node.lab for node in nodes))
@@ -222,9 +226,7 @@ def read_pajek_net(source: IO[str]) -> Network:
     codes = {link.rel for link in links}.union(names)
     if codes and min(codes) < 1:
         raise ParseError(f"relation code {min(codes)} is below 1")
-    if codes and max(codes) - min(codes) >= lineno:  # the table names every code between
-        raise ParseError(f"relation codes {min(codes)} to {max(codes)} span more values"
-                         f" than the file's {lineno} lines")
+    check_span(codes, lineno, "relation codes", "the file's {} lines", ParseError)
     try:
         relations = code_range_table("relation", codes, names)
     except ValueError as exc:
@@ -290,6 +292,8 @@ def write_pajek_clu(network: Network, property: str) -> str:
             raise CodingError(f"property {property!r} holds structured values; not categorical")
     if all(v is None for v in values):
         raise CodingError(f"unknown property {property!r}: absent on every node")
+    if "" in values:
+        raise CodingError(f"property {property!r} holds empty text; not a level")
     coding = build_coding_table(property, values, LevelPolicy.SORTED)
     legend = " ".join(f"{code} {_legend_token(level)}" for code, level in enumerate(coding.levels, 1))
     codes = map(str, encode(values, coding))
@@ -332,9 +336,7 @@ def read_pajek_clu(source: IO[str], network: Network, property: str) -> Network:
         raise ParseError(f"expected {n_declared} values, found {len(values)}")
     if coding is None:
         codes = set(values) - {0}
-        if codes and max(codes) - min(codes) >= lineno:  # the table names every code between
-            raise ParseError(f"partition values {min(codes)} to {max(codes)} span more values"
-                             f" than the file's {lineno} lines")
+        check_span(codes, lineno, "partition values", "the file's {} lines", ParseError)
         coding = code_range_table("", codes)
     if coding.in_range(0):
         raise ParseError(f"the coded range [{coding.base}, {coding.base + len(coding) - 1}]"

@@ -32,8 +32,8 @@ INPUTS = {
     "w.net": '*vertices 1\n1 "a"\n*arcs\n1: 1 1\n1000000000: 1 1\n',
     "m.net": "*vertices 1000000000\n",
 }
-WIDE_JSON = ("error: [member-missing] $.info: relations must name relation codes 1 to 10000000,"
-             " which span more values than the document's 3 nodes and links\n")
+WIDE_JSON = ("error: [member-missing] $.info: relations must be given: relation codes 1 to 10000000"
+             " span more values than the document's 3 nodes and links\n")
 WIDE_NET = "error: relation codes 1 to 1000000000 span more values than the file's 5 lines\n"
 CASES = [
     ("validate w.json", 1, WIDE_JSON),
@@ -93,9 +93,27 @@ def test_make_network_bounded():
                            " 3 nodes and links\n")
 
 
-@pytest.mark.xfail(strict=True, reason="read_pajek_net builds one record per counted vertex "
-                                       "(FOUND in CHANGES.md), so a one-line file runs out of memory")
+# read_pajek_clu without a legend: values 1 and 10^9 would name every code between.
+WIDE_CLU = """
+import io
+from netconv import Network, ParseError, read_pajek_clu
+try:
+    read_pajek_clu(io.StringIO("*vertices 2\\n1\\n1000000000\\n"), Network(), "p")
+except ParseError as exc:
+    print(exc)
+"""
+
+
+def test_clu_bounded():
+    done = run_child(["-c", WIDE_CLU])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "partition values 1 to 1000000000 span more values than the file's 3 lines\n"
+
+
 def test_vertex_count_bounded(tmp_path):
+    """read_pajek_net builds one record per counted vertex, so it refuses a
+    count larger than the file's characters before building any."""
     done = run_capped(tmp_path, "validate m.net")
     assert "Traceback" not in done.stderr
-    assert done.returncode == 1
+    assert (done.returncode, done.stderr) == (
+        1, "error: vertex numbers 1 to 1000000000 span more values than the file's 21 characters\n")

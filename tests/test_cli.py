@@ -39,7 +39,7 @@ from netconv import (
     write_table,
 )
 from netconv.cli import FORMATS, build_parser, main
-from netconv import netsjson
+from netconv import netsjson, pajek
 from netconv.netsjson import PARSE_FATAL, check_netsjson
 from netgen import random_csv_network, random_pajek_network
 
@@ -400,6 +400,7 @@ SCHEMA_PASSED_PARSE_FAILED = {
         "$.info.meta[0].url",
     ),
     "relations-repeated-level": (valid_document(relations=["r", "r"]), "$.info.relations"),
+    "meta-not-array": (valid_document(meta=5), "$.info.meta"),
     "property-coding-not-array": (
         valid_document(propertyCodings={"k": 5}),
         "$.info.propertyCodings.k",
@@ -679,6 +680,7 @@ BAD_NET = "error: line 2: vertex number 5 outside [1, 1]\n"
 BAD_JSON = "error: [json-malformed] $: Expecting value: line 1 column 14 (char 13)\n"
 BAD_CSV = "error: node table: line 2: expected 2 cells, found 1\n"
 EMPTY_LABEL = "error: line 2: empty vertex label\n"
+MANY_VERTICES = "error: vertex numbers 1 to 100 span more values than the file's 14 characters\n"
 NO_RELATION = "error: link table contains a missing 'relation' value\n"
 MIXED_KINDS = "warning: [directed-kind-mismatch] $.links: directed network contains edges\n"
 UNDIRECTED_ARCS = "warning: [directed-kind-mismatch] $.links: undirected network contains arcs\n"
@@ -802,6 +804,19 @@ CLI_FAILURES = {
         ("partition -i bib.net --via-csv n.csv --property nope", 1,
          "error: unknown property 'nope': absent on every node\n"),
     ],
+    "uncodable-property": [
+        ("partition -i levels.json --property p", 1, "error: property 'p' holds empty text; not a level\n"),
+        ("partition -i levels.json --property mode", 1,
+         "error: property 'mode' holds empty text; not a level\n"),
+        ("partition -i levels.json --property q", 1,
+         "error: property 'q' holds structured values; not categorical\n"),
+    ],
+    "vertex-count-beyond-the-file": [
+        ("validate many.net", 1, MANY_VERTICES),
+        ("convert -i many.net -o o.json", 2, MANY_VERTICES),
+        ("info many.net", 2, MANY_VERTICES),
+        ("partition -i many.net --property p", 2, MANY_VERTICES),
+    ],
 }
 
 
@@ -829,6 +844,9 @@ def failure_files(tmp_path, monkeypatch):
         ("twice.csv", 'from;relation;to;to\n"Batagelj, Vladimir";r;zz;"Mrvar, Andrej"\n'),
         ("ab.csv", "name\na\nb\n"),
         ("short.csv", "from;relation;to\na;r\n"),
+        ("levels.json", '{"netsJSON": "basic", "info": {}, "nodes": [{"id": "a", "mode": "", "p": "",'
+                        ' "q": [1]}, {"id": "b", "mode": "m", "p": "x", "q": "y"}], "links": []}'),
+        ("many.net", "*vertices 100\n"),
     ):
         (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
@@ -846,6 +864,19 @@ class TestFailureTable:
     def test_failure(self, argv, status, err, failure_files, capsys):
         assert main(argv.split()) == status
         assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("argv", ["validate bib.net", "convert -i bib.net -o o.json", "info bib.net",
+                                      "partition -i bib.net --property mode"])  # fmt: skip
+    def test_out_of_memory(self, argv, failure_files, monkeypatch, capsys):
+        """A MemoryError's text is usually empty; the one error line says what happened."""
+
+        def exhausted(source):
+            raise MemoryError
+
+        monkeypatch.setattr(pajek, "read_pajek_net", exhausted)
+        assert main(argv.split()) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
+        assert not (failure_files / "o.json").exists()
 
     @pytest.mark.parametrize("delimiter", [";;", '"', "", "\n", "\r"])
     @pytest.mark.parametrize("command", ["convert --to net --nodes", "validate"])

@@ -347,7 +347,7 @@ class TestRelationSpan:
 
     def test_wide_span_is_a_missing_relations_table(self):
         text = coded([1, 10000000])
-        message = ("relations must name relation codes 1 to 10000000, which span more values"
+        message = ("relations must be given: relation codes 1 to 10000000 span more values"
                    " than the document's 3 nodes and links")
         report = validate_netsjson_document(io.StringIO(text))
         assert [tuple(f[1:]) for f in report.findings] == [("member-missing", "$.info", message)]

@@ -224,6 +224,12 @@ class TestReadNet:
         assert (link.n1, link.n2, link.weight) == (9, 10, 1.0)
         assert net.relations.value_of(link.rel) == "cites"
 
+    def test_vertex_count_up_to_the_characters(self):
+        """A counted vertex no line lists is named by its number; a file holds
+        as many of them as it has characters (here 13)."""
+        nodes = read_pajek_net(io.StringIO("*vertices 13\n")).nodes
+        assert [node.lab for node in nodes] == [str(v) for v in range(1, 14)]
+
     def test_vertex_out_of_range_reports_line(self):
         with pytest.raises(ParseError, match="line 3"):
             read_pajek_net(io.StringIO('*vertices 1\n1 "a"\n2 "b"\n'))
@@ -308,6 +314,8 @@ class TestReadNet:
          "relation codes 1 to 5 span more values than the file's 3 lines"),
         ("*vertices 1\n*edges\n1: 1 1\n1000000000000000000: 1 1\n",
          "relation codes 1 to 1000000000000000000 span more values than the file's 4 lines"),
+        ("*vertices 100\n", "vertex numbers 1 to 100 span more values than the file's 14 characters"),
+        ("*vertices 14\n", "vertex numbers 1 to 14 span more values than the file's 13 characters"),
     ])  # fmt: skip
     def test_rejection(self, text, message):
         with pytest.raises(ParseError) as excinfo:
@@ -559,6 +567,14 @@ class TestPartition:
             write_pajek_clu(net, "p")
         assert str(excinfo.value) == "property 'p' holds structured values; not categorical"
 
+    @pytest.mark.parametrize("property", ["p", "mode"])
+    def test_empty_text_rejected(self, property):
+        """A coding table's levels are non-empty text, and 0 already codes a missing value."""
+        nodes = [NodeRecord(id="a", mode="", props={"p": ""}), NodeRecord(id="b", mode="m", props={"p": "x"})]
+        with pytest.raises(CodingError) as excinfo:
+            write_pajek_clu(make_network(nodes, []), property)
+        assert str(excinfo.value) == f"property {property!r} holds empty text; not a level"
+
 
 class TestCluFiles:
     def test_write_sex_partition(self, bib_network):
@@ -622,6 +638,8 @@ class TestCluFiles:
          "partition values 1 to 4000000 span more values than the file's 3 lines"),
         ("% legend\n*vertices 2\n1000000000000000000\n1\n",
          "partition values 1 to 1000000000000000000 span more values than the file's 4 lines"),
+        ("*vertices 2\n\n1\n\n6\n",  # blank lines hold no value, but they count
+         "partition values 1 to 6 span more values than the file's 5 lines"),
         ("% 1 a\n*vertices 3\n1\n0\n1\n", "3 values for a network of 2 nodes"),
     ])  # fmt: skip
     def test_rejection(self, text, message):

@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import DATA
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -58,6 +60,8 @@ def test_all_lists_the_public_names():
 
     assert set(netconv.__all__) == PUBLIC and len(netconv.__all__) == len(PUBLIC)
     assert set(dir(netconv)) >= PUBLIC | set(SUBMODULES)
+    with pytest.raises(AttributeError, match="^module 'netconv' has no attribute 'nosuch'$"):
+        netconv.nosuch
 
 
 def test_importing_the_cli_loads_no_format_module():
