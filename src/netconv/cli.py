@@ -7,7 +7,9 @@ same report: for NetsJSON the walk's
 (:func:`~netconv.netsjson.validate_netsjson_document`), for NET and CSV
 :func:`~netconv.validation.check_all`'s, from the two of its rules a
 network those readers build can break. ``convert`` prints it before any
-transform and runs no check after one. Findings go to standard error;
+transform and runs no check after one; it hands the writer the network as
+read or transformed, and each writer writes its own normal form (NET and
+NetsJSON sort the relation levels). Findings go to standard error;
 ``-`` means standard input/output, for at most one input and one output
 of a run. Output files are written via
 temporary files, renamed once all of them are written, so a failed run
@@ -30,7 +32,7 @@ import os
 import sys
 
 from .errors import CodingError, NetconvError
-from .model import Network, canonical_order, network_stats
+from .model import Network, network_stats
 from .validation import Checker, Level, ValidationReport, parse_iso_date
 
 FORMATS = ("csv", "net", "netsjson")
@@ -237,7 +239,7 @@ def cmd_convert(args) -> int:
         network = defactorize_network(network)  # --factorize rebases via the labeled form
         if args.factorize:
             network = factorize_network(network, args.base)
-    _write_network(args, canonical_order(network))
+    _write_network(args, network)
     return EXIT_OK
 
 

@@ -31,7 +31,7 @@ def factorize_network(network: Network, base: int = 1) -> Network:
     if len(node_coding) != len(ids):
         raise StructuralError("duplicate node identifiers prevent factorization")
     # Keep declared-but-unused relation levels so inversion restores them.
-    relations = sorted_relations(network.relations.levels, network.links, base)
+    relations = sorted_relations(network.relations.levels, (l.rel for l in network.links), base)
     tables = network.property_codings
     property_codings = {name: table._replace(base=base) for name, table in tables.items()}
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 from collections import Counter
 from enum import Enum
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .coding import CodingTable, LevelPolicy, build_coding_table, check_span, code_range_table
 from .errors import StructuralError
@@ -216,10 +216,10 @@ def parallel_key(kind: LinkKind, rel, n1, n2) -> tuple:
     return kind, rel, n1, n2
 
 
-def sorted_relations(declared: Sequence[str], links: Sequence[LinkRecord], base: int) -> CodingTable:
-    """A labeled network's relation table: the ``declared`` levels and the
-    relations ``links`` use, sorted, based at ``base``."""
-    return build_coding_table("relation", [*declared, *(l.rel for l in links)], LevelPolicy.SORTED, base)
+def sorted_relations(declared: Sequence[str], used: Iterable[str], base: int) -> CodingTable:
+    """The relation normal form: the ``declared`` levels and the ``used``
+    relation names, sorted, based at ``base``."""
+    return build_coding_table("relation", [*declared, *used], LevelPolicy.SORTED, base)
 
 
 def make_network(
@@ -295,8 +295,9 @@ def make_network(
 
 def node_names(network: Network) -> Callable[[str | int], str]:
     """A node id's name: its code's level in the node table (a code the
-    table does not cover raises CodingError); a labeled id is its own."""
-    return network.node_coding.value_of if network.is_factorized else str
+    table does not cover raises CodingError), or the code itself when a
+    factorized network has no node table; a labeled id is its own."""
+    return network.node_coding.value_of if network.is_factorized and network.node_coding else str
 
 
 def recode(network: Network, node: Callable, rel: Callable, **changes) -> Network:

@@ -61,6 +61,7 @@ from typing import IO, Any, Optional
 from .coding import CodingTable, check_span
 from .errors import ExportError, ParseError, SchemaError, StructuralError, TemporalError
 from .model import (
+    EMPTY,
     EventRecord,
     InfoBlock,
     Interval,
@@ -87,6 +88,8 @@ _EVENT_TEXT = tuple(k for k, v in EventRecord._field_defaults.items() if v is No
 _NODE_OMITTED, _LINK_OMITTED, _EVENT_OMITTED = (
     {name: v for name, v in cls._field_defaults.items() if name != cls._fields[-1]}
     for cls in (NodeRecord, LinkRecord, EventRecord))
+_INFO_OMITTED = {name: _INFO_DEFAULTS[name]
+                 for name in ("network", "title", "time", "meta", "created", "modified")}
 _COMPACT_LINK_OMITTED = {**_LINK_OMITTED, "kind": LinkKind.ARC}  # pretty mode keeps type and weight
 _PRETTY_LINK_OMITTED = {name: v for name, v in _LINK_OMITTED.items() if name != "weight"}
 _NESTED = (dict, list)  # the JSON values _value_from_json rebuilds
@@ -219,36 +222,17 @@ def write_netsjson(network: Network, pretty: bool = False) -> str:
     network = canonical_order(network)
     stats = network_stats(network)
     info = network.info
-    raw_info: dict[str, Any] = {
-        "org": info.org,
-        "nNodes": stats.n_nodes,
-        "nArcs": stats.n_arcs,
-        "nEdges": stats.n_edges,
-        "simple": info.simple,
-        "directed": info.directed,
-        "multirel": info.multirel,
-        "mode": info.mode,
-    }
-    if info.network:
-        raw_info["network"] = info.network
-    if info.title:
-        raw_info["title"] = info.title
-    if info.time is not None:
-        time_obj: dict[str, Any] = {"Tmin": info.time.t_min, "Tmax": info.time.t_max}
-        if info.time.t_labs:
-            time_obj["Tlabs"] = {str(t): info.time.t_labs[t] for t in sorted(info.time.t_labs)}
-        raw_info["time"] = time_obj
-    if info.meta:
-        raw_info["meta"] = [_record_to_json(e, _EVENT_OMITTED, _EVENT_MEMBERS,
-                                            "event extra entry") for e in info.meta]
-    if info.created is not None:
-        raw_info["created"] = info.created
-    if info.modified is not None:
-        raw_info["modified"] = info.modified
-    if len(network.relations):
-        raw_info["relations"] = list(network.relations.levels)
-    if len(network.node_coding):
-        raw_info["nodeCoding"] = list(network.node_coding.levels)
+    time = info.time and {"Tmin": info.time.t_min, "Tmax": info.time.t_max}
+    if info.time and info.time.t_labs:
+        time["Tlabs"] = {str(t): info.time.t_labs[t] for t in sorted(info.time.t_labs)}
+    meta = tuple(_record_to_json(e, _EVENT_OMITTED, _EVENT_MEMBERS, "event extra entry")
+                 for e in info.meta)
+    members = _record_to_json(info._replace(time=time, meta=meta, extra=EMPTY), _INFO_OMITTED, (), "")
+    raw_info: dict[str, Any] = {"org": members.pop("org"), "nNodes": stats.n_nodes,
+                                "nArcs": stats.n_arcs, "nEdges": stats.n_edges, **members}
+    for member, table in (("relations", network.relations), ("nodeCoding", network.node_coding)):
+        if table:
+            raw_info[member] = list(table.levels)
     if network.property_codings:
         raw_info["propertyCodings"] = {
             name: list(network.property_codings[name].levels)

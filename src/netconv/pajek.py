@@ -2,7 +2,7 @@
 
 The NET writer emits, in order: ``*vertices n``, one ``i "label"`` line per
 node (coordinates optional), one ``*arcs :r "name"`` declaration per
-relation in coding order, then plain ``*arcs`` / ``*edges`` sections whose
+relation in sorted order, then plain ``*arcs`` / ``*edges`` sections whose
 lines read ``r: n1 n2 w l "name"``. The reader tolerates ``%`` comments,
 blank lines, CRLF endings, case-insensitive keywords, missing relation
 prefixes (code 1), and missing ``l "name"`` suffixes.
@@ -61,33 +61,23 @@ def _format_weight(w: float) -> str:
 def write_pajek_net(network: Network, base: int = 1, *, coordinates: bool = False) -> str:
     """Serialize a network as Pajek NET text (LF line endings).
 
-    Pajek numbering is 1-based. A factorized network's node codes are
-    written shifted up by one when it is based at 0, and each relation is
-    numbered by its place in the relation table, as its ``*arcs :k``
-    declaration is, whatever the table's base. A labeled network is numbered
-    as :func:`~netconv.factorize.factorize_network` would code it at base
-    1, without building the coded copy: each node by its position in node
-    order, each relation by its place in the sorted table of the declared
-    levels and the relations in use. A node without a label is labeled by
-    its name (:func:`~netconv.model.node_names`); a label that two nodes
-    share raises, as the reader could not tell them apart. Coordinates are
+    Pajek numbering is 1-based, and one numbering serves both identifier
+    forms: vertex ``i`` is the i-th node, and each relation is numbered by
+    its place in the relation normal form (:func:`~netconv.model.sorted_relations`
+    of the declared levels and the relation names in use, a code named
+    through the relation table), which the ``*arcs :k`` declarations list.
+    A node without a label is labeled by its name
+    (:func:`~netconv.model.node_names`); a label that two nodes share
+    raises, as the reader could not tell them apart. Coordinates are
     emitted only when requested and both x and y are present.
     """
     if base != 1:
         raise ExportError("Pajek NET files are 1-based; base must be 1")
     nodes = network.nodes
-    if network.is_factorized:
-        shift = 1 - network.info.org
-        number = {node.id: node.id + shift for node in nodes}
-        if set(number.values()) != set(range(1, len(nodes) + 1)):
-            raise ExportError("node codes do not form a contiguous 1-based range")
-        relations = network.relations
-        rel_code, rel_name = (lambda rel: rel - relations.base + 1), relations.value_of
-    else:
-        number = {node.id: i for i, node in enumerate(nodes, start=1)}
-        relations = sorted_relations(network.relations.levels, network.links, 1)
-        rel_code, rel_name = relations.code_of, str
-
+    number = {node.id: i for i, node in enumerate(nodes, start=1)}
+    rel_name = network.relations.value_of if network.is_factorized else str
+    names = {rel: rel_name(rel) for rel in dict.fromkeys(l.rel for l in network.links)}
+    relations = sorted_relations(network.relations.levels, names.values(), 1)
     name_of = node_names(network)
     labels = set()  # the reader names each vertex by its label
     lines = [f"*vertices {len(nodes)}"]
@@ -105,8 +95,7 @@ def write_pajek_net(network: Network, base: int = 1, *, coordinates: bool = Fals
         lines.append(f"*arcs :{i + 1} {_quote(name)}")
 
     # Each relation's "code:" prefix and quoted name, made once per relation.
-    tags = {rel: (f"{rel_code(rel)}:", _quote(rel_name(rel)))
-            for rel in dict.fromkeys(l.rel for l in network.links)}
+    tags = {rel: (f"{relations.code_of(name)}:", _quote(name)) for rel, name in names.items()}
 
     def link_line(link: LinkRecord) -> str:
         code, name = tags[link.rel]

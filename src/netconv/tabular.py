@@ -296,10 +296,11 @@ def merge_node_properties(
 ) -> Network:
     """Attach node-table columns to matching nodes of an existing network.
 
-    Rows are matched by name against each node's label, or else its name
-    (its text id, or its code's level in the node table); unmatched rows
-    are ignored, and a missing cell leaves the node's value as it was. Used
-    to re-attach properties a format such as Pajek NET cannot carry.
+    A row matches the node it names (:func:`~netconv.model.node_names`:
+    its text id, or its code's name), the name a node table written by
+    :func:`network_to_tables` gives it; unmatched rows are ignored, and a
+    missing cell leaves the node's value as it was. Used to re-attach
+    properties a format such as Pajek NET cannot carry.
     """
     cols = _decode(node_table, _NODE_COLUMNS, "node", decimal_separator)
     row_of = {name: i for i, name in enumerate(cols.pop("id"))}
@@ -307,7 +308,7 @@ def merge_node_properties(
     name_of = node_names(network)
     nodes = []
     for n in network.nodes:
-        i = row_of.get(n.lab or name_of(n.id))
+        i = row_of.get(name_of(n.id))
         if i is not None:
             changes = {field: cells[i] for field, cells in cols.items() if cells[i] is not None}
             n = n._replace(**changes, props={**n.props, **props[i]})

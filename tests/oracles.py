@@ -345,14 +345,16 @@ def tables_to_network(nodes, links, directed=True, base=1, *, decimal_separator=
 
 
 def merge_node_properties(network, node_table: RowTable, *, decimal_separator="."):
-    """Node-table cells overlaid on the matching nodes, one row dict per row."""
+    """Node-table cells overlaid on the nodes they name, one row dict per row."""
     rows = {}
     for fields, props in _decode(node_table, _NODE_COLUMNS, "node", decimal_separator):
         name = fields.pop("id")
         rows[name] = ({k: v for k, v in fields.items() if v is not None}, props)
     nodes = []
     for n in network.nodes:
-        row = rows.get(n.lab or (n.id if isinstance(n.id, str) else None))
+        coded = not isinstance(n.id, str)
+        name = network.node_coding.value_of(n.id) if coded and len(network.node_coding) else str(n.id)
+        row = rows.get(name)
         if row is not None:
             fields, props = row
             n = n._replace(**fields, props={**n.props, **props})

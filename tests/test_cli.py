@@ -987,10 +987,10 @@ def run_cli(*argv) -> tuple[int, str]:
 
 
 class TestFactorizedWithoutNodeCoding:
-    """A factorized document without nodeCoding whose node codes run from
-    org without a gap names each code by itself: convert writes it to every
-    format and with either transform, and its NetsJSON output carries that
-    node table. Codes with a gap get no table, whatever the largest code."""
+    """A factorized document without nodeCoding names each code by itself:
+    convert writes it to every format and with either transform. Its
+    NetsJSON output carries that node table when the codes run from org
+    without a gap; codes with a gap get none, whatever the largest code."""
 
     def write(self, tmp_path, doc) -> str:
         path = tmp_path / "in.json"
@@ -1036,10 +1036,30 @@ class TestFactorizedWithoutNodeCoding:
         assert "nodeCoding" not in written["info"] and written["nodes"] == doc["nodes"]
         assert main(["info", path]) == 0
         assert capsys.readouterr().out.startswith("nodes: 2\n")
-        refusal = "error: code 1 out of range [1, 0] for coding table 'node'\n"
-        csv_paths = ["--nodes", tmp_path / "n.csv", "--links", tmp_path / "l.csv"]
-        assert run_cli("convert", "-i", path, "--to", "csv", *csv_paths) == (2, refusal)
-        assert run_cli("convert", "-i", path, "-o", out, "--defactorize") == (2, refusal)
+        nodes, links = tmp_path / "n.csv", tmp_path / "l.csv"
+        assert run_cli("convert", "-i", path, "--to", "csv", "--nodes", nodes, "--links", links) == (0, "")
+        assert nodes.read_text(encoding="utf-8") == "name;x;y\n1;;\n1000000000;;\n"
+        assert links.read_text(encoding="utf-8") == "from;relation;to\n1;r;1000000000\n"
+        assert run_cli("convert", "-i", path, "-o", out, "--defactorize") == (0, "")
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert [n["id"] for n in doc["nodes"]] == ["1", "1000000000"]
+        assert doc["links"] == [{"n1": "1", "n2": "1000000000", "rel": "r"}]
+
+    @pytest.mark.parametrize("ids", [(1, 10**9), (2, 1), (10**9, 1)])
+    def test_net_numbers_vertices_by_position(self, ids, tmp_path):
+        doc = factorized_document(relations=["r"], labs=("a", "b"))
+        doc["nodes"][0]["id"] = doc["links"][0]["n1"] = ids[0]
+        doc["nodes"][1]["id"] = doc["links"][0]["n2"] = ids[1]
+        path, out = self.write(tmp_path, doc), tmp_path / "o.net"
+        assert run_cli("convert", "-i", path, "-o", out) == (0, "")
+        assert out.read_text(encoding="utf-8") == (
+            '*vertices 2\n1 "a"\n2 "b"\n*arcs :1 "r"\n*arcs\n1: 1 2 1 l "r"\n')
+        assert run_cli("validate", out) == (0, "")
+        with open(out, encoding="utf-8") as stream:
+            back = read_pajek_net(stream)
+        labels = {node.id: node.lab for node in back.nodes}
+        assert [node.lab for node in back.nodes] == ["a", "b"]
+        assert [(labels[l.n1], labels[l.n2]) for l in back.links] == [("a", "b")]
 
 
 # Inputs whose coded relation table is based away from org, each with the
@@ -1116,11 +1136,10 @@ def vertex_labels(doc: dict) -> list[str]:
 
 class TestFactorizedDocumentsConvert:
     """Whenever validate accepts a factorized document, convert writes it to
-    NetsJSON, and validate accepts what it writes. NET output, which numbers
-    vertices 1 to n and names each by its label, needs node codes
-    contiguous from org and distinct labels, and validate accepts what it
-    writes; CSV output needs those codes or a nodeCoding to name the nodes.
-    Either refuses otherwise, with exit 2."""
+    NetsJSON and to CSV, and validate accepts the NetsJSON it writes. NET
+    output, which numbers vertex i the i-th node and names each by its
+    label, needs distinct labels, refuses the document with exit 2
+    otherwise, and validate accepts what it writes."""
 
     @given(factorized_documents())
     @settings(max_examples=150, deadline=None)
@@ -1131,17 +1150,14 @@ class TestFactorizedDocumentsConvert:
                 json.dump(doc, handle)
             if run_cli("validate", path)[0] != 0:
                 return
-            ids = sorted(node["id"] for node in doc["nodes"])
-            contiguous = ids == list(range(doc["info"]["org"], doc["info"]["org"] + len(ids)))
-            named = contiguous or "nodeCoding" in doc["info"]
-            distinct = contiguous and len(set(vertex_labels(doc))) == len(ids)
+            distinct = len(set(vertex_labels(doc))) == len(doc["nodes"])
             outputs = {"netsjson": (os.path.join(tmp, "o.json"), True),
                        "net": (os.path.join(tmp, "o.net"), distinct)}
             for to, (out, writable) in outputs.items():
                 assert run_cli("convert", "-i", path, "-o", out)[0] == (0 if writable else 2), to
                 assert not writable or run_cli("validate", out)[0] == 0, to
             csv_paths = ["--nodes", os.path.join(tmp, "n.csv"), "--links", os.path.join(tmp, "l.csv")]
-            assert run_cli("convert", "-i", path, "--to", "csv", *csv_paths)[0] == (0 if named else 2)
+            assert run_cli("convert", "-i", path, "--to", "csv", *csv_paths)[0] == 0
 
 
 class TestRepeatedVertexLabels:
@@ -1486,6 +1502,20 @@ class TestPartition:
         argv = ["partition", "-i", str(path), "--via-csv", str(table), "--property", "kind"]
         assert main(argv) == 0
         assert capsys.readouterr().out == "% 1 x 2 y\n*vertices 2\n1\n2\n"
+
+    def test_via_csv_matches_the_names_csv_output_writes(self, tmp_path, capsys):
+        # each lab differs from its node's name; CSV output names the nodes 1 and 2
+        path, nodes = tmp_path / "in.json", tmp_path / "n.csv"
+        path.write_text(json.dumps(factorized_document(relations=["r"])), encoding="utf-8")
+        argv = ["convert", "-i", path, "--to", "csv", "--nodes", nodes, "--links", tmp_path / "l.csv"]
+        assert run_cli(*argv) == (0, "")
+        table = tmp_path / "kinds.csv"
+        names = [row.split(";")[0] for row in nodes.read_text(encoding="utf-8").splitlines()[1:]]
+        table.write_text("name;kind\n" + "".join(f"{name};k{name}\n" for name in names),
+                         encoding="utf-8")
+        argv = ["partition", "-i", str(path), "--via-csv", str(table), "--property", "kind"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "% 1 k1 2 k2\n*vertices 2\n1\n2\n"
 
 
 # Each subcommand's options: option strings (a positional by its dest) ->

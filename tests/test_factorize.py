@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import outcome
 from netconv import (
-    CodingError,
     CodingTable,
     LinkKind,
     LinkRecord,
@@ -104,11 +104,11 @@ class TestDefactorize:
         labeled = defactorize_network(factorize_network(bib_canonical, base))
         assert labeled.node_coding == CodingTable("node", (), base)
 
-    def test_missing_coding_table_rejected(self):
-        net = Network(nodes=(NodeRecord(id=1, lab="a"),))
-        with pytest.raises(CodingError) as excinfo:
-            defactorize_network(net)
-        assert str(excinfo.value) == "code 1 out of range [1, 0] for coding table 'node'"
+    def test_missing_node_table_names_codes_by_themselves(self):
+        net = Network(nodes=(NodeRecord(id=1, lab="a"), NodeRecord(id=10**9)))
+        labeled = defactorize_network(net)
+        assert labeled.nodes == (NodeRecord(id="1", lab="a"), NodeRecord(id="1000000000"))
+        assert labeled.node_coding == CodingTable("node")
 
     def test_round_trip_identity_random(self):
         rng = random.Random(991)
@@ -157,6 +157,10 @@ class TestMatchesRecordCopies:
         coded = coded._replace(relations=CodingTable("relation", tuple(levels), coded.relations.base))
         assert canonical_order(coded) == oracles.canonical_order(coded)
         assert defactorize_network(coded) == oracles.defactorize_network(coded)
+        # the NET writer sorts the relations itself, in either identifier form
+        written = outcome(write_pajek_net, coded)
+        assert written == outcome(write_pajek_net, canonical_order(coded))
+        assert written == outcome(write_pajek_net, defactorize_network(coded))
 
 
 class TestNodeTableOnlyWhenFactorized:

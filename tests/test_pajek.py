@@ -89,13 +89,16 @@ class TestWriteNet:
         with pytest.raises(ExportError):
             write_pajek_net(bib_canonical, base=0)
 
-    def test_non_contiguous_codes_rejected(self):
-        net = Network(
-            nodes=(NodeRecord(id=1, lab="a"), NodeRecord(id=3, lab="b")),
-            node_coding=CodingTable("node", ("a", "b"), 1),
-        )
-        with pytest.raises(ExportError, match="contiguous"):
-            write_pajek_net(net)
+    def test_non_contiguous_codes_numbered_by_position(self):
+        net = make_network([NodeRecord(id=10**9, lab="z"), NodeRecord(id=1)],
+                           [LinkRecord(LinkKind.EDGE, 1, 10**9, 1)], relations=CodingTable("r", ("s",)))
+        assert write_pajek_net(net) == '*vertices 2\n1 "z"\n2 "1"\n*arcs :1 "s"\n*edges\n1: 2 1 1 l "s"\n'
+
+    def test_declarations_written_sorted(self):
+        text = '*vertices 2\n1 "a"\n2 "b"\n*arcs :1 "z"\n*arcs :2 "a"\n*arcs\n1: 1 2\n2: 2 1\n'
+        written = write_pajek_net(read_pajek_net(io.StringIO(text)))
+        assert written == ('*vertices 2\n1 "a"\n2 "b"\n*arcs :1 "a"\n*arcs :2 "z"\n*arcs\n'
+                           '2: 1 2 1 l "z"\n1: 2 1 1 l "a"\n')
 
     def test_non_finite_weight_rejected(self):
         link = LinkRecord(LinkKind.ARC, "a", "a", "r", weight=float("nan"))

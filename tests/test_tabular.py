@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import deadline, outcome
 from netconv import (
-    CodingError,
     CodingTable,
     ExportError,
     LinkKind,
@@ -292,11 +291,10 @@ class TestFactorizedToTables:
             coded = canonical_order(factorize_network(bib_canonical, base))
             assert network_to_tables(coded) == network_to_tables(bib_canonical)
 
-    def test_without_node_table_rejected(self, bib_canonical):
+    def test_without_node_table_names_codes_by_themselves(self, bib_canonical):
         coded = factorize_network(bib_canonical, 1)._replace(node_coding=CodingTable("node"))
-        with pytest.raises(CodingError) as excinfo:
-            network_to_tables(coded)
-        assert str(excinfo.value) == "code 1 out of range [1, 0] for coding table 'node'"
+        names = network_to_tables(coded)[0].column("name")
+        assert names == tuple(str(code) for code in range(1, len(coded.nodes) + 1))
 
 
 class TestQuotingAndRoundTrips:
