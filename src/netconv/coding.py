@@ -9,7 +9,7 @@ coded (factorized) representation is always invertible.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Collection, Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from .errors import CodingError
 
@@ -109,26 +109,6 @@ def build_coding_table(
     else:
         levels = dict.fromkeys(v for v in values if v is not None)
     return CodingTable(name=name, levels=tuple(levels), base=base)
-
-
-def code_range_table(name: str, codes: Iterable[int], names: Mapping[int, str] = {}) -> CodingTable:
-    """A table named by its codes: every code from the smallest to the largest
-    of ``codes``, based at the smallest, each named by ``names`` or else by
-    itself (no codes: the empty table). A repeated or empty name raises ValueError."""
-    codes = set(codes)
-    if not codes:
-        return CodingTable(name)
-    lo, hi = min(codes), max(codes)
-    return CodingTable(name, tuple(names.get(c, str(c)) for c in range(lo, hi + 1)), lo)
-
-
-def check_span(codes: Collection[int], size: int, what: str, within: str, error: type) -> None:
-    """Raise ``error`` when ``codes`` span more values than ``size``: a table
-    named by every code from the smallest to the largest would then be larger
-    than the input that names them. ``what`` words the codes, and ``within``
-    the size, which fills its ``{}`` ("relation codes", "the file's {} lines")."""
-    if codes and max(codes) - min(codes) >= size:
-        raise error(f"{what} {min(codes)} to {max(codes)} span more values than {within.format(size)}")
 
 
 def encode(values: Iterable[Optional[str]], table: CodingTable) -> list[int]:

@@ -388,8 +388,8 @@ class _Walk:
         meta = self.meta(raw["meta"]) if "meta" in raw else ()
         created, modified = self.dates(raw)
 
-        check.relations = self.coding(raw, "relations", "relation", "$.info")
-        check.node_coding = self.coding(raw, "nodeCoding", "node", "$.info")
+        check.relations = self.coding(raw, "relations", "relation", "$.info") or None  # empty: absent
+        check.node_coding = self.coding(raw, "nodeCoding", "node", "$.info") or None
         codings = typed(raw, "propertyCodings", lambda v: isinstance(v, dict), "an object", "$.info")
         self.property_codings = {
             name: self.coding(codings, name, name, "$.info.propertyCodings") for name in codings or ()

@@ -18,8 +18,7 @@ import math
 import re
 from typing import IO
 
-from .coding import (CodingTable, LevelPolicy, build_coding_table, check_span, code_range_table,
-                     encode)
+from .coding import CodingTable, LevelPolicy, build_coding_table, encode
 from .errors import CodingError, ExportError, ParseError
 from .model import (LinkKind, LinkRecord, Network, NodeRecord, code_names, make_network,
                     sorted_relations)
@@ -120,10 +119,13 @@ def read_pajek_net(source: IO[str]) -> Network:
     """Parse Pajek NET text into a factorized network.
 
     The node coding is taken from the vertex labels (which must therefore be
-    distinct); relation declarations become the relation coding table, with
-    names synthesized from bare codes when a referenced relation was never
-    declared. A repeated vertex line replaces only the label and coordinates
-    it gives. A ``*network`` line before ``*vertices`` names the network.
+    distinct). A relation code is a name local to the file: each is named
+    by the name it was declared or first used with, or else by itself, and
+    the relation table is those names in their normal form
+    (:func:`~netconv.model.sorted_relations`), each link's code its name's
+    place there. A repeated vertex line replaces only the label and
+    coordinates it gives. A ``*network`` line before ``*vertices`` names
+    the network.
     """
     n = None  # the count of the last *vertices header
     vertices: dict[int, NodeRecord] = {}  # vertex number -> record, as last described
@@ -205,21 +207,24 @@ def read_pajek_net(source: IO[str]) -> Network:
 
     if n is None:
         raise ParseError("missing *vertices header")
-    # each counted vertex becomes a record, listed or not, so the count may not exceed the text
-    check_span((1, n), chars, "vertex numbers", "the file's {} characters", ParseError)
+    if n > chars:  # each counted vertex becomes a record, listed or not
+        raise ParseError(f"vertex numbers 1 to {n} span more values than the file's {chars} characters")
     nodes = [vertices.get(v) or NodeRecord(v, str(v)) for v in range(1, n + 1)]
     try:
         node_coding = CodingTable("node", tuple(node.lab for node in nodes))
     except ValueError:
         raise ParseError("duplicate vertex labels prevent building the node coding") from None
-    codes = {link.rel for link in links}.union(names)
-    if codes and min(codes) < 1:
-        raise ParseError(f"relation code {min(codes)} is below 1")
-    check_span(codes, lineno, "relation codes", "the file's {} lines", ParseError)
+    codes = sorted({link.rel for link in links}.union(names))
+    if codes and codes[0] < 1:
+        raise ParseError(f"relation code {codes[0]} is below 1")
+    named = {code: names.get(code, str(code)) for code in codes}
     try:
-        relations = code_range_table("relation", codes, names)
+        CodingTable("relation", tuple(named.values()))
     except ValueError as exc:
         raise ParseError(f"relation names are not distinct: {exc}") from None
+    relations = sorted_relations(named.values(), (), 1)
+    if any(relations.code_of(name) != code for code, name in named.items()):
+        links = [link._replace(rel=relations.code_of(named[link.rel])) for link in links]
     directed = any(l.kind is LinkKind.ARC for l in links) or not links
     network = make_network(nodes, links, org=1, directed=directed, relations=relations,
                            node_coding=node_coding)

@@ -25,7 +25,6 @@ from netconv import (
     StructuralError,
     build_coding_table,
 )
-from netconv.coding import code_range_table
 from netconv.model import EMPTY
 from netconv.pajek import _numbered_lines, _tokens
 from netconv.tabular import _LINK_COLUMNS, _NA_STRINGS, _NODE_COLUMNS
@@ -376,9 +375,9 @@ def read_pajek_net(source: IO[str]) -> Network:
     """Parse Pajek NET text into a factorized network.
 
     The node coding is taken from the vertex labels (which must therefore be
-    distinct); relation declarations become the relation coding table, with
-    names synthesized from bare codes when a referenced relation was never
-    declared.
+    distinct). Each relation code is named by its declaration or first
+    suffix, else by its digits; the relation table is those names sorted
+    from 1, and each link's code becomes its name's position there.
     """
     n_declared = None
     labels: dict[int, str] = {}
@@ -474,16 +473,19 @@ def read_pajek_net(source: IO[str]) -> Network:
         raise ParseError("duplicate vertex labels prevent building the node coding")
     node_coding = CodingTable("node", node_levels, base=1)
 
-    codes = set(declarations) | {rel for rel, *_ in raw_links}
-    if codes and min(codes) < 1:
-        raise ParseError(f"relation code {min(codes)} is below 1")
-    try:
-        relations = code_range_table("relation", codes, declarations)
-    except ValueError as exc:
-        raise ParseError(f"relation names are not distinct: {exc}") from None
+    codes = sorted(set(declarations) | {rel for rel, *_ in raw_links})
+    if codes and codes[0] < 1:
+        raise ParseError(f"relation code {codes[0]} is below 1")
+    names = [declarations.get(code, str(code)) for code in codes]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ParseError(f"relation names are not distinct: duplicate coding table level: {name!r}")
+    levels = sorted_levels(names)
+    position = {code: levels.index(name) + 1 for code, name in zip(codes, names)}
+    relations = CodingTable("relation", tuple(levels), base=1)
 
     links = tuple(
-        LinkRecord(kind=kind, n1=n1, n2=n2, rel=rel, weight=weight)
+        LinkRecord(kind=kind, n1=n1, n2=n2, rel=position[rel], weight=weight)
         for rel, n1, n2, weight, kind in raw_links
     )
     directed = any(l.kind is LinkKind.ARC for l in links) or not links

@@ -29,10 +29,10 @@ INPUTS = {
     # node codes 1 and 10^9 and no info.nodeCoding
     "s.json": ('{"netsJSON":"basic","info":{"org":1},"nodes":[{"id":1},{"id":1000000000}],'
                '"links":[{"n1":1,"n2":1000000000,"rel":1}]}'),
+    # relation codes 1 and 10^9: two names local to the file
     "w.net": '*vertices 1\n1 "a"\n*arcs\n1: 1 1\n1000000000: 1 1\n',
     "m.net": "*vertices 1000000000\n",
 }
-WIDE_NET = "error: relation codes 1 to 1000000000 span more values than the file's 5 lines\n"
 CASES = [
     ("validate w.json", 0, ""),
     ("info w.json", 0, ""),
@@ -43,8 +43,8 @@ CASES = [
     ("convert -i s.json -o o.json", 0, ""),
     ("convert -i s.json -o o.net", 0, ""),
     ("convert -i s.json --to csv --nodes n.csv --links l.csv", 0, ""),
-    ("validate w.net", 1, WIDE_NET),
-    ("convert -i w.net -o o.json", 2, WIDE_NET),
+    ("validate w.net", 0, ""),
+    ("convert -i w.net -o o.json", 0, ""),
 ]
 
 

@@ -1226,12 +1226,13 @@ def tableless_document(rng: random.Random) -> dict:
 
 class TestCodesWithoutTables:
     """A factorized document without a coding table gets none: each code
-    names itself. validate accepts such a document exactly when its node
-    codes lie at or above org (and in a given node table), whatever their
-    span, and then convert writes it to NetsJSON and CSV, and to NET when
-    the vertex labels are distinct. NetsJSON output keeps every code as
-    written and writes no table the document lacked; CSV, NET and
-    --defactorize name each code without a table by itself."""
+    names itself, and an empty table is no table. validate accepts such a
+    document exactly when its node codes lie at or above org (and in a
+    given non-empty node table), whatever their span, and then convert
+    writes it to NetsJSON and CSV, and to NET when the vertex labels are
+    distinct. NetsJSON output keeps every code as written and writes no
+    table the document lacked; CSV, NET and --defactorize name each code
+    without a table by itself."""
 
     def test_seeded_documents(self, tmp_path):
         rng = random.Random(29)
@@ -1242,7 +1243,7 @@ class TestCodesWithoutTables:
             path.write_text(json.dumps(doc), encoding="utf-8")
             info, org = doc["info"], doc["info"]["org"]
             node_table, rel_table = info.get("nodeCoding"), info.get("relations")
-            valid = all(org <= n["id"] and (node_table is None or n["id"] - org < len(node_table))
+            valid = all(org <= n["id"] and (not node_table or n["id"] - org < len(node_table))
                         for n in doc["nodes"])
             assert run_cli("validate", path)[0] == (0 if valid else 1), doc
             assert (run_cli("convert", "-i", path, "-o", out)[0] == 0) == valid, doc
@@ -1286,6 +1287,32 @@ class TestCodesWithoutTables:
                 arcs = [l for l in doc["links"] if l.get("type") != "edge"]
                 edges = [l for l in doc["links"] if l.get("type") == "edge"]
                 assert link_names == [f'"{rel_name(l["rel"])}"' for l in arcs + edges], doc
+
+
+class TestEmptyCodingTableIsAbsent:
+    """An empty relations or nodeCoding array means what its absence means,
+    as it does to check_network and to the writer: each code names itself.
+    validate and convert accept the document, and NetsJSON output writes
+    no empty table."""
+
+    @pytest.mark.parametrize("member, node, rel, relations", [
+        ("relations", 1, 1, None),
+        ("nodeCoding", 1, 1, None),
+        ("relations", "a", "r", ["r"]),  # a labeled network derives its table
+    ])  # fmt: skip
+    def test_accepted(self, member, node, rel, relations, tmp_path):
+        path, out, net = tmp_path / "in.json", tmp_path / "o.json", tmp_path / "o.net"
+        doc = {"netsJSON": "basic", "info": {"org": 1, member: []}, "nodes": [{"id": node}],
+               "links": [{"n1": node, "n2": node, "rel": rel}]}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli("validate", path) == (0, "")
+        assert check_all(parse_netsjson(io.StringIO(json.dumps(doc)))).findings == ()
+        assert run_cli("convert", "-i", path, "-o", out) == (0, "")
+        written = json.loads(out.read_text(encoding="utf-8"))
+        assert (written["info"].get("relations"), written["info"].get("nodeCoding")) == (relations, None)
+        assert (written["nodes"], written["links"]) == (doc["nodes"], doc["links"])
+        assert run_cli("convert", "-i", path, "-o", net) == (0, "")
+        assert net.read_text(encoding="utf-8").endswith(f'*arcs\n1: 1 1 1 l "{rel}"\n')
 
 
 class TestRepeatedVertexLabels:
@@ -1348,19 +1375,20 @@ class TestCodedPropertiesAtAnotherBase:
         assert back["links"][0]["kind"] == 2
 
 
-class TestRelationCodesBoundedByTheFile:
-    """A NET file whose relation codes span more values than it has lines is
-    refused before a table names each of them: convert exits 2 and writes
-    no file, validate exits 1."""
+class TestRelationCodesNameThemselves:
+    """A NET relation code is a name local to its file: codes far apart are
+    two names, whatever they span. validate and convert accept the file,
+    and NetsJSON output lists the two relations, numbered from 1."""
 
     @pytest.mark.parametrize("code", [4000000, 10**18])
-    def test_refused(self, code, tmp_path):
+    def test_accepted(self, code, tmp_path):
         path, out = tmp_path / "in.net", tmp_path / "o.json"
         path.write_text(f'*vertices 2\n1 "a"\n2 "b"\n*arcs\n1: 1 2\n{code}: 1 2\n', encoding="utf-8")
-        message = f"error: relation codes 1 to {code} span more values than the file's 6 lines\n"
-        assert run_cli("convert", "-i", path, "-o", out) == (2, message)
-        assert not out.exists()
-        assert run_cli("validate", path) == (1, message)
+        assert run_cli("validate", path) == (0, "")
+        assert run_cli("convert", "-i", path, "-o", out) == (0, "")
+        written = json.loads(out.read_text(encoding="utf-8"))
+        assert written["info"]["relations"] == ["1", str(code)]
+        assert [l["rel"] for l in written["links"]] == [1, 2]
 
 
 # Lines and cells the mutations below insert into NET files and tables.
