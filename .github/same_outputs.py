@@ -9,7 +9,8 @@ Each source tree (a directory holding the ``netconv`` package) runs
 directory of its own. The inputs are the NET, CSV and NetsJSON files of
 ``tests/data``, the corrupt corpus in ``tests/data/corrupt``, the
 ``bench/gen.py`` inputs of every workload at seeds 1 and 2 with n=300, and
-any further ``.net`` or ``.json`` file named on the command line. On each
+any further ``.net`` or ``.json`` file, or ``NODES.csv+LINKS.csv`` pair of
+tables, named on the command line. On each
 input the runs are ``convert`` to csv, net and netsjson, each plain, with
 ``--factorize`` and with ``--defactorize``; ``validate`` at both levels;
 and ``info``. A run's exit status, standard output, standard error and
@@ -82,7 +83,7 @@ def inputs(work: Path, extra: list[str]) -> dict[str, list[Path]]:
             tables = [d / "nodes.csv", d / "links.csv"]
             files = tables if tables[0].exists() else [next(d.glob("in.*"))]
             found[f"{workload} seed {seed}"] = files
-    found.update({path: [Path(path)] for path in extra})
+    found.update({arg: [Path(path) for path in arg.split("+")] for arg in extra})
     return found
 
 

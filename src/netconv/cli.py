@@ -58,10 +58,10 @@ class _StdinText(io.TextIOWrapper):
         self.detach()
 
 
-def _open_text(path: str):
+def _open_text(path: str):  # utf-8-sig: the byte-order mark spreadsheets write reads as nothing
     if path == "-":
-        return _StdinText(sys.stdin.buffer, encoding="utf-8", newline="")
-    return open(path, "r", encoding="utf-8", newline="")
+        return _StdinText(sys.stdin.buffer, encoding="utf-8-sig", newline="")
+    return open(path, "r", encoding="utf-8-sig", newline="")
 
 
 def _write_outputs(*outputs: tuple[str, str]) -> None:

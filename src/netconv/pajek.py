@@ -2,20 +2,21 @@
 
 The NET writer emits, in order: ``*vertices n``, one ``i "label"`` line per
 node (coordinates optional), one ``*arcs :r "name"`` declaration per
-relation in sorted order, then plain ``*arcs`` / ``*edges`` sections whose
-lines read ``r: n1 n2 w l "name"``. The reader tolerates ``%`` comments,
-blank lines, CRLF endings, case-insensitive keywords, missing relation
-prefixes (code 1), and missing ``l "name"`` suffixes.
+relation in sorted order, then the links in order, each run of one kind
+under a plain ``*arcs`` / ``*edges`` header, as ``r: n1 n2 w l "name"``.
+The reader tolerates ``%`` comments, blank lines, CRLF endings, keywords in
+any case, missing relation prefixes (the section's relation: k after
+``*arcs :k``, else 1), and missing ``l "name"`` suffixes.
 
 Pajek carries no property maps, so only identity, label, coordinates,
-weight, and relation survive a round trip; the edge-section grammar mirrors
-the arc grammar (the format exemplar shows arcs only).
+weight, and relation survive a round trip.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from itertools import groupby
 from typing import IO
 
 from .coding import CodingTable, LevelPolicy, build_coding_table, encode
@@ -104,14 +105,11 @@ def write_pajek_net(network: Network, base: int = 1, *, coordinates: bool = Fals
             raise ExportError(f"link endpoint {exc.args[0]!r} names no node") from None
         return f"{code} {ends} {_format_weight(link.weight)} l {name}"
 
-    arcs = [l for l in network.links if l.kind is LinkKind.ARC]
-    edges = [l for l in network.links if l.kind is LinkKind.EDGE]
-    if arcs or not edges:
+    if not network.links:
         lines.append("*arcs")
-        lines.extend(map(link_line, arcs))
-    if edges:
-        lines.append("*edges")
-        lines.extend(map(link_line, edges))
+    for kind, run in groupby(network.links, key=lambda link: link.kind):
+        lines.append("*arcs" if kind is LinkKind.ARC else "*edges")
+        lines.extend(map(link_line, run))
     return "\n".join(lines) + "\n"
 
 
@@ -123,15 +121,17 @@ def read_pajek_net(source: IO[str]) -> Network:
     by the name it was declared or first used with, or else by itself, and
     the relation table is those names in their normal form
     (:func:`~netconv.model.sorted_relations`), each link's code its name's
-    place there. A repeated vertex line replaces only the label and
-    coordinates it gives. A ``*network`` line before ``*vertices`` names
-    the network.
+    place there. ``*arcs :k "name"`` (or ``*edges``) declares relation k and
+    opens a section of k. A repeated vertex line replaces only the label
+    and coordinates it gives. A ``*network`` line before ``*vertices``
+    names the network.
     """
     n = None  # the count of the last *vertices header
     vertices: dict[int, NodeRecord] = {}  # vertex number -> record, as last described
     links: list[LinkRecord] = []
     names: dict[int, str] = {}  # relation code -> its declared or first used name
     kind = None  # the kind of the open link section; None in *vertices
+    section_rel = 1  # the relation of its lines without a prefix
     title = ""  # the network's name, from a *network line before *vertices
     chars = 0  # the characters read, which bound the vertex count
 
@@ -161,12 +161,12 @@ def read_pajek_net(source: IO[str]) -> Network:
                 title = " ".join(toks[1:])
             elif keyword not in ("*arcs", "*edges"):
                 raise ParseError(f"unknown section keyword {toks[0]!r}", line=lineno)
-            elif len(toks) > 1 and toks[1].startswith(":"):
-                code = _int(toks[1][1:], lineno, "invalid relation code {!r}", toks[1])
-                name = toks[2] if len(toks) > 2 else str(code)
-                check((), code, name, "redeclared as {!r} (was {!r})")
             else:
-                kind = LinkKind.ARC if keyword == "*arcs" else LinkKind.EDGE
+                kind, section_rel = LinkKind.ARC if keyword == "*arcs" else LinkKind.EDGE, 1
+                if len(toks) > 1 and toks[1].startswith(":"):
+                    section_rel = _int(toks[1][1:], lineno, "invalid relation code {!r}", toks[1])
+                    name = toks[2] if len(toks) > 2 else str(section_rel)
+                    check((), section_rel, name, "redeclared as {!r} (was {!r})")
         elif n is None:
             raise ParseError("data before *vertices header", line=lineno)
         elif kind is None:
@@ -183,7 +183,7 @@ def read_pajek_net(source: IO[str]) -> Network:
                     x, y = cx, cy
             vertices[v] = NodeRecord(v, lab, x=x, y=y)
         else:
-            rel, i = 1, 0
+            rel, i = section_rel, 0
             if toks[0].endswith(":"):
                 rel, i = _int(toks[0][:-1], lineno, "invalid relation prefix {!r}", toks[0]), 1
             if len(toks) < i + 2:

@@ -118,9 +118,6 @@ def random_pajek_network(rng: random.Random, max_nodes: int = 200, max_links: in
                     weight=rng.choice(_WEIGHTS),
                 )
             )
-    # NET files hold one section per kind, so interleaved kinds cannot keep the
-    # link order; the representable class groups arcs before edges.
-    links.sort(key=lambda l: 0 if l.kind is LinkKind.ARC else 1)
     directed = any(l.kind is LinkKind.ARC for l in links) or not links
     return make_network(nodes, links, org=1, directed=directed), with_coords
 

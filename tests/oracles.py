@@ -400,6 +400,9 @@ def read_pajek_net(source: IO[str]) -> Network:
             elif keyword == "*network" and n_declared is None:
                 title = " ".join(toks[1:])
             elif keyword in ("*arcs", "*edges"):
+                # a header opens a section; ":k" makes k its lines' relation, else 1
+                section = LinkKind.ARC if keyword == "*arcs" else LinkKind.EDGE
+                section_rel = 1
                 if len(toks) >= 2 and toks[1].startswith(":"):
                     try:
                         code = int(toks[1][1:])
@@ -415,8 +418,7 @@ def read_pajek_net(source: IO[str]) -> Network:
                             line=lineno,
                         )
                     declarations[code] = name
-                else:
-                    section = LinkKind.ARC if keyword == "*arcs" else LinkKind.EDGE
+                    section_rel = code
             else:
                 raise ParseError(f"unknown section keyword {toks[0]!r}", line=lineno)
             continue
@@ -442,7 +444,7 @@ def read_pajek_net(source: IO[str]) -> Network:
                 except ValueError:
                     pass  # shape parameters, not coordinates
         else:  # *vertices opened a section, so this is a link section
-            rel, n1, n2, weight, name = _parse_link_tokens(toks, lineno)
+            rel, n1, n2, weight, name = _parse_link_tokens(toks, lineno, section_rel)
             for v in (n1, n2):
                 if not 1 <= v <= n_declared:
                     raise ParseError(
@@ -495,8 +497,7 @@ def read_pajek_net(source: IO[str]) -> Network:
     return net._replace(info=net.info._replace(network=title))
 
 
-def _parse_link_tokens(toks: list[str], lineno: int):
-    rel = 1
+def _parse_link_tokens(toks: list[str], lineno: int, rel: int):
     i = 0
     if toks[0].endswith(":"):
         try:

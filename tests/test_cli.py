@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import copy
 import csv
@@ -35,6 +36,7 @@ from netconv import (
     read_pajek_net,
     tables_to_network,
     validate_netsjson_document,
+    write_netsjson,
     write_pajek_net,
     write_table,
 )
@@ -271,49 +273,44 @@ class TestConvert:
 
     def test_csv_json_csv_fixed_point(self, bib_paths, tmp_path):
         nodes, links = bib_paths
-        first_json = tmp_path / "a.json"
-        assert (
-            main(
-                [
-                    "convert",
-                    "--to",
-                    "netsjson",
-                    "--nodes",
-                    str(nodes),
-                    "--links",
-                    str(links),
-                    "-o",
-                    str(first_json),
-                ]
-            )
-            == 0
-        )
-        n2 = tmp_path / "n2.csv"
-        l2 = tmp_path / "l2.csv"
-        assert (
-            main(
-                ["convert", "-i", str(first_json), "--to", "csv", "--nodes", str(n2), "--links", str(l2)]
-            )
-            == 0
-        )
-        second_json = tmp_path / "b.json"
-        assert (
-            main(
-                [
-                    "convert",
-                    "--to",
-                    "netsjson",
-                    "--nodes",
-                    str(n2),
-                    "--links",
-                    str(l2),
-                    "-o",
-                    str(second_json),
-                ]
-            )
-            == 0
-        )
+        first_json, second_json = tmp_path / "a.json", tmp_path / "b.json"
+        n2, l2 = tmp_path / "n2.csv", tmp_path / "l2.csv"
+        for argv in (["--nodes", nodes, "--links", links, "-o", first_json],
+                     ["-i", first_json, "--to", "csv", "--nodes", n2, "--links", l2],
+                     ["--nodes", n2, "--links", l2, "-o", second_json]):
+            assert run_cli("convert", *argv) == (0, "")
         assert second_json.read_bytes() == first_json.read_bytes()
+
+    @pytest.mark.parametrize("links", [None, "from;relation;to;kind\na;r;b;arc\nb;s;a;edge\n"],
+                             ids=["bib", "mixed-kinds"])
+    def test_factorized_document_writes_the_labeled_outputs(self, links, bib_paths, tmp_path):
+        """--defactorize undoes --factorize, and the factorized document writes
+        the tables and the NET its labeled form and its tables write."""
+        tables = ["--nodes", bib_paths[0], "--links", bib_paths[1]]
+        if links:  # a kind column that mixes arcs and edges
+            bib_paths[0].write_text("name\na\nb\n", encoding="utf-8")
+            bib_paths[1].write_text(links, encoding="utf-8")
+        full, coded, back = (tmp_path / f"{name}.json" for name in ("full", "coded", "back"))
+        for argv in ([*tables, "-o", full], [*tables, "-o", coded, "--factorize"],
+                     ["-i", coded, "-o", back, "--defactorize"], [*tables, "-o", tmp_path / "o.net"]):
+            assert run_cli("convert", *argv)[0] == 0
+        assert back.read_bytes() == full.read_bytes()
+        for source in (full, coded):
+            out = tmp_path / source.stem
+            out.mkdir()
+            assert run_cli("convert", "-i", source, "-o", out / "o.net")[0] == 0
+            assert run_cli("convert", "-i", source, "--to", "csv", "--nodes", out / "n.csv",
+                           "--links", out / "l.csv")[0] == 0
+        for name in ("o.net", "n.csv", "l.csv"):
+            assert (tmp_path / "coded" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+        assert (tmp_path / "full" / "o.net").read_bytes() == (tmp_path / "o.net").read_bytes()
+
+    def test_decimal_comma(self, tmp_path):
+        nodes, links, out = tmp_path / "n.csv", tmp_path / "l.csv", tmp_path / "o.json"
+        nodes.write_text("name;x;y\na;1,5;2\n", encoding="utf-8")
+        links.write_text("from;relation;to\n", encoding="utf-8")
+        assert run_cli("convert", "--nodes", nodes, "--links", links, "--decimal", ",", "-o", out) == (0, "")
+        assert '"x":1.5' in out.read_text(encoding="utf-8")
 
 
 class TestValidate:
@@ -321,10 +318,10 @@ class TestValidate:
         net_path = convert_bib_to_net(bib_paths, tmp_path)
         json_path = tmp_path / "bib.json"
         assert main(["convert", "-i", str(net_path), "-o", str(json_path)]) == 0
-        assert main(["validate", str(json_path), "--level", "strict"]) == 0
-        # strict only warns about the recommended dates being absent
-        assert "dates-missing" in capsys.readouterr().err
-        capsys.readouterr()
+        for report in ("text", "json"):
+            assert main(["validate", str(json_path), "--level", "strict", "--report", report]) == 0
+            # strict only warns about the recommended dates being absent
+            assert "dates-missing" in capsys.readouterr().err
         assert main(["validate", str(json_path)]) == 0
         assert capsys.readouterr().err == ""
 
@@ -792,6 +789,8 @@ CLI_FAILURES = {
          LONG_SLAB + UNDIRECTED_ARCS),
         ("convert --nodes slab.csv --links kinds.csv --undirected -o o.net", 1,
          LONG_SLAB + UNDIRECTED_ARCS),
+        ("validate --format csv ab.csv --links mixed.csv", 0, MIXED_KINDS),
+        ("convert --from csv --to net --nodes ab.csv --links mixed.csv -o o.net", 0, MIXED_KINDS),
         ("validate n.csv --links edges.csv --undirected", 0, ""),
         ("convert --nodes n.csv --links l.csv --undirected -o o.net", 0, ""),
         ("validate n.csv --links l.csv --undirected --level strict", 0, ""),
@@ -866,6 +865,7 @@ def failure_files(tmp_path, monkeypatch):
         ("norel.csv", 'from;relation;to\n"Batagelj, Vladimir";;"Mrvar, Andrej"\n'),
         ("mixed.net", "*vertices 2\n*arcs\n1 2\n*edges\n2 1\n"),
         ("edges.csv", 'from;relation;to;kind\n"Batagelj, Vladimir";r;"Mrvar, Andrej";edge\n'),
+        ("mixed.csv", "from;relation;to;kind\na;r;b;arc\nb;s;a;edge\n"),
         ("slab.csv", "name;slab\na;abcd\n"),
         ("loop.csv", "from;relation;to\na;r;a\n"),
         ("kinds.csv", "from;relation;to;kind\na;r;a;arc\na;s;a;edge\na;r;a;NA\n"),
@@ -1072,6 +1072,8 @@ class TestFactorizedWithoutNodeCoding:
         assert run_cli("convert", "-i", path, "-o", out) == (0, "")
         written = json.loads(out.read_text(encoding="utf-8"))
         assert "nodeCoding" not in written["info"] and written["nodes"] == doc["nodes"]
+        assert run_cli("convert", "-i", path, "-o", tmp_path / "o.net") == (0, "")
+        assert run_cli("validate", tmp_path / "o.net") == (0, "")
         assert main(["info", path]) == 0
         assert capsys.readouterr().out.startswith("nodes: 2\n")
         nodes, links = tmp_path / "n.csv", tmp_path / "l.csv"
@@ -1127,6 +1129,10 @@ class TestRelationTablesWrittenFromOrg:
         doc = json.loads((tmp_path / "o.json").read_text(encoding="utf-8"))
         assert (doc["info"].get("relations"), [l["rel"] for l in doc["links"]]) == (relations, rels)
         assert run_cli("validate", tmp_path / "o.json") == (0, "")
+        if name.startswith("net"):  # write_netsjson rebases the table as convert does
+            network = read_pajek_net(io.StringIO(text))
+            (tmp_path / "lib.json").write_text(write_netsjson(network), encoding="utf-8")
+            assert run_cli("validate", tmp_path / "lib.json") == (0, "")
         assert run_cli("convert", "-i", path, "-o", tmp_path / "o.net") == (0, "")
         assert (tmp_path / "o.net").read_text(encoding="utf-8").endswith(arcs)
 
@@ -1238,8 +1244,8 @@ class TestCodesWithoutTables:
         rng = random.Random(29)
         path, out = tmp_path / "in.json", tmp_path / "o.json"
         nodes, links, net = tmp_path / "n.csv", tmp_path / "l.csv", tmp_path / "o.net"
-        for _ in range(150):
-            doc = tableless_document(rng)
+        gaps = factorized_document(labs=None, rels=(1, 2, 3, 10))  # relation codes with gaps
+        for doc in [gaps, *(tableless_document(rng) for _ in range(150))]:
             path.write_text(json.dumps(doc), encoding="utf-8")
             info, org = doc["info"], doc["info"]["org"]
             node_table, rel_table = info.get("nodeCoding"), info.get("relations")
@@ -1284,9 +1290,7 @@ class TestCodesWithoutTables:
                 lines = net.read_text(encoding="utf-8").splitlines()
                 assert lines[1:len(labels) + 1] == [f'{i} "{lab}"' for i, lab in enumerate(labels, 1)]
                 link_names = [line.rsplit(" l ", 1)[1] for line in lines if " l " in line]
-                arcs = [l for l in doc["links"] if l.get("type") != "edge"]
-                edges = [l for l in doc["links"] if l.get("type") == "edge"]
-                assert link_names == [f'"{rel_name(l["rel"])}"' for l in arcs + edges], doc
+                assert link_names == [f'"{rel_name(l["rel"])}"' for l in doc["links"]], doc
 
 
 class TestEmptyCodingTableIsAbsent:
@@ -1826,3 +1830,30 @@ class TestStandardStreams:
         assert main("convert -i bib.net --to csv --nodes - --links t.csv".split()) == 0
         assert capsys.readouterr().out.startswith("name;")
         assert (failure_files / "t.csv").read_text(encoding="utf-8").startswith("from;")
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark, as spreadsheets write it, reads as
+    nothing: validate and convert give what they give on the input without it."""
+
+    DOC = b'{"netsJSON": "basic", "info": {}, "nodes": [{"id": "a"}], "links": []}'
+
+    @pytest.mark.parametrize("inputs, validate, convert", [
+        ("n.csv l.csv", "validate n.csv --links l.csv", "convert --nodes n.csv --links l.csv"),
+        ("bib.net", "validate bib.net", "convert -i bib.net"),
+        ("d.json", "validate d.json", "convert -i d.json"),
+        ("", "validate - --format netsjson", "convert -i - --from netsjson"),
+    ], ids=["csv", "net", "netsjson", "-"])  # fmt: skip
+    def test_read_as_nothing(self, inputs, validate, convert, failure_files, monkeypatch, capsys):
+        (failure_files / "d.json").write_bytes(self.DOC)
+        plain = {name: (failure_files / name).read_bytes() for name in inputs.split()}
+        runs = []
+        for bom in (b"", codecs.BOM_UTF8):
+            for name, data in plain.items():
+                (failure_files / name).write_bytes(bom + data)
+            for argv in (validate, f"{convert} -o o.json"):
+                monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(bom + self.DOC)))
+                runs.append((main(argv.split()), capsys.readouterr()))
+            runs.append((failure_files / "o.json").read_bytes())
+        assert (runs[0][0], runs[1][0]) == (0, 0)
+        assert runs[3:] == runs[:3]

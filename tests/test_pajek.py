@@ -61,6 +61,13 @@ class TestWriteNet:
         )
         assert write_pajek_net(net) == expected
 
+    def test_link_order_kept(self):
+        """Each run of links of one kind is written, in link order, under its own header."""
+        net = read_pajek_net(io.StringIO("*vertices 2\n*edges\n1 2\n*arcs\n1 2\n*edges\n2 1\n"))
+        assert write_pajek_net(net) == (
+            '*vertices 2\n1 "1"\n2 "2"\n*arcs :1 "1"\n*edges\n1: 1 2 1 l "1"\n'
+            '*arcs\n1: 1 2 1 l "1"\n*edges\n1: 2 1 1 l "1"\n')
+
     def test_relation_declarations_increase_from_one(self, bib_canonical):
         text = write_pajek_net(bib_canonical)
         codes = [int(m) for m in re.findall(r"^\*arcs :(\d+)", text, re.M)]
@@ -339,6 +346,22 @@ class TestReadNet:
         for a code the file does not give."""
         assert read_pajek_net(io.StringIO(text)).relations == CodingTable("relation", levels, base)
 
+    @pytest.mark.parametrize("text, links", [
+        ('*Vertices 3\n1 "a"\n2 "b"\n3 "c"\n*Arcs :1 "likes"\n1 2\n*Arcs :2 "hates"\n2 3\n',
+         [("arc", "a", "b", "likes"), ("arc", "b", "c", "hates")]),
+        ('*Vertices 3\n1 "a"\n2 "b"\n3 "c"\n*Edges\n1 2\n*Arcs :2 "hates"\n2 3\n',
+         [("edge", "a", "b", "1"), ("arc", "b", "c", "hates")]),
+        # a prefix wins, and a plain header opens a section of relation 1
+        ('*vertices 2\n*edges :2 "b"\n1: 1 2\n2 1\n*arcs\n1 2\n',
+         [("edge", "1", "2", "1"), ("edge", "2", "1", "b"), ("arc", "1", "2", "1")]),
+    ], ids=["declarations", "after-edges", "prefix-and-plain"])  # fmt: skip
+    def test_declaration_opens_a_section(self, text, links):
+        """``*arcs :k "name"`` (or ``*edges``) opens a section whose lines
+        without a prefix belong to relation k."""
+        net = read_pajek_net(io.StringIO(text))
+        label, relation = net.node_coding.value_of, net.relations.value_of
+        assert [(l.kind.value, label(l.n1), label(l.n2), relation(l.rel)) for l in net.links] == links
+
     @pytest.mark.parametrize("text, rels", [
         ('*vertices 1\n*arcs :1 "a"\n*arcs :2 "b"\n*arcs\n2: 1 1\n1: 1 1\n', [2, 1]),
         ('*vertices 1\n*arcs :1 "b"\n*arcs :2 "a"\n*arcs\n2: 1 1\n1: 1 1\n', [1, 2]),
@@ -390,9 +413,9 @@ OTHER_LINES = ["% a comment", "%", '% an "open quote', "", "  ", "\t", '1 "open'
 @st.composite
 def net_text(draw) -> str:
     """A NET text: a *vertices header, vertex lines, relation declarations,
-    then link sections; keywords in any case; optional labels, coordinates,
-    shape parameters, relation prefixes, weights and suffixes; blank lines and
-    CRLF. Then a few lines put anywhere: comments, bad lines, and repeated
+    then link sections, each opened by a plain header or a declaration;
+    keywords in any case; optional labels, coordinates, shape parameters,
+    relation prefixes, weights and suffixes; blank lines and CRLF. Then a few lines put anywhere: comments, bad lines, and repeated
     *vertices headers and vertex lines."""
     rng = draw(st.randoms(use_true_random=True))
     bad_lines = rng.choice([0, 0, 0.05, 0.2])  # the share of lines that may hold bad tokens
@@ -436,7 +459,7 @@ def net_text(draw) -> str:
     lines += [make_line(vertex_line) for _ in range(rng.randint(0, 5))]
     lines += [make_line(declaration) for _ in range(rng.choice([0, 0, 1, 2, 3]))]
     for _ in range(rng.choice([0, 1, 1, 2, 3])):
-        lines.append(rng.choice(SECTIONS))
+        lines.append(rng.choice(SECTIONS) if rng.random() < 0.7 else make_line(declaration))
         lines += [make_line(link_line) for _ in range(rng.randint(0, 4))]
     for _ in range(rng.choice([0, 0, 1, 2])):
         extra = rng.choice([vertices_header, vertex_line, declaration, link_line, None])
@@ -461,6 +484,7 @@ class TestReadNetMatchesOracle:
     @example('*vertices 1\n*arcs :1 "a"\n*arcs\n1 5 l "b"\n')
     @example('*vertices 2\n1 "2"\n*arcs :0 "z"\n')  # faults found after the last line
     @example('*vertices 1\n*arcs :0 "a"\n*arcs :1 "a"\n')
+    @example('*Vertices 2\n*Edges\n1 2\n*Arcs :2 "b"\n2 1\n3: 1 1\n*arcs\n1 2\n')
     @settings(max_examples=1000, deadline=None)
     def test_same_network_or_error(self, text):
         ours = outcome(read_pajek_net, io.StringIO(text))
@@ -470,12 +494,13 @@ class TestReadNetMatchesOracle:
 
 class TestNetFixedPoint:
     """NET is a fixed point of read after write: every network the reader
-    returns reads back equal from what the writer writes, apart from what
-    the writer does not keep: info.network, and the order of arcs among
-    edges, as it writes all arcs, then all edges. Its text then writes back
+    returns reads back equal from what the writer writes, apart from
+    info.network, which the writer does not keep. Its text then writes back
     as it was."""
 
     @given(text=net_text())
+    @example("*vertices 2\n*edges\n1 2\n*arcs\n1 2\n*edges\n2 1\n")  # kinds interleave
+    @example('*vertices 2\n*arcs :2 "b"\n1 2\n*edges :1 "a"\n2 1\n1 2\n')  # sections of a relation
     @example('*vertices 1\n*arcs :1 "a"\n*arcs :3 "b"\n')  # a gap between declared codes
     @example('*vertices 1\n*arcs :2 "a"\n*arcs :1 "b"\n*arcs\n1: 1 1\n2: 1 1\n')  # unsorted
     @example("*vertices 2\n*edges\n5: 1 2\n1: 2 1\n*arcs :3\n")  # undeclared codes, gaps
@@ -486,8 +511,7 @@ class TestNetFixedPoint:
         if isinstance(net, Network):
             text = write_pajek_net(net, coordinates=True)
             back = read_pajek_net(io.StringIO(text))
-            links = sorted(net.links, key=lambda link: link.kind is LinkKind.EDGE)
-            assert back == net._replace(info=net.info._replace(network=""), links=tuple(links))
+            assert back == net._replace(info=net.info._replace(network=""))
             assert write_pajek_net(back, coordinates=True) == text
 
 
