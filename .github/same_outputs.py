@@ -10,10 +10,10 @@ directory of its own. The inputs are the NET, CSV and NetsJSON files of
 ``tests/data``, the corrupt corpus in ``tests/data/corrupt``, the
 ``bench/gen.py`` inputs of every workload at seeds 1 and 2 with n=300, and
 any further ``.net`` or ``.json`` file, or ``NODES.csv+LINKS.csv`` pair of
-tables, named on the command line. On each
-input the runs are ``convert`` to csv, net and netsjson, each plain, with
-``--factorize`` and with ``--defactorize``; ``validate`` at both levels;
-and ``info``. A run's exit status, standard output, standard error and
+tables, named on the command line. On each input the runs are
+``convert`` to csv, net and netsjson, each plain, with ``--factorize``,
+with ``--factorize --base 0`` and with ``--defactorize``; ``validate``
+at both levels; and ``info``. A run's exit status, standard output, standard error and
 output files must be the same bytes under both trees. Each run that
 differs is printed with what differs, then the total; the exit status is
 1 when any run differs. Standard library only.
@@ -36,7 +36,7 @@ SEEDS = (1, 2)
 N = 300
 WORKERS = 4
 CONVERSIONS = [(target, flags) for target in ("csv", "net", "netsjson")
-               for flags in ([], ["--factorize"], ["--defactorize"])]
+               for flags in ([], ["--factorize"], ["--factorize", "--base", "0"], ["--defactorize"])]
 OUTPUT = {"csv": ["--nodes", "out_nodes.csv", "--links", "out_links.csv"],
           "net": ["-o", "out.net"], "netsjson": ["-o", "out.json"]}
 

@@ -138,8 +138,6 @@ def _resolve(args) -> None:
             raise NetconvError("cannot determine formats; use --from/--to")
         if args.from_format == "csv" and args.to_format == "csv":
             raise NetconvError("csv-to-csv conversion is not supported")
-        if args.to_format == "net" and args.base == 0:
-            raise NetconvError("Pajek NET output requires --base 1")
         if args.to_format == "csv":
             if not (args.nodes and args.links):
                 raise NetconvError("csv output requires --nodes and --links paths")
@@ -194,7 +192,7 @@ def _write_network(args, network: Network) -> None:
         return
     if args.to_format == "net":
         from .pajek import write_pajek_net
-        text = write_pajek_net(network, base=1, coordinates=args.coords)
+        text = write_pajek_net(network, coordinates=args.coords)
     else:
         from .netsjson import write_netsjson
         text = write_netsjson(network, pretty=args.pretty)
@@ -317,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = convert.add_mutually_exclusive_group()
     group.add_argument("--factorize", action="store_true", help="code identifiers as integers")
     group.add_argument("--defactorize", action="store_true", help="restore text identifiers")
-    convert.add_argument("--base", type=int, choices=(0, 1), default=1, help="smallest index")
+    convert.add_argument("--base", type=int, choices=(0, 1), default=1, help="smallest code; NET ignores it")
     convert.add_argument("--coords", action="store_true", help="emit coordinates in NET output")
     convert.add_argument("--pretty", action="store_true", help="indent NetsJSON output")
     convert.set_defaults(func=cmd_convert, rejects=())

@@ -67,9 +67,10 @@ def write_pajek_net(network: Network, base: int = 1, *, coordinates: bool = Fals
     of the declared levels and the relation names in use), which the
     ``*arcs :k`` declarations list. A code is named through its table, or
     by itself without one (:func:`~netconv.model.code_names`), and a node
-    without a label is labeled by its name; a label that two nodes share
-    raises, as the reader could not tell them apart. Coordinates are
-    emitted only when requested and both x and y are present.
+    without a label is labeled by its name. The reader builds a node table
+    only from distinct labels, so a label two nodes share raises where it
+    would lose a name: in a labeled network, or in a factorized one with a
+    node table. Coordinates are emitted only when both are present and requested.
     """
     if base != 1:
         raise ExportError("Pajek NET files are 1-based; base must be 1")
@@ -79,11 +80,11 @@ def write_pajek_net(network: Network, base: int = 1, *, coordinates: bool = Fals
     names = {rel: rel_name(rel) for rel in dict.fromkeys(l.rel for l in network.links)}
     relations = sorted_relations(network.relations.levels, names.values(), 1)
     name_of = code_names(network, network.node_coding)
-    labels = set()  # the reader names each vertex by its label
+    labels = set()  # the reader names each vertex by its label, when they are distinct
     lines = [f"*vertices {len(nodes)}"]
     for node in nodes:
         label = node.lab or name_of(node.id)
-        if label in labels:
+        if label in labels and (network.node_coding or not network.is_factorized):
             raise ExportError(f"vertex label {label!r} names more than one node")
         labels.add(label)
         line = f"{number[node.id]} {_quote(label)}"
@@ -116,20 +117,21 @@ def write_pajek_net(network: Network, base: int = 1, *, coordinates: bool = Fals
 def read_pajek_net(source: IO[str]) -> Network:
     """Parse Pajek NET text into a factorized network.
 
-    The node coding is taken from the vertex labels (which must therefore be
-    distinct). A relation code is a name local to the file: each is named
-    by the name it was declared or first used with, or else by itself, and
-    the relation table is those names in their normal form
-    (:func:`~netconv.model.sorted_relations`), each link's code its name's
-    place there. ``*arcs :k "name"`` (or ``*edges``) declares relation k and
-    opens a section of k. A repeated vertex line replaces only the label
-    and coordinates it gives. A ``*network`` line before ``*vertices``
-    names the network.
+    The node coding is taken from the vertex labels when they are distinct;
+    otherwise there is none, and each vertex code names itself. A relation code
+    is a name local to the file: each is named by the name it was declared or
+    first used with, or else by itself, and the relation table is those names in
+    their normal form (:func:`~netconv.model.sorted_relations`), each link's code
+    its name's place there. ``*arcs :k "name"`` (or ``*edges``) declares relation
+    k and opens a section of k; a bare ``*arcs :k`` names nothing. A repeated
+    vertex line replaces only the label and coordinates it gives. A ``*network``
+    line before ``*vertices`` names the network.
     """
     n = None  # the count of the last *vertices header
     vertices: dict[int, NodeRecord] = {}  # vertex number -> record, as last described
     links: list[LinkRecord] = []
     names: dict[int, str] = {}  # relation code -> its declared or first used name
+    declared: set[int] = set()  # the relation codes a header declares
     kind = None  # the kind of the open link section; None in *vertices
     section_rel = 1  # the relation of its lines without a prefix
     title = ""  # the network's name, from a *network line before *vertices
@@ -165,8 +167,8 @@ def read_pajek_net(source: IO[str]) -> Network:
                 kind, section_rel = LinkKind.ARC if keyword == "*arcs" else LinkKind.EDGE, 1
                 if len(toks) > 1 and toks[1].startswith(":"):
                     section_rel = _int(toks[1][1:], lineno, "invalid relation code {!r}", toks[1])
-                    name = toks[2] if len(toks) > 2 else str(section_rel)
-                    check((), section_rel, name, "redeclared as {!r} (was {!r})")
+                    declared.add(section_rel)  # a bare header names nothing
+                    check((), section_rel, *toks[2:3], conflict="redeclared as {!r} (was {!r})")
         elif n is None:
             raise ParseError("data before *vertices header", line=lineno)
         elif kind is None:
@@ -212,9 +214,9 @@ def read_pajek_net(source: IO[str]) -> Network:
     nodes = [vertices.get(v) or NodeRecord(v, str(v)) for v in range(1, n + 1)]
     try:
         node_coding = CodingTable("node", tuple(node.lab for node in nodes))
-    except ValueError:
-        raise ParseError("duplicate vertex labels prevent building the node coding") from None
-    codes = sorted({link.rel for link in links}.union(names))
+    except ValueError:  # repeated labels name no node: each vertex code names itself
+        node_coding = CodingTable("node")
+    codes = sorted({link.rel for link in links}.union(names, declared))
     if codes and codes[0] < 1:
         raise ParseError(f"relation code {codes[0]} is below 1")
     named = {code: names.get(code, str(code)) for code in codes}

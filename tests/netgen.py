@@ -3,7 +3,9 @@
 Each format preserves a different content class, so the generator produces
 networks inside the class a given trip can represent exactly:
 
-* ``pajek``   -- labeled, property-free, id == label, weights only;
+* ``pajek``   -- labeled, property-free, id == label, weights only; or,
+                 on request, factorized without a node table, its
+                 labels repeating;
 * ``csv``     -- labeled, scalar properties with one type per column, no
                  temporal data (the tables are untyped text);
 * ``json``    -- everything the model supports, labeled or factorized.
@@ -23,6 +25,7 @@ from netconv import (
     NodeRecord,
     TemporalQuantity,
     TimeWindow,
+    CodingTable,
     build_coding_table,
     factorize_network,
     make_network,
@@ -91,7 +94,14 @@ def _json_value(rng: random.Random, depth: int = 0):
     }
 
 
-def random_pajek_network(rng: random.Random, max_nodes: int = 200, max_links: int = 200):
+def random_pajek_network(rng: random.Random, max_nodes: int = 200, max_links: int = 200,
+                         shared_labels: float = 0.0):
+    """A labeled, property-free network whose ids are its labels, and
+    whether to write its coordinates. With chance ``shared_labels``, and
+    two nodes or more, it is instead factorized at base 1 without a node
+    table, each code naming its node, and its labels repeat: node 1 is
+    labeled "2" and node 2 is unlabeled, so NET names both "2", and the
+    others draw from a few labels or none."""
     used: set = set()
     n = rng.randint(0, max_nodes)
     with_coords = rng.random() < 0.3
@@ -119,7 +129,50 @@ def random_pajek_network(rng: random.Random, max_nodes: int = 200, max_links: in
                 )
             )
     directed = any(l.kind is LinkKind.ARC for l in links) or not links
-    return make_network(nodes, links, org=1, directed=directed), with_coords
+    net = make_network(nodes, links, org=1, directed=directed)
+    if n < 2 or not shared_labels or rng.random() >= shared_labels:
+        return net, with_coords
+    coded = factorize_network(net, 1)
+    labs = ["2", "", *(rng.choice(["a", "b", "3", ""]) for _ in range(n - 2))]
+    nodes = tuple(node._replace(lab=lab) for node, lab in zip(coded.nodes, labs))
+    return coded._replace(nodes=nodes, node_coding=CodingTable("node")), with_coords
+
+
+def with_bare_headers(rng: random.Random, text: str) -> str:
+    """NET ``text`` as ``write_pajek_net`` writes it, rewritten in the style
+    of Pajek's multi-relational files: each run of links of one kind and
+    relation k under a bare ``*arcs :k`` or ``*edges :k`` header, its lines
+    without the ``k:`` prefix. A header re-opens the section k's
+    declaration named; now and then a used relation's declaration is
+    dropped, and the suffix of its first link names it instead. The other
+    suffixes are kept now and then. The text reads as the same network."""
+    lines = text.splitlines()
+
+    def link_code(line: str):
+        head = line.split(" ", 1)[0]
+        return head[:-1] if head.endswith(":") and head[:-1].isdigit() else None
+
+    used = {link_code(line) for line in lines} - {None}
+    dropped = {line.split()[1][1:] for line in lines if line.startswith("*arcs :")
+               and rng.random() < 0.3} & used
+    out, kind, section, named = [], None, None, set()
+    for line in lines:
+        code = link_code(line)
+        if line in ("*arcs", "*edges"):
+            kind = line
+        elif line.startswith("*arcs :") and line.split()[1][1:] in dropped:
+            continue
+        elif code is None:
+            out.append(line)
+        else:
+            _, n1, n2, weight, suffix = line.split(" ", 4)
+            if (kind, code) != section:
+                out.append(f"{kind} :{code}")
+                section = (kind, code)
+            keep = (code in dropped and code not in named) or rng.random() < 0.3
+            named.add(code)
+            out.append(f"{n1} {n2} {weight}" + (f" {suffix}" if keep else ""))
+    return "\n".join(out) + "\n"
 
 
 def random_csv_network(rng: random.Random, max_nodes: int = 200, max_links: int = 200):

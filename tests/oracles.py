@@ -374,15 +374,16 @@ def merge_node_properties(network, node_table: RowTable, *, decimal_separator=".
 def read_pajek_net(source: IO[str]) -> Network:
     """Parse Pajek NET text into a factorized network.
 
-    The node coding is taken from the vertex labels (which must therefore be
-    distinct). Each relation code is named by its declaration or first
-    suffix, else by its digits; the relation table is those names sorted
-    from 1, and each link's code becomes its name's position there.
+    The node coding is taken from the vertex labels when they are
+    distinct; otherwise there is none. Each relation code is named by its
+    declaration or first suffix, else by its digits (a bare ``*arcs :k``
+    declares k without naming it); the relation table is those names
+    sorted from 1, and each link's code becomes its name's position there.
     """
     n_declared = None
     labels: dict[int, str] = {}
     coords: dict[int, tuple[float, float]] = {}
-    declarations: dict[int, str] = {}
+    declarations: dict[int, Optional[str]] = {}  # None: declared by a bare header
     raw_links: list[tuple[int, int, int, float, LinkKind]] = []  # rel, n1, n2, w, kind
     section = None  # "vertices" | LinkKind
     title = ""
@@ -408,17 +409,20 @@ def read_pajek_net(source: IO[str]) -> Network:
                         code = int(toks[1][1:])
                     except ValueError:
                         raise ParseError(f"invalid relation code {toks[1]!r}", line=lineno) from None
-                    name = toks[2] if len(toks) > 2 else str(code)
+                    section_rel = code
+                    if len(toks) == 2:
+                        declarations.setdefault(code, None)
+                        continue
+                    name = toks[2]
                     if not name:
                         raise ParseError("empty relation name", line=lineno)
-                    if declarations.get(code, name) != name:
+                    if declarations.get(code) not in (None, name):
                         raise ParseError(
                             f"relation code {code} redeclared as {name!r}"
                             f" (was {declarations[code]!r})",
                             line=lineno,
                         )
                     declarations[code] = name
-                    section_rel = code
             else:
                 raise ParseError(f"unknown section keyword {toks[0]!r}", line=lineno)
             continue
@@ -451,13 +455,13 @@ def read_pajek_net(source: IO[str]) -> Network:
                         f"vertex number {v} outside [1, {n_declared}]", line=lineno
                     )
             if name is not None:
-                if declarations.get(rel, name) != name:
+                if declarations.get(rel) not in (None, name):
                     raise ParseError(
                         f"relation code {rel} used as {name!r}"
                         f" (declared {declarations[rel]!r})",
                         line=lineno,
                     )
-                declarations.setdefault(rel, name)
+                declarations[rel] = name
             raw_links.append((rel, n1, n2, weight, section))
 
     if n_declared is None:
@@ -472,13 +476,13 @@ def read_pajek_net(source: IO[str]) -> Network:
         )
     node_levels = tuple(n.lab for n in nodes)
     if len(set(node_levels)) != len(node_levels):
-        raise ParseError("duplicate vertex labels prevent building the node coding")
+        node_levels = ()  # repeated labels: each vertex code names itself
     node_coding = CodingTable("node", node_levels, base=1)
 
     codes = sorted(set(declarations) | {rel for rel, *_ in raw_links})
     if codes and codes[0] < 1:
         raise ParseError(f"relation code {codes[0]} is below 1")
-    names = [declarations.get(code, str(code)) for code in codes]
+    names = [declarations.get(code) or str(code) for code in codes]
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ParseError(f"relation names are not distinct: duplicate coding table level: {name!r}")

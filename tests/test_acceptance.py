@@ -124,12 +124,14 @@ def test_criterion_3_partition_goldens(bib_network, bib_node_table):
 
 def test_criterion_4_round_trip_suite():
     """>= 500 random networks (up to 200 nodes/links) survive every
-    format round trip with exact structural equality."""
+    format round trip with exact structural equality; NET text also when
+    its labels repeat and when its sections open under bare headers."""
     from netgen import (
         random_csv_network,
         random_json_network,
         random_labeled_network,
         random_pajek_network,
+        with_bare_headers,
     )
 
     rng = random.Random(20240601)
@@ -158,10 +160,13 @@ def test_criterion_4_round_trip_suite():
         total += 1
 
     for _ in range(per_kind):
-        net, with_coords = random_pajek_network(rng, 200, 200)
-        text = write_pajek_net(net, coordinates=with_coords)
-        back = defactorize_network(read_pajek_net(io.StringIO(text)))
-        assert back == canonical_order(net)
+        net, with_coords = random_pajek_network(rng, 200, 200, shared_labels=0.2)
+        written = write_pajek_net(net, coordinates=with_coords)
+        # NET labels an unlabeled node by its name
+        named = net._replace(nodes=tuple(n._replace(lab=n.lab or str(n.id)) for n in net.nodes))
+        for text in (written, with_bare_headers(rng, written)):
+            back = defactorize_network(read_pajek_net(io.StringIO(text)))
+            assert back == canonical_order(defactorize_network(named))
         total += 1
 
     for _ in range(per_kind):

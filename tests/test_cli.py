@@ -104,14 +104,22 @@ class TestConvert:
         assert status == 0
         assert out.read_text(encoding="utf-8") == "*vertices 0\n*arcs\n"
 
-    def test_net_output_base_zero_rejected(self, bib_paths, tmp_path, capsys, monkeypatch):
+    def test_net_output_base_zero_same_bytes(self, bib_paths, tmp_path):
+        """NET output numbers vertices and relations from 1 whatever the
+        base, so --base 0 writes the bytes --base 1 writes: from the tables,
+        with --factorize, and from a document factorized at base 0."""
         nodes, links = bib_paths
-        monkeypatch.chdir(tmp_path)
-        for target in (["--to", "net"], ["-o", "x.net"]):
-            argv = ["convert", "--base", "0", "--nodes", str(nodes), "--links", str(links), *target]
-            assert main(argv) == 2
-            assert capsys.readouterr().err == "error: Pajek NET output requires --base 1\n"
-        assert not (tmp_path / "x.net").exists()
+        tables = ["--nodes", nodes, "--links", links]
+        coded = tmp_path / "coded.json"
+        assert run_cli("convert", *tables, "-o", coded, "--factorize", "--base", "0") == (0, "")
+        assert json.loads(coded.read_text(encoding="utf-8"))["info"]["org"] == 0
+        ref, out = tmp_path / "ref.net", tmp_path / "out.net"
+        assert run_cli("convert", *tables, "-o", ref) == (0, "")
+        for read in (tables, ["-i", coded]):
+            for flags in ([], ["--factorize"]):
+                for base in (0, 1):
+                    assert run_cli("convert", *read, "-o", out, "--base", base, *flags) == (0, "")
+                    assert out.read_bytes() == ref.read_bytes(), (read, flags, base)
 
     def test_csv_to_csv_rejected(self, bib_paths, tmp_path, capsys):
         nodes, links = bib_paths
@@ -1182,9 +1190,10 @@ def vertex_labels(doc: dict) -> list[str]:
 class TestFactorizedDocumentsConvert:
     """Whenever validate accepts a factorized document, convert writes it to
     NetsJSON and to CSV, and validate accepts the NetsJSON it writes. NET
-    output, which numbers vertex i the i-th node and names each by its
-    label, needs distinct labels, refuses the document with exit 2
-    otherwise, and validate accepts what it writes."""
+    output, which numbers vertex i the i-th node and labels each, refuses
+    with exit 2 a document whose nodeCoding names nodes that share a label,
+    as the reader builds a node table only from distinct labels; otherwise
+    it writes the document, and validate accepts what it writes."""
 
     @given(factorized_documents())
     @settings(max_examples=150, deadline=None)
@@ -1196,8 +1205,9 @@ class TestFactorizedDocumentsConvert:
             if run_cli("validate", path)[0] != 0:
                 return
             distinct = len(set(vertex_labels(doc))) == len(doc["nodes"])
+            named = bool(doc["info"].get("nodeCoding"))
             outputs = {"netsjson": (os.path.join(tmp, "o.json"), True),
-                       "net": (os.path.join(tmp, "o.net"), distinct)}
+                       "net": (os.path.join(tmp, "o.net"), distinct or not named)}
             for to, (out, writable) in outputs.items():
                 assert run_cli("convert", "-i", path, "-o", out)[0] == (0 if writable else 2), to
                 assert not writable or run_cli("validate", out)[0] == 0, to
@@ -1235,10 +1245,10 @@ class TestCodesWithoutTables:
     names itself, and an empty table is no table. validate accepts such a
     document exactly when its node codes lie at or above org (and in a
     given non-empty node table), whatever their span, and then convert
-    writes it to NetsJSON and CSV, and to NET when the vertex labels are
-    distinct. NetsJSON output keeps every code as written and writes no
-    table the document lacked; CSV, NET and --defactorize name each code
-    without a table by itself."""
+    writes it to NetsJSON, CSV and NET, the last unless nodes the node
+    table names share a vertex label. NetsJSON output keeps every code as
+    written and writes no table the document lacked; CSV, NET and
+    --defactorize name each code without a table by itself."""
 
     def test_seeded_documents(self, tmp_path):
         rng = random.Random(29)
@@ -1284,9 +1294,9 @@ class TestCodesWithoutTables:
             assert [(l["n1"], l["rel"], l["n2"]) for l in back["links"]] == rows
 
             labels = [n.get("lab") or name for n, name in zip(doc["nodes"], names)]
-            distinct = len(set(labels)) == len(labels)
-            assert run_cli("convert", "-i", path, "-o", net)[0] == (0 if distinct else 2), doc
-            if distinct:
+            writable = len(set(labels)) == len(labels) or not node_table
+            assert run_cli("convert", "-i", path, "-o", net)[0] == (0 if writable else 2), doc
+            if writable:
                 lines = net.read_text(encoding="utf-8").splitlines()
                 assert lines[1:len(labels) + 1] == [f'{i} "{lab}"' for i, lab in enumerate(labels, 1)]
                 link_names = [line.rsplit(" l ", 1)[1] for line in lines if " l " in line]
@@ -1320,9 +1330,12 @@ class TestEmptyCodingTableIsAbsent:
 
 
 class TestRepeatedVertexLabels:
-    """NET names each vertex by its label, so convert refuses NET output
-    whose labels repeat (exit 2, no file) rather than write a file that
-    validate rejects; the document itself validates."""
+    """The NET reader builds a node table only from distinct labels. So
+    convert refuses NET output (exit 2, no file) where a repeated label
+    would lose a name: in a labeled document, or in a factorized one whose
+    nodeCoding names the nodes (here "1" and "2"). The document itself
+    validates. Without a node table, each code names its node, and NET
+    output writes the labels as they are."""
 
     @pytest.mark.parametrize("nodes", [
         [{"id": 1, "lab": "2"}, {"id": 2}],
@@ -1331,13 +1344,50 @@ class TestRepeatedVertexLabels:
     ])  # fmt: skip
     def test_net_output_refused(self, nodes, tmp_path):
         path, out = tmp_path / "in.json", tmp_path / "o.net"
-        doc = {"netsJSON": "basic", "info": {"org": 1}, "nodes": nodes, "links": []}
+        info = {"org": 1, **({"nodeCoding": ["1", "2"]} if nodes[0]["id"] == 1 else {})}
+        doc = {"netsJSON": "basic", "info": info, "nodes": nodes, "links": []}
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert run_cli("validate", path) == (0, "")
         label = nodes[0]["lab"]
         assert run_cli("convert", "-i", path, "-o", out) == (
             2, f"error: vertex label {label!r} names more than one node\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("nodes", [
+        [{"id": 1, "lab": "2"}, {"id": 2}],
+        [{"id": 1, "lab": "x"}, {"id": 2, "lab": "x"}],
+    ])  # fmt: skip
+    def test_net_output_without_node_table_written(self, nodes, tmp_path):
+        path, out = tmp_path / "in.json", tmp_path / "o.net"
+        doc = {"netsJSON": "basic", "info": {"org": 1}, "nodes": nodes, "links": []}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli("convert", "-i", path, "-o", out) == (0, "")
+        label = nodes[0]["lab"]
+        assert out.read_text(encoding="utf-8") == f'*vertices 2\n1 "{label}"\n2 "{label}"\n*arcs\n'
+        assert run_cli("validate", out) == (0, "")
+
+    def test_net_file_converts(self, tmp_path):
+        """A NET file whose labels repeat validates, and converts to NetsJSON
+        without nodeCoding that validates strictly, to CSV naming each
+        vertex by its code, and to NET that reads back as the same network."""
+        path = tmp_path / "rep.net"
+        path.write_text('*Vertices 3\n1 "x"\n2 "x"\n3 "y"\n*Edges\n1 2\n', encoding="utf-8")
+        assert run_cli("validate", path) == (0, "")
+        doc = tmp_path / "o.json"
+        assert run_cli("convert", "-i", path, "-o", doc) == (0, "")
+        written = json.loads(doc.read_text(encoding="utf-8"))
+        assert "nodeCoding" not in written["info"]
+        assert [n.get("lab") for n in written["nodes"]] == ["x", "x", "y"]
+        assert run_cli("validate", doc, "--level", "strict")[0] == 0
+        nodes, links = tmp_path / "n.csv", tmp_path / "l.csv"
+        assert run_cli("convert", "-i", path, "--to", "csv", "--nodes", nodes, "--links", links) == (0, "")
+        assert [row.split(";")[0] for row in nodes.read_text(encoding="utf-8").splitlines()] == \
+            ["name", "1", "2", "3"]
+        assert links.read_text(encoding="utf-8").splitlines()[1].split(";")[:3] == ["1", "1", "2"]
+        net = tmp_path / "o.net"
+        assert run_cli("convert", "-i", path, "-o", net) == (0, "")
+        with open(path, encoding="utf-8") as a, open(net, encoding="utf-8") as b:
+            assert read_pajek_net(b) == read_pajek_net(a)
 
 
 class TestPajekNetworkLine:

@@ -418,6 +418,26 @@ class TestValidateDocument:
         report = self.validate(raw, strict=True)
         assert report.findings == ()
 
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("value", ["3", True, 2.0])
+    @pytest.mark.parametrize("counter", ["nNodes", "nArcs", "nEdges"])
+    def test_counter_not_an_integer(self, counter, value, strict, tmp_path, capsys):
+        """A declared counter must be an integer, not a string, a bool or a
+        float: an error at either level, validate exits 1, and the parser
+        refuses the document."""
+        doc = json.loads(MINIMAL)
+        doc["info"][counter] = value
+        text = json.dumps(doc)
+        error = ("member-type", f"$.info.{counter}", f"{counter} must be an integer")
+        assert [f[1:] for f in self.validate(text, strict).errors] == [error]
+        path = tmp_path / "in.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", str(path), "--level", "strict" if strict else "lenient"]) == 1
+        assert capsys.readouterr().err.splitlines()[0] == \
+            f"error: [member-type] $.info.{counter}: {counter} must be an integer"
+        with pytest.raises(SchemaError):
+            parse_netsjson(io.StringIO(text))
+
     def test_counter_mismatch_severity_by_level(self):
         doc = MINIMAL.replace('"nNodes": 2', '"nNodes": 3')
         lenient = self.validate(doc)

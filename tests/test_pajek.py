@@ -130,12 +130,29 @@ class TestWriteNet:
         ([NodeRecord(id=1, lab="2"), NodeRecord(id=2)], "2"),
     ])  # fmt: skip
     def test_repeated_vertex_label_rejected(self, nodes, label):
-        """The reader names each vertex by its label, so a label two nodes
-        share (a lab, or a node's name standing in for a missing lab) would
-        write a file it refuses."""
+        """The reader builds a node table only from distinct labels, so a
+        label two nodes share (a lab, or a node's name standing in for a
+        missing lab) would lose a name: in a labeled network, or in a
+        factorized one with a node table (here the codes 1 and 2 name the
+        nodes "1" and "2")."""
+        coding = CodingTable("node", ("1", "2")) if isinstance(nodes[0].id, int) else None
         with pytest.raises(ExportError) as excinfo:
-            write_pajek_net(make_network(nodes, []))
+            write_pajek_net(make_network(nodes, [], node_coding=coding))
         assert str(excinfo.value) == f"vertex label {label!r} names more than one node"
+
+    def test_shared_label_without_node_table_written(self):
+        """Without a node table each code names its node, so a shared label
+        loses no name: the labels are written as they are (an unlabeled
+        node's name "2" too) and read back without a node table."""
+        nodes = [NodeRecord(id=1, lab="2"), NodeRecord(id=2), NodeRecord(id=3, lab="x"),
+                 NodeRecord(id=4, lab="x")]
+        text = write_pajek_net(make_network(nodes, [LinkRecord(LinkKind.EDGE, 1, 2, 1)]))
+        assert text == ('*vertices 4\n1 "2"\n2 "2"\n3 "x"\n4 "x"\n'
+                        '*arcs :1 "1"\n*edges\n1: 1 2 1 l "1"\n')
+        back = read_pajek_net(io.StringIO(text))
+        assert back.node_coding == CodingTable("node") and back.is_factorized
+        assert [(n.id, n.lab) for n in back.nodes] == [(1, "2"), (2, "2"), (3, "x"), (4, "x")]
+        assert write_pajek_net(back) == text
 
     def test_relation_table_based_above_org_numbered_as_declared(self):
         text = '*vertices 2\n*arcs :2 "a"\n*arcs\n2: 1 2\n'
@@ -283,6 +300,32 @@ class TestReadNet:
         assert net.links[0].rel == 1  # missing prefix defaults to relation 1
         assert net.nodes[1].lab == "2"  # synthesized label
 
+    @pytest.mark.parametrize("text, labels", [
+        ('*Vertices 3\n1 "x"\n2 "x"\n3 "y"\n*Edges\n1 2\n', ["x", "x", "y"]),
+        ('*vertices 3\n1 "2"\n3 "x"\n', ["2", "2", "x"]),  # unlisted vertex 2 is labeled "2"
+    ])  # fmt: skip
+    def test_repeated_labels_read_without_node_table(self, text, labels):
+        """Labels that repeat name no node: the network gets no node table,
+        each vertex code names itself, and the labels stay in lab."""
+        net = read_pajek_net(io.StringIO(text))
+        assert net.is_factorized and net.node_coding == CodingTable("node")
+        assert [(n.id, n.lab) for n in net.nodes] == list(zip([1, 2, 3], labels))
+
+    @pytest.mark.parametrize("text, relations, links", [
+        ('*Vertices 2\n1 "a"\n2 "b"\n*Arcs :1 "likes"\n1 2\n*Edges :2 "knows"\n1 2\n'
+         '*Arcs :1\n2 1\n', ("knows", "likes"), [("arc", 2, 1, 2), ("edge", 1, 1, 2), ("arc", 2, 2, 1)]),
+        ('*Vertices 2\n1 "a"\n2 "b"\n*Arcs :2\n1 2 l "likes"\n', ("likes",), [("arc", 1, 1, 2)]),
+        ('*vertices 1\n*arcs :3\n*arcs :1 "a"\n', ("3", "a"), []),  # a bare code no link uses
+        ('*vertices 1\n*edges :2\n*arcs :2 "b"\n1 1\n', ("b",), [("arc", 1, 1, 1)]),
+    ])  # fmt: skip
+    def test_bare_header_names_nothing(self, text, relations, links):
+        """A bare ``*arcs :k`` or ``*edges :k`` declares k and opens its
+        section but names nothing: k keeps the name it is declared or first
+        used with, anywhere in the file, else its own."""
+        net = read_pajek_net(io.StringIO(text))
+        assert net.relations == CodingTable("relation", relations)
+        assert [(l.kind.value, l.rel, l.n1, l.n2) for l in net.links] == links
+
     def test_undeclared_relation_name_synthesized(self):
         """An undeclared code names itself, and its link is numbered by the
         name's place in the relation table."""
@@ -296,7 +339,6 @@ class TestReadNet:
         ("*vertices 1\n*arcs :x\n", "line 2: invalid relation code ':x'"),
         ('*vertices 2\n*arcs :1 "a"\n*arcs\n1: 1 2 1 l "b"\n',
          "line 4: relation code 1 used as 'b' (declared 'a')"),
-        ('*vertices 2\n1 "a"\n2 "a"\n', "duplicate vertex labels prevent building the node coding"),
         ('*vertices 1\n*arcs :0 "z"\n', "relation code 0 is below 1"),
         ("*vertices 1\n*edges\n-1: 1 1\n", "relation code -1 is below 1"),
         ('*vertices 1\n*arcs :1 "a"\n*arcs :3 "a"\n',
@@ -415,13 +457,17 @@ def net_text(draw) -> str:
     """A NET text: a *vertices header, vertex lines, relation declarations,
     then link sections, each opened by a plain header or a declaration;
     keywords in any case; optional labels, coordinates, shape parameters,
-    relation prefixes, weights and suffixes; blank lines and CRLF. Then a few lines put anywhere: comments, bad lines, and repeated
-    *vertices headers and vertex lines."""
+    relation prefixes, weights and suffixes; blank lines and CRLF. Now and
+    then the labels are vertex numbers, so they repeat and clash with an
+    unlabeled vertex's made-up label; a declaration may be bare, and may
+    re-open a named section. Then a few lines put anywhere: comments, bad
+    lines, and repeated *vertices headers and vertex lines."""
     rng = draw(st.randoms(use_true_random=True))
     bad_lines = rng.choice([0, 0, 0.05, 0.2])  # the share of lines that may hold bad tokens
     bad = 0.0  # the share of bad tokens on the line being made
     n = 0 if rng.random() < bad_lines else rng.randint(1, 4)
     vertex = ([str(v) for v in range(1, n + 1)] or ["1"], ["0", str(n + 1), "x", "+1", "1.0"])
+    shared = rng.random() < 0.3  # labels drawn from the vertex numbers
 
     def pick(tokens: tuple[list[str], list[str]]) -> str:
         return rng.choice(tokens[rng.random() < bad])
@@ -436,11 +482,17 @@ def net_text(draw) -> str:
     def vertex_line() -> str:
         v = pick(vertex)
         coordinates = f" {pick(COORDINATE)} {pick(COORDINATE)}" + optional(pick(COORDINATE))
-        label = pick(LABEL) if rng.random() < 0.2 else f'"v{v}"'
+        label = f'"{rng.choice(vertex[0])}"' if shared else f'"v{v}"'
+        label = pick(LABEL) if rng.random() < 0.2 else label
         return v + optional(label + rng.choice(["", coordinates]))
 
+    declared = []  # the codes declared so far, which a later header may re-open
+
     def declaration() -> str:
-        return rng.choice(SECTIONS) + f" :{pick(CODE)}" + optional(pick(NAME))
+        if declared and rng.random() < 0.3:  # re-open a declared section, naming nothing
+            return rng.choice(SECTIONS) + f" :{rng.choice(declared)}"
+        declared.append(pick(CODE))
+        return rng.choice(SECTIONS) + f" :{declared[-1]}" + optional(pick(NAME))
 
     def link_line() -> str:
         ends = [pick(vertex) for _ in range(rng.randint(0, 1) if rng.random() < bad / 4 else 2)]
@@ -459,7 +511,7 @@ def net_text(draw) -> str:
     lines += [make_line(vertex_line) for _ in range(rng.randint(0, 5))]
     lines += [make_line(declaration) for _ in range(rng.choice([0, 0, 1, 2, 3]))]
     for _ in range(rng.choice([0, 1, 1, 2, 3])):
-        lines.append(rng.choice(SECTIONS) if rng.random() < 0.7 else make_line(declaration))
+        lines.append(rng.choice(SECTIONS) if rng.random() < 0.5 else make_line(declaration))
         lines += [make_line(link_line) for _ in range(rng.randint(0, 4))]
     for _ in range(rng.choice([0, 0, 1, 2])):
         extra = rng.choice([vertices_header, vertex_line, declaration, link_line, None])
@@ -485,6 +537,9 @@ class TestReadNetMatchesOracle:
     @example('*vertices 2\n1 "2"\n*arcs :0 "z"\n')  # faults found after the last line
     @example('*vertices 1\n*arcs :0 "a"\n*arcs :1 "a"\n')
     @example('*Vertices 2\n*Edges\n1 2\n*Arcs :2 "b"\n2 1\n3: 1 1\n*arcs\n1 2\n')
+    @example('*Vertices 3\n1 "x"\n2 "x"\n3 "y"\n*Edges\n1 2\n')  # labels repeat
+    @example('*vertices 2\n1 "2"\n*arcs :1 "a"\n*edges :1\n2 1\n*arcs :3\n')  # bare headers
+    @example('*vertices 2\n*arcs :2\n1 2 l "likes"\n*arcs :2 "x"\n')  # named, then redeclared
     @settings(max_examples=1000, deadline=None)
     def test_same_network_or_error(self, text):
         ours = outcome(read_pajek_net, io.StringIO(text))
@@ -505,6 +560,8 @@ class TestNetFixedPoint:
     @example('*vertices 1\n*arcs :2 "a"\n*arcs :1 "b"\n*arcs\n1: 1 1\n2: 1 1\n')  # unsorted
     @example("*vertices 2\n*edges\n5: 1 2\n1: 2 1\n*arcs :3\n")  # undeclared codes, gaps
     @example('*vertices 2\n*arcs\n4: 1 2 l "a"\n2: 2 1 2.5 l "b"\n9: 1 1\n')  # suffix-named
+    @example('*vertices 3\n1 "2"\n2 "x"\n3 "x"\n*edges\n1 3\n')  # labels repeat
+    @example('*vertices 2\n*arcs :1 "a"\n1 2\n*edges :2 "b"\n*arcs :1\n2 1\n')  # re-opened
     @settings(max_examples=500, deadline=None)
     def test_read_write_read(self, text):
         net = outcome(read_pajek_net, io.StringIO(text))
